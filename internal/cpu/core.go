@@ -29,7 +29,7 @@ type Config struct {
 	FPLatency  int64
 }
 
-// Validate checks the core geometry; cpu.New panics on what this rejects.
+// Validate checks the core geometry; New panics on what this rejects.
 func (c Config) Validate() error {
 	if c.FetchWidth <= 0 || c.IssueWidth <= 0 || c.RetireWidth <= 0 {
 		return fmt.Errorf("cpu: non-positive pipeline width %+v", c)
@@ -43,8 +43,8 @@ func (c Config) Validate() error {
 	if c.MispredictPenalty < 0 {
 		return fmt.Errorf("cpu: negative mispredict penalty %d", c.MispredictPenalty)
 	}
-	if c.GshareBits < 1 || c.GshareBits > 30 {
-		return fmt.Errorf("cpu: gshare bits %d outside [1,30]", c.GshareBits)
+	if c.GshareBits < 1 || c.GshareBits > maxGshareBits {
+		return fmt.Errorf("cpu: gshare bits %d outside [1,%d]", c.GshareBits, maxGshareBits)
 	}
 	if c.IntLatency <= 0 || c.FPLatency <= 0 {
 		return fmt.Errorf("cpu: non-positive execution latency %+v", c)
@@ -97,51 +97,40 @@ func (r Result) IPC() float64 {
 	return float64(r.Retired) / float64(r.Cycles)
 }
 
-type entryState uint8
-
-const (
-	esEmpty entryState = iota
-	esWaiting
-	esReady
-	esIssued
-	esDone
-)
-
+// robEntry is one reorder-buffer slot. It holds no pointers: the µops
+// waiting on its result are linked through Core.depHead and Core.depNext,
+// beside rob, so an entry is 32 bytes that the garbage collector never
+// scans. An unfinished µop needs no state field: it waits while
+// pendingSrcs > 0, then sits in the ready list, then in the wheel or the
+// heap until complete sets done.
 type robEntry struct {
 	op          trace.Op
 	seq         uint64
-	state       entryState
-	pendingSrcs int
-	dependents  []int32
+	pendingSrcs int32
+	done        bool
 	mispredict  bool
 }
 
-type writerRef struct {
-	slot  int32
-	seq   uint64
-	valid bool
-}
+// wheelSize is the completion wheel's bucket count. A completion due fewer
+// than wheelSize cycles ahead goes into bucket at&wheelMask; one due later
+// goes into the completion heap.
+const (
+	wheelSize = 8
+	wheelMask = wheelSize - 1
+)
 
 type completion struct {
 	at   int64
 	slot int32
-	seq  uint64
 }
 
-// completionHeap is a hand-rolled binary min-heap ordered by (at, seq).
+// completionHeap is a hand-rolled binary min-heap ordered by at.
 // container/heap would box every completion into an `any` on Push — one
-// heap allocation per issued µop, the single largest allocation source in
-// the simulator. The (at, seq) order is total, so pop order is fully
-// deterministic; equal-cycle completions are all drained within one
-// complete() call, which makes their relative order unobservable anyway.
+// heap allocation per push. Equal-cycle completions are all drained within
+// one complete() call, which makes their relative order unobservable.
 type completionHeap []completion
 
-func (h completion) less(o completion) bool {
-	if h.at != o.at {
-		return h.at < o.at
-	}
-	return h.seq < o.seq
-}
+func (h completion) less(o completion) bool { return h.at < o.at }
 
 func (h *completionHeap) push(c completion) {
 	*h = append(*h, c)
@@ -191,19 +180,44 @@ type Core struct {
 	bp  *Gshare
 	st  *stats.Counters
 
-	rob   []robEntry
-	head  int32
-	count int
+	rob []robEntry
+	// The µops waiting on rob[p]'s result form a list of operand edges:
+	// edge 2*slot+k is operand k (Src1, Src2) of the µop in slot, so an
+	// op reading one register twice waits on it twice. depHead[p] is the
+	// first edge waiting on p and depNext[edge] the next, -1 ending both.
+	// complete walks and empties p's list when p finishes, and a µop
+	// cannot retire before the producers it waits on finish, so both a
+	// slot's list and its edges are free by the time fetch reuses the slot.
+	depHead []int32
+	depNext []int32
+	robSize int32
+	head    int32
+	count   int
 
-	lastWriter [trace.NumRegs]writerRef
-	readyQ     []int32
-	completed  completionHeap
+	// lastWriter[r] is 1 + the ROB slot of the youngest unfinished µop
+	// writing register r, or 0 when r's value is available. complete
+	// clears a µop's entry when it finishes, so a drained core has none.
+	lastWriter [trace.NumRegs]int32
+
+	// ready holds the slots whose operands are all available, in
+	// ascending seq order: fetch appends (a new µop has the largest seq)
+	// and a wakeup inserts by seq, so one in-order pass in issue visits
+	// candidates oldest-first.
+	ready []int32
+
+	// Completions due within wheelSize-1 cycles wait in wheel[at&wheelMask];
+	// later ones wait in the completed heap. Every completion is due after
+	// the cycle it was scheduled in and the loop never skips past the
+	// earliest one, so bucket cycle&wheelMask holds exactly the completions
+	// due at cycle when complete() drains it.
+	wheel     [wheelSize][]int32
+	completed completionHeap
 
 	// loadDone and storeDone are memory-port completion callbacks built
 	// once at construction. A per-load closure literal would escape (the
 	// memory system stores it on miss) and cost one allocation per load;
 	// the per-slot callback is safe because a ROB slot holds at most one
-	// outstanding load, whose seq cannot change until it completes.
+	// outstanding load.
 	loadDone  []func(at int64)
 	storeDone func(at int64)
 
@@ -225,6 +239,10 @@ type Core struct {
 	// is attached.
 	OnRetire func(retired uint64, cycle int64)
 
+	// onFinish, if set, is called with each µop's seq and the cycle it
+	// completes in. Tests use it to compare per-µop timing between cores.
+	onFinish func(seq uint64, cycle int64)
+
 	// tr, when non-nil, receives ROB-stall events; robStallStart tracks
 	// the cycle an ongoing full-ROB fetch stall began (0 = not stalled).
 	// Tracing-only state: it is not part of CoreState.
@@ -235,26 +253,38 @@ type Core struct {
 // AttachTracer wires an event tracer into the core (nil detaches).
 func (c *Core) AttachTracer(tr *simtrace.Tracer) { c.tr = tr }
 
-// New builds a core. counters may be nil.
+// New builds a core. counters may be nil. It panics on a configuration
+// that Validate rejects.
 func New(cfg Config, st *stats.Counters) *Core {
-	if cfg.ROBSize <= 0 || cfg.FetchWidth <= 0 || cfg.IssueWidth <= 0 || cfg.RetireWidth <= 0 {
-		panic(fmt.Sprintf("cpu: bad config %+v", cfg))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	if st == nil {
 		st = &stats.Counters{}
 	}
 	c := &Core{
-		cfg: cfg,
-		bp:  NewGshare(cfg.GshareBits),
-		st:  st,
-		rob: make([]robEntry, cfg.ROBSize),
+		cfg:     cfg,
+		bp:      NewGshare(cfg.GshareBits),
+		st:      st,
+		rob:     make([]robEntry, cfg.ROBSize),
+		depHead: make([]int32, cfg.ROBSize),
+		depNext: make([]int32, 2*cfg.ROBSize),
+		robSize: int32(cfg.ROBSize),
+		// Every ready or completing µop occupies a ROB slot, so neither
+		// the ready list nor a wheel bucket ever outgrows the ROB.
+		ready:     make([]int32, 0, cfg.ROBSize),
+		completed: make(completionHeap, 0, cfg.ROBSize),
+	}
+	for i := range c.depHead {
+		c.depHead[i] = -1
+	}
+	for i := range c.wheel {
+		c.wheel[i] = make([]int32, 0, cfg.ROBSize)
 	}
 	c.loadDone = make([]func(at int64), cfg.ROBSize)
 	for i := range c.loadDone {
 		slot := int32(i)
-		c.loadDone[i] = func(at int64) {
-			c.markComplete(slot, c.rob[slot].seq, at)
-		}
+		c.loadDone[i] = func(at int64) { c.markComplete(slot, at) }
 	}
 	c.storeDone = func(int64) { c.outstandingStores-- }
 	return c
@@ -262,100 +292,191 @@ func New(cfg Config, st *stats.Counters) *Core {
 
 // Run executes up to maxOps µops of tr (0 = all) and returns timing.
 func (c *Core) Run(tr *trace.Trace, mp MemPort, maxOps int) Result {
-	limit := len(tr.Ops)
-	if maxOps > 0 && maxOps < limit {
-		limit = maxOps
-	}
-	ops := tr.Ops[:limit]
-
-	lastProgress := int64(0)
-	for c.fetchIdx < len(ops) || c.count > 0 {
-		c.cycle++
-		mp.Tick(c.cycle)
-		progress := false
-		if c.complete() {
-			progress = true
-		}
-		if c.retire(mp) {
-			progress = true
-		}
-		if c.issue(mp) {
-			progress = true
-		}
-		if c.fetch(ops) {
-			progress = true
-		}
-		if progress {
-			lastProgress = c.cycle
-			continue
-		}
-		// Idle cycle: skip ahead to the next interesting time.
-		next := int64(-1)
-		consider := func(t int64) {
-			if t > c.cycle && (next == -1 || t < next) {
-				next = t
-			}
-		}
-		if len(c.completed) > 0 {
-			consider(c.completed.peekAt())
-		}
-		if !c.haltFetch && c.fetchBlockedUntil > c.cycle {
-			consider(c.fetchBlockedUntil)
-		}
-		if t := mp.NextEvent(); t >= 0 {
-			consider(t)
-		}
-		if next > c.cycle+1 {
-			c.cycle = next - 1
-		}
-		if c.cycle-lastProgress > 5_000_000 {
-			panic(fmt.Sprintf("cpu: no progress since cycle %d (rob %d, readyQ %d, loads %d, stores %d, fetch %d/%d)",
-				lastProgress, c.count, len(c.readyQ), c.outstandingLoads, c.outstandingStores, c.fetchIdx, len(ops)))
-		}
-	}
+	c.run(opsUpTo(tr, maxOps), mp, nil)
 	c.res.Cycles = c.cycle
 	c.st.Cycles = c.cycle
 	return c.res
 }
 
-// complete drains the completion heap for the current cycle, waking
-// dependents.
+// opsUpTo returns the first maxOps µops of tr (all of them when maxOps is
+// 0 or exceeds the trace).
+func opsUpTo(tr *trace.Trace, maxOps int) []trace.Op {
+	if maxOps > 0 && maxOps < len(tr.Ops) {
+		return tr.Ops[:maxOps]
+	}
+	return tr.Ops
+}
+
+// run is the cycle loop behind Run and RunSegmented: it steps the machine
+// until every op in ops has been fetched and retired, skipping idle
+// stretches. A non-nil quiesced makes it a segment drain: it also waits for
+// the store buffer to empty and the memory system to quiesce, and a store
+// drained by the memory system counts as progress.
+func (c *Core) run(ops []trace.Op, mp MemPort, quiesced func() bool) {
+	drain := quiesced != nil
+	lastProgress := c.cycle
+	for c.fetchIdx < len(ops) || c.count > 0 || drain && (c.outstandingStores > 0 || !quiesced()) {
+		if c.step(ops, mp, drain) {
+			lastProgress = c.cycle
+			continue
+		}
+		c.skipIdle(mp)
+		if c.cycle-lastProgress > 5_000_000 {
+			state := ""
+			if drain {
+				state = fmt.Sprintf(", quiesced %v", quiesced())
+			}
+			panic(fmt.Sprintf("cpu: no progress since cycle %d (rob %d, ready %d, loads %d, stores %d, fetch %d/%d%s)",
+				lastProgress, c.count, len(c.ready), c.outstandingLoads, c.outstandingStores, c.fetchIdx, len(ops), state))
+		}
+	}
+}
+
+// step advances the machine one cycle and reports whether any stage made
+// progress. With drains set, a store the memory system drained during the
+// cycle's Tick also counts.
+//
+// simlint:hotpath
+func (c *Core) step(ops []trace.Op, mp MemPort, drains bool) bool {
+	stores := c.outstandingStores
+	c.cycle++
+	mp.Tick(c.cycle)
+	progress := drains && c.outstandingStores != stores
+	if c.complete() {
+		progress = true
+	}
+	if c.retire(mp) {
+		progress = true
+	}
+	if c.issue(mp) {
+		progress = true
+	}
+	if c.fetch(ops) {
+		progress = true
+	}
+	return progress
+}
+
+// skipIdle runs after a cycle in which nothing moved. Nothing can move
+// again before the next completion, fetch unblock or memory event, so it
+// advances the clock to the cycle before the earliest of those.
+func (c *Core) skipIdle(mp MemPort) {
+	next := int64(-1)
+	consider := func(t int64) {
+		if t > c.cycle && (next == -1 || t < next) {
+			next = t
+		}
+	}
+	for t := c.cycle + 1; t < c.cycle+wheelSize; t++ {
+		if len(c.wheel[t&wheelMask]) > 0 {
+			consider(t)
+			break
+		}
+	}
+	if len(c.completed) > 0 {
+		consider(c.completed.peekAt())
+	}
+	if !c.haltFetch && c.fetchBlockedUntil > c.cycle {
+		consider(c.fetchBlockedUntil)
+	}
+	if t := mp.NextEvent(); t >= 0 {
+		consider(t)
+	}
+	if next > c.cycle+1 {
+		c.cycle = next - 1
+	}
+}
+
+// complete finishes every µop due at the current cycle and wakes its
+// dependents. Heap completions that have come due join this cycle's wheel
+// bucket first, so one loop finishes them all. The order in which one
+// cycle's completions finish does not matter: each only sets its own state
+// and decrements counters, a mispredict sets fetchBlockedUntil from the
+// cycle alone, and wake keeps the ready list sorted whatever order it is
+// called in.
+//
+// simlint:hotpath
 func (c *Core) complete() bool {
-	any := false
+	b := &c.wheel[c.cycle&wheelMask]
 	for len(c.completed) > 0 && c.completed.peekAt() <= c.cycle {
-		comp := c.completed.pop()
-		e := &c.rob[comp.slot]
-		if e.seq != comp.seq || e.state != esIssued {
-			continue // stale (should not happen, but be safe)
-		}
-		e.state = esDone
-		any = true
-		if e.op.Kind == trace.KLoad {
+		*b = append(*b, c.completed.pop().slot)
+	}
+	due := *b
+	if len(due) == 0 {
+		return false
+	}
+	for _, slot := range due {
+		e := &c.rob[slot]
+		e.done = true
+		switch {
+		case e.op.Kind == trace.KLoad:
 			c.outstandingLoads--
-		}
-		if e.op.Kind == trace.KBranch && e.mispredict {
+		case e.mispredict:
 			c.haltFetch = false
 			c.fetchBlockedUntil = c.cycle + c.cfg.MispredictPenalty
 		}
-		for _, dep := range e.dependents {
-			d := &c.rob[dep]
-			d.pendingSrcs--
-			if d.pendingSrcs == 0 && d.state == esWaiting {
-				d.state = esReady
-				c.readyQ = append(c.readyQ, dep)
+		for edge := c.depHead[slot]; edge >= 0; edge = c.depNext[edge] {
+			dep := edge >> 1
+			if c.rob[dep].pendingSrcs--; c.rob[dep].pendingSrcs == 0 {
+				c.wake(dep)
 			}
 		}
-		e.dependents = e.dependents[:0]
+		c.depHead[slot] = -1
+		if r := e.op.Dst; r < trace.NumRegs && c.lastWriter[r] == slot+1 {
+			c.lastWriter[r] = 0
+		}
+		if c.onFinish != nil {
+			c.onFinish(e.seq, c.cycle)
+		}
 	}
-	return any
+	*b = due[:0]
+	return true
 }
 
-// markComplete schedules completion of an issued entry at cycle at.
-func (c *Core) markComplete(slot int32, seq uint64, at int64) {
+// wake inserts slot, whose operands have all become available, into the
+// ready list at its seq position.
+//
+// simlint:hotpath
+func (c *Core) wake(slot int32) {
+	seq := c.rob[slot].seq
+	r := append(c.ready, slot)
+	i := len(r) - 1
+	for ; i > 0 && c.rob[r[i-1]].seq > seq; i-- {
+		r[i] = r[i-1]
+	}
+	r[i] = slot
+	c.ready = r
+}
+
+// markComplete schedules completion of an issued entry at cycle at (at the
+// earliest the next cycle).
+//
+// simlint:hotpath
+func (c *Core) markComplete(slot int32, at int64) {
 	if at <= c.cycle {
 		at = c.cycle + 1
 	}
-	c.completed.push(completion{at: at, slot: slot, seq: seq})
+	if at-c.cycle < wheelSize {
+		c.toWheel(slot, at)
+		return
+	}
+	c.completed.push(completion{at: at, slot: slot})
+}
+
+// toWheel files slot's completion, due at cycle at, fewer than wheelSize
+// cycles from now, in the wheel.
+func (c *Core) toWheel(slot int32, at int64) {
+	b := &c.wheel[at&wheelMask]
+	*b = append(*b, slot)
+}
+
+// wheelLen counts the completions waiting in the wheel.
+func (c *Core) wheelLen() int {
+	n := 0
+	for _, b := range c.wheel {
+		n += len(b)
+	}
+	return n
 }
 
 // retire commits completed µops in order. Retirement accounting is batched:
@@ -363,12 +484,14 @@ func (c *Core) markComplete(slot int32, seq uint64, at int64) {
 // per µop, except while an OnRetire observer is attached (warm-up only),
 // where the flush precedes each callback so the warm-up reset sees exact
 // counts.
+//
+// simlint:hotpath
 func (c *Core) retire(mp MemPort) bool {
 	any := false
 	var retired, stores uint64
 	for n := 0; n < c.cfg.RetireWidth && c.count > 0; n++ {
 		e := &c.rob[c.head]
-		if e.state != esDone {
+		if !e.done {
 			break
 		}
 		if e.op.Kind == trace.KStore {
@@ -379,8 +502,9 @@ func (c *Core) retire(mp MemPort) bool {
 			stores++
 			mp.Store(c.cycle, e.op.Addr, e.op.PC, c.storeDone)
 		}
-		e.state = esEmpty
-		c.head = (c.head + 1) % int32(c.cfg.ROBSize)
+		if c.head++; c.head == c.robSize {
+			c.head = 0
+		}
 		c.count--
 		c.res.Retired++
 		retired++
@@ -395,69 +519,88 @@ func (c *Core) retire(mp MemPort) bool {
 	return any
 }
 
-// issue selects ready µops oldest-first, bounded by issue width, functional
-// units and the load buffer.
+// issue makes one oldest-first pass over the ready list, issuing each µop
+// whose functional unit (and, for a load, load-buffer entry) is free until
+// IssueWidth µops have gone. Units and load-buffer room only shrink within
+// a cycle, so a µop passed over stays ineligible for the rest of the pass:
+// the result is the same as picking the oldest eligible µop once per slot.
+//
+// simlint:hotpath
 func (c *Core) issue(mp MemPort) bool {
+	r := c.ready
+	if len(r) == 0 {
+		return false
+	}
 	intLeft, memLeft, fpLeft := c.cfg.IntUnits, c.cfg.MemUnits, c.cfg.FPUnits
-	any := false
-	for issued := 0; issued < c.cfg.IssueWidth; issued++ {
-		best := -1
-		for qi, slot := range c.readyQ {
-			e := &c.rob[slot]
-			ok := false
-			switch e.op.Kind {
-			case trace.KInt, trace.KBranch:
-				ok = intLeft > 0
-			case trace.KFP:
-				ok = fpLeft > 0
-			case trace.KLoad:
-				ok = memLeft > 0 && c.outstandingLoads < c.cfg.LoadBuf
-			case trace.KStore:
-				ok = memLeft > 0
-			}
-			if !ok {
-				continue
-			}
-			if best == -1 || e.seq < c.rob[c.readyQ[best]].seq {
-				best = qi
-			}
-		}
-		if best == -1 {
-			break
-		}
-		slot := c.readyQ[best]
-		c.readyQ[best] = c.readyQ[len(c.readyQ)-1]
-		c.readyQ = c.readyQ[:len(c.readyQ)-1]
+	width := c.cfg.IssueWidth
+	kept, i := 0, 0
+	for ; i < len(r) && width > 0; i++ {
+		slot := r[i]
 		e := &c.rob[slot]
-		e.state = esIssued
-		any = true
-		switch e.op.Kind {
-		case trace.KInt:
+		var lat int64 // 0 for a load, whose latency the memory port decides
+		switch k := e.op.Kind; {
+		case (k == trace.KInt || k == trace.KBranch) && intLeft > 0:
 			intLeft--
-			c.markComplete(slot, e.seq, c.cycle+c.cfg.IntLatency)
-		case trace.KBranch:
-			intLeft--
-			c.markComplete(slot, e.seq, c.cycle+c.cfg.IntLatency)
-		case trace.KFP:
+			lat = c.cfg.IntLatency
+		case k == trace.KFP && fpLeft > 0:
 			fpLeft--
-			c.markComplete(slot, e.seq, c.cycle+c.cfg.FPLatency)
-		case trace.KLoad:
+			lat = c.cfg.FPLatency
+		case k == trace.KStore && memLeft > 0:
+			// Address generation only; memory traffic happens at retire.
+			memLeft--
+			c.res.Stores++
+			lat = c.cfg.IntLatency
+		case k == trace.KLoad && memLeft > 0 && c.outstandingLoads < c.cfg.LoadBuf:
 			memLeft--
 			c.outstandingLoads++
 			c.res.Loads++
+		default: // no free unit (or load-buffer entry) this cycle
+			r[kept] = slot
+			kept++
+			continue
+		}
+		width--
+		switch {
+		case lat == 0:
 			mp.Load(c.cycle, e.op.Addr, e.op.PC, c.loadDone[slot])
-		case trace.KStore:
-			memLeft--
-			c.res.Stores++
-			// Address generation only; memory traffic happens at retire.
-			c.markComplete(slot, e.seq, c.cycle+c.cfg.IntLatency)
+		case lat < wheelSize:
+			// markComplete's wheel path: a latency is at least 1, so the
+			// completion is due after this cycle.
+			c.toWheel(slot, c.cycle+lat)
+		default:
+			c.markComplete(slot, c.cycle+lat)
 		}
 	}
-	return any
+	if kept == i {
+		return false
+	}
+	if i < len(r) {
+		kept += copy(r[kept:], r[i:])
+	}
+	c.ready = r[:kept]
+	return true
+}
+
+// dependOn makes operand edge wait on the unfinished writer of register
+// src, if there is one, and reports how many writers (0 or 1) it now waits
+// on. NoReg is out of range, so one bound check skips it.
+func (c *Core) dependOn(src uint8, edge int32) int32 {
+	if src >= trace.NumRegs {
+		return 0
+	}
+	w := c.lastWriter[src]
+	if w == 0 {
+		return 0
+	}
+	c.depNext[edge] = c.depHead[w-1]
+	c.depHead[w-1] = edge
+	return 1
 }
 
 // fetch brings µops into the ROB, predicting branches and halting at a
 // mispredicted one until it resolves.
+//
+// simlint:hotpath
 func (c *Core) fetch(ops []trace.Op) bool {
 	if c.tr.Enabled() && c.fetchIdx < len(ops) {
 		// Edge-triggered ROB-stall tracking: record when fetch first finds
@@ -483,35 +626,23 @@ func (c *Core) fetch(ops []trace.Op) bool {
 		}
 		op := ops[c.fetchIdx]
 		c.fetchIdx++
-		slot := (c.head + int32(c.count)) % int32(c.cfg.ROBSize)
+		slot := c.head + int32(c.count)
+		if slot >= c.robSize {
+			slot -= c.robSize
+		}
 		c.count++
 		c.nextSeq++
 		e := &c.rob[slot]
-		*e = robEntry{op: op, seq: c.nextSeq, dependents: e.dependents[:0]}
-
-		for _, src := range [2]uint8{op.Src1, op.Src2} {
-			if src == trace.NoReg || src >= trace.NumRegs {
-				continue
-			}
-			lw := c.lastWriter[src]
-			if !lw.valid {
-				continue
-			}
-			p := &c.rob[lw.slot]
-			if p.seq != lw.seq || p.state == esDone || p.state == esEmpty {
-				continue
-			}
-			p.dependents = append(p.dependents, slot)
-			e.pendingSrcs++
-		}
-		if op.Dst != trace.NoReg && op.Dst < trace.NumRegs {
-			c.lastWriter[op.Dst] = writerRef{slot: slot, seq: e.seq, valid: true}
+		e.op = op
+		e.seq = c.nextSeq
+		e.pendingSrcs = c.dependOn(op.Src1, 2*slot) + c.dependOn(op.Src2, 2*slot+1)
+		e.done = false
+		e.mispredict = false
+		if op.Dst < trace.NumRegs {
+			c.lastWriter[op.Dst] = slot + 1
 		}
 		if e.pendingSrcs == 0 {
-			e.state = esReady
-			c.readyQ = append(c.readyQ, slot)
-		} else {
-			e.state = esWaiting
+			c.ready = append(c.ready, slot)
 		}
 		any = true
 

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/stats"
@@ -238,5 +239,82 @@ func TestOnRetireCallback(t *testing.T) {
 	c.Run(&trace.Trace{Ops: ops}, &fakeMem{latency: 1}, 0)
 	if len(calls) != 10 || calls[9] != 10 {
 		t.Fatalf("OnRetire calls = %v", calls)
+	}
+}
+
+// mustPanic reports whether f panics.
+func mustPanic(f func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	f()
+	return false
+}
+
+// TestNewEnforcesValidate checks that New builds every configuration
+// Validate accepts, and that the core it builds runs a trace to the end,
+// while every configuration Validate rejects makes New panic.
+func TestNewEnforcesValidate(t *testing.T) {
+	zeroInt := DefaultConfig()
+	zeroInt.IntUnits = 0
+	if !mustPanic(func() { New(zeroInt, nil) }) {
+		t.Fatal("New built a core with no integer units")
+	}
+	bigGshare := DefaultConfig()
+	bigGshare.GshareBits = maxGshareBits + 1
+	if bigGshare.Validate() == nil || !mustPanic(func() { New(bigGshare, nil) }) {
+		t.Fatalf("gshare bits %d: accepted by Validate or built by New", bigGshare.GshareBits)
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	tr := randomTrace(rng, 200)
+	accepted, rejected := 0, 0
+	for i := 0; i < 300; i++ {
+		cfg := randomConfig(rng)
+		cfg.GshareBits = uint(1 + rng.Intn(maxGshareBits))
+		if rng.Intn(2) == 0 { // push one field to or past its bound
+			bad := -1 + rng.Intn(2)
+			switch rng.Intn(13) {
+			case 0:
+				cfg.FetchWidth = bad
+			case 1:
+				cfg.IssueWidth = bad
+			case 2:
+				cfg.RetireWidth = bad
+			case 3:
+				cfg.ROBSize = bad
+			case 4:
+				cfg.LoadBuf = bad
+			case 5:
+				cfg.StoreBuf = bad
+			case 6:
+				cfg.IntUnits = bad
+			case 7:
+				cfg.MemUnits = bad
+			case 8:
+				cfg.FPUnits = bad
+			case 9:
+				cfg.MispredictPenalty = int64(bad)
+			case 10:
+				cfg.GshareBits = uint(rng.Intn(2)) * (maxGshareBits + 1)
+			case 11:
+				cfg.IntLatency = int64(bad)
+			case 12:
+				cfg.FPLatency = int64(bad)
+			}
+		}
+		if err := cfg.Validate(); err != nil {
+			rejected++
+			if !mustPanic(func() { New(cfg, nil) }) {
+				t.Fatalf("New built %+v, which Validate rejects: %v", cfg, err)
+			}
+			continue
+		}
+		accepted++
+		res := New(cfg, nil).Run(tr, &fakeMem{latency: 4}, 0)
+		if res.Retired != uint64(len(tr.Ops)) {
+			t.Fatalf("config %+v retired %d of %d µops", cfg, res.Retired, len(tr.Ops))
+		}
+	}
+	if accepted == 0 || rejected == 0 {
+		t.Fatalf("accepted %d, rejected %d: the draw missed a side", accepted, rejected)
 	}
 }

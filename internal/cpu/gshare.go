@@ -21,9 +21,13 @@ type Gshare struct {
 	mask  uint32
 }
 
-// NewGshare builds a predictor with 2^bits counters.
+// maxGshareBits bounds the predictor size: 2^24 counters take 16 MiB.
+const maxGshareBits = 24
+
+// NewGshare builds a predictor with 2^bits counters, 1 <= bits <=
+// maxGshareBits.
 func NewGshare(bits uint) *Gshare {
-	if bits == 0 || bits > 24 {
+	if bits == 0 || bits > maxGshareBits {
 		panic("cpu: gshare bits out of range")
 	}
 	g := &Gshare{table: make([]uint8, 1<<bits), mask: 1<<bits - 1}
