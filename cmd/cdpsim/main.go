@@ -36,7 +36,7 @@ func main() {
 	prev := flag.Int("prev", 0, "content previous-line prefetches")
 	noReinf := flag.Bool("no-reinforce", false, "disable path reinforcement")
 	markovKB := flag.Int("markov", 0, "enable Markov prefetcher with STAB budget in KB (-1 = unbounded)")
-	engine := flag.String("engine", "", "attach a zoo entrant by registry spec, e.g. pangloss or bestoffset:degree=2 (cdpsim list-engines)")
+	engine := flag.String("engine", "", "append a zoo entrant to the engine list by registry spec, e.g. pangloss or bestoffset:degree=2 (cdpsim list-engines)")
 	l2kb := flag.Int("l2", 1024, "UL2 size in KB")
 	l2ways := flag.Int("l2ways", 8, "UL2 associativity")
 	tlbEntries := flag.Int("tlb", 64, "DTLB entries")
@@ -96,14 +96,15 @@ func main() {
 		cfg = cfg.WithMarkov(budget, cfg.L2)
 	}
 	if *engine != "" {
-		// Validate here so a typo exits with the registry's name listing,
-		// matching the unknown-benchmark convention, instead of panicking
-		// inside the simulator.
-		if err := registry.Validate(*engine); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
 		cfg = cfg.WithEngine(*engine)
+	}
+	// Validate the assembled machine so a bad flag — an engine typo (the
+	// error lists the registry's names) or an engine the list already
+	// holds — exits like an unknown benchmark instead of panicking inside
+	// the simulator.
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	var tr *simtrace.Tracer

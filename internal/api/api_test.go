@@ -190,6 +190,7 @@ func TestBadRequests(t *testing.T) {
 	}{
 		{"unknown benchmark", `{"benchmark": "quake3"}`, `valid: `},
 		{"invalid config", `{"benchmark": "b2c", "ops": 10000, "l2_kb": 3}`, "invalid configuration"},
+		{"engine list", `{"benchmark": "b2c", "engine": "pangloss+markov"}`, `unknown engine \"pangloss+markov\"`},
 		{"negative ops", `{"benchmark": "b2c", "ops": -5}`, "negative ops"},
 		{"unknown field", `{"benchmark": "b2c", "bogus": 1}`, "bad request body"},
 	}

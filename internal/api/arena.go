@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/jobq"
 	"repro/internal/prefetch/registry"
 	"repro/internal/report"
@@ -100,9 +99,8 @@ func (s *Server) handleArena(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("engines"); v != "" {
 		engines = strings.Split(v, ",")
 	}
-	base := arenaBase(ops)
 	for _, e := range engines {
-		if _, err := arenaConfig(base, e); err != nil {
+		if _, _, err := arenaCellSim(benchmarks[0], e, ops); err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
@@ -134,57 +132,15 @@ func (s *Server) handleArena(w http.ResponseWriter, r *http.Request) {
 	s.respondJob(w, r, false, job)
 }
 
-// arenaBase is the shared machine configuration every arena cell derives
-// from, mirroring buildSim's budget-derived warm-up and MPTU bucketing.
-func arenaBase(ops int) sim.Config {
-	cfg := sim.Default()
-	cfg.WarmupOps = uint64(ops / 8)
-	cfg.MPTUBucketOps = uint64(ops / 48)
-	if cfg.MPTUBucketOps == 0 {
-		cfg.MPTUBucketOps = 1
-	}
-	return cfg
-}
-
-// arenaConfig resolves one engine spec into a full simulator configuration.
-// The three engines with bespoke simulator wiring (stride is the always-on
-// baseline, cdp scans fills inside the memory system, markov has its own
-// budget knob) map to their canonical configurations; interface-native
-// entrants ride sim.Config.Engine and accept the registry's spec grammar.
-func arenaConfig(base sim.Config, engineSpec string) (sim.Config, error) {
-	name, params, err := registry.ParseSpec(engineSpec)
-	if err != nil {
-		return sim.Config{}, fmt.Errorf("arena: %w", err)
-	}
-	switch name {
-	case "stride", "cdp", "markov":
-		if len(params) > 0 {
-			return sim.Config{}, fmt.Errorf(
-				"arena: engine %q runs its canonical configuration; parameters are not supported here (use POST /v1/sim)", name)
-		}
-	}
-	switch name {
-	case "stride":
-		return base, nil
-	case "cdp":
-		return base.WithContent(core.DefaultConfig), nil
-	case "markov":
-		return base.WithMarkov(512*1024, base.L2), nil
-	default:
-		if err := registry.Validate(engineSpec); err != nil {
-			return sim.Config{}, fmt.Errorf("arena: %w", err)
-		}
-		return base.WithEngine(engineSpec), nil
-	}
-}
-
-// ArenaCellRequest maps one arena cell onto the POST /v1/sim request that
-// reproduces arenaConfig's configuration — and therefore the same content
-// key. The cluster coordinator's arena fan-out builds cells from these, so
-// a cell computed on any worker fills the exact cache entry that worker's
-// own /v1/sim and /v1/arena paths read; a drift test pins the equivalence.
-// The stride baseline each benchmark is ranked against is the "stride"
-// cell.
+// ArenaCellRequest maps one arena cell onto its POST /v1/sim request. It is
+// the only spelling of a cell: the standalone arena resolves it through
+// buildSim and the cluster coordinator's fan-out submits it, so a cell
+// computed anywhere fills the exact cache entry every worker's /v1/sim and
+// /v1/arena paths read. The three engines with their own request knobs
+// (stride is the always-on baseline, cdp and markov_kb enable theirs) run
+// their canonical configurations; interface-native entrants ride the
+// request's engine field and accept the registry's spec grammar. The
+// stride baseline each benchmark is ranked against is the "stride" cell.
 func ArenaCellRequest(bench, engineSpec string, ops int) (SimRequest, error) {
 	name, params, err := registry.ParseSpec(engineSpec)
 	if err != nil {
@@ -197,14 +153,11 @@ func ArenaCellRequest(bench, engineSpec string, ops int) (SimRequest, error) {
 			return SimRequest{}, fmt.Errorf(
 				"arena: engine %q runs its canonical configuration; parameters are not supported here (use POST /v1/sim)", name)
 		}
-	}
-	switch name {
-	case "stride":
-		// The baseline machine: stride is always on, nothing else is.
-	case "cdp":
-		req.CDP = true
-	case "markov":
-		req.MarkovKB = 512
+		// "stride" is the baseline machine itself: no knob to set.
+		req.CDP = name == "cdp"
+		if name == "markov" {
+			req.MarkovKB = 512
+		}
 	default:
 		if err := registry.Validate(engineSpec); err != nil {
 			return SimRequest{}, fmt.Errorf("arena: %w", err)
@@ -214,20 +167,15 @@ func ArenaCellRequest(bench, engineSpec string, ops int) (SimRequest, error) {
 	return req, nil
 }
 
-// ArenaCellKey is the content key the standalone arena computes one cell
-// under (the arenaConfig path). The cluster drift test pins
-// ArenaCellRequest's resolved key to it, so the two spellings of a cell
-// can never silently diverge.
-func ArenaCellKey(bench, engineSpec string, ops int) (simcache.Key, error) {
-	spec, err := workloads.ByName(bench)
+// arenaCellSim resolves one arena cell into its simulation inputs exactly
+// as a POST /v1/sim of ArenaCellRequest would.
+func arenaCellSim(bench, engineSpec string, ops int) (workloads.Spec, sim.Config, error) {
+	req, err := ArenaCellRequest(bench, engineSpec, ops)
 	if err != nil {
-		return simcache.Key{}, err
+		return workloads.Spec{}, sim.Config{}, err
 	}
-	cfg, err := arenaConfig(arenaBase(ops), engineSpec)
-	if err != nil {
-		return simcache.Key{}, err
-	}
-	return simcache.KeyFor(spec, cfg, ops), nil
+	spec, cfg, _, err := buildSim(req)
+	return spec, cfg, err
 }
 
 // MarshalArenaReport renders the cacheable arena payload. Exported so the
@@ -279,16 +227,11 @@ func (s *Server) arenaJob(benchmarks, engines []string, ops int, key simcache.Ke
 			total := len(benchmarks) * (len(engines) + 1)
 			done := 0
 			cells := make([]report.ArenaCell, 0, len(benchmarks)*len(engines))
-			base := arenaBase(ops)
 			for _, bench := range benchmarks {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
-				spec, err := workloads.ByName(bench)
-				if err != nil {
-					return nil, err
-				}
-				baseRes, err := s.arenaCell(ctx, spec, base, ops)
+				baseRes, err := s.arenaCell(ctx, bench, "stride", ops)
 				done++
 				j.SetProgress("simulating", done, total)
 				if err != nil {
@@ -298,11 +241,7 @@ func (s *Server) arenaJob(benchmarks, engines []string, ops int, key simcache.Ke
 					if err := ctx.Err(); err != nil {
 						return nil, err
 					}
-					cfg, err := arenaConfig(base, eng)
-					if err != nil {
-						return nil, err
-					}
-					res, err := s.arenaCell(ctx, spec, cfg, ops)
+					res, err := s.arenaCell(ctx, bench, eng, ops)
 					done++
 					j.SetProgress("simulating", done, total)
 					if err != nil {
@@ -320,9 +259,13 @@ func (s *Server) arenaJob(benchmarks, engines []string, ops int, key simcache.Ke
 	}
 }
 
-// arenaCell computes (or fetches) one simulation under the /v1/sim content
-// key and decodes the stable SimResult the cache stores.
-func (s *Server) arenaCell(ctx context.Context, spec workloads.Spec, cfg sim.Config, ops int) (*SimResult, error) {
+// arenaCell computes (or fetches) one cell under the /v1/sim content key and
+// decodes the stable SimResult the cache stores.
+func (s *Server) arenaCell(ctx context.Context, bench, engineSpec string, ops int) (*SimResult, error) {
+	spec, cfg, err := arenaCellSim(bench, engineSpec, ops)
+	if err != nil {
+		return nil, err
+	}
 	key := simcache.KeyFor(spec, cfg, ops)
 	data, _, err := s.cache.GetOrCompute(key, func() ([]byte, error) {
 		if err := ctx.Err(); err != nil {

@@ -33,14 +33,15 @@ type SimRequest struct {
 	// (-1 = unbounded).
 	MarkovKB int `json:"markov_kb,omitempty"`
 
-	// Engine selects an interface-native prefetcher from the registry by
-	// spec ("pangloss", "bestoffset:offsets=best", ...). The three engines
-	// with bespoke simulator wiring keep their dedicated knobs above
-	// (stride is the always-on baseline, cdp and markov_kb enable theirs);
-	// naming them here is rejected so every configuration has exactly one
-	// request spelling — and therefore exactly one content key. The
-	// coordinator's arena fan-out rides this field so a cell lands on a
-	// worker under the exact content key the worker's own arena would use.
+	// Engine appends an interface-native prefetcher from the registry by
+	// spec ("pangloss", "bestoffset:degree=2", ...) to the machine's
+	// engine list. Only the CDP is wired directly in the simulator; stride
+	// and markov run through the same list but keep their own knobs above
+	// (stride is the always-on baseline, markov_kb sizes the STAB), so
+	// naming any of the three here is rejected and every configuration has
+	// exactly one request spelling — and therefore exactly one content key.
+	// The arena's cells, standalone or fanned out by the coordinator, are
+	// built from this request (ArenaCellRequest).
 	Engine string `json:"engine,omitempty"`
 
 	L2KB       int  `json:"l2_kb,omitempty"`       // 0 = 1024
@@ -141,6 +142,11 @@ func buildSim(req SimRequest) (workloads.Spec, sim.Config, int, error) {
 		case "stride", "cdp", "markov":
 			return workloads.Spec{}, sim.Config{}, 0, fmt.Errorf(
 				"engine %q has a dedicated request knob (stride is always on; use \"cdp\" or \"markov_kb\"); \"engine\" is for interface-native entrants", name)
+		}
+		// The field names one entrant: validated alone, a "+"-joined
+		// engine list cannot slip stride or markov in by a second spelling.
+		if err := registry.Validate(req.Engine); err != nil {
+			return workloads.Spec{}, sim.Config{}, 0, fmt.Errorf("invalid configuration: %w", err)
 		}
 		cfg = cfg.WithEngine(req.Engine)
 	}

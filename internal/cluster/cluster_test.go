@@ -571,33 +571,15 @@ func TestWorkerCacheEndpoint(t *testing.T) {
 	}
 }
 
-// TestArenaCellRequestMatchesArenaConfig pins the key equivalence the
-// distributed arena rests on: the /v1/sim request ArenaCellRequest builds
-// for a cell must resolve to the exact content key the standalone arena
-// computes that cell under. If arenaConfig and ArenaCellRequest ever
-// drift, fan-out stops deduplicating against local sweeps.
-func TestArenaCellRequestMatchesArenaConfig(t *testing.T) {
+// TestArenaCellRequestRejectsParameterisedEngine: the engines with their
+// own request knobs run only their canonical configuration in an arena
+// cell, so a parameterised spelling must be refused rather than silently
+// dropping its parameters.
+func TestArenaCellRequestRejectsParameterisedEngine(t *testing.T) {
 	const ops = 20_000
-	for _, engine := range []string{"stride", "cdp", "markov"} {
-		req, err := api.ArenaCellRequest("quake", engine, ops)
-		if err != nil {
-			t.Fatalf("%s: %v", engine, err)
+	for _, engine := range []string{"markov(budget_kb=64)", "markov:entries=64", "cdp:depth=2"} {
+		if _, err := api.ArenaCellRequest("quake", engine, ops); err == nil {
+			t.Errorf("parameterised %q accepted by ArenaCellRequest", engine)
 		}
-		spec, cfg, resolvedOps, err := api.ResolveSim(req)
-		if err != nil {
-			t.Fatalf("%s: resolve: %v", engine, err)
-		}
-		got := simcache.KeyFor(spec, cfg, resolvedOps)
-		want, err := api.ArenaCellKey("quake", engine, ops)
-		if err != nil {
-			t.Fatalf("%s: arena key: %v", engine, err)
-		}
-		if got != want {
-			t.Errorf("engine %s: ArenaCellRequest key %s != arenaConfig key %s", engine, got, want)
-		}
-	}
-	// Parameterised canonical engines are rejected on both paths.
-	if _, err := api.ArenaCellRequest("quake", "markov(budget_kb=64)", ops); err == nil {
-		t.Error("parameterised markov accepted by ArenaCellRequest")
 	}
 }

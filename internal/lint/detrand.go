@@ -18,7 +18,6 @@ var detCriticalPkgs = map[string]bool{
 	"bus":      true, // arbiters and front-side bus
 	"core":     true, // content-directed prefetcher
 	"prefetch": true, // the prefetcher zoo's engines
-	"markov":   true, // Markov comparator STAB
 	"registry": true, // engine construction must be spec-deterministic
 }
 

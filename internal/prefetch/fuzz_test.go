@@ -14,11 +14,12 @@ func fuzzEngines() []Prefetcher {
 		NewStride(StrideConfig{TableEntries: 8, Degree: 2, Distance: 1}),
 		NewPangloss(PanglossConfig{Rows: 16, Slots: 2, Degree: 3, MinConfidence: 2, MaxConfidence: 7}),
 		NewBestOffset(BestOffsetConfig{RRSize: 16, RoundMisses: 8, ScoreMax: 4, BadScore: 1, Degree: 2}),
+		NewMarkov(MarkovConfig{MaxEntries: 8}),
 	}
 }
 
 // fuzzDegree mirrors fuzzEngines: each engine's per-event issue ceiling.
-var fuzzDegree = []int{2, 3, 2}
+var fuzzDegree = []int{2, 3, 2, MarkovFanout}
 
 // FuzzObserveMiss drives every engine over an arbitrary miss stream decoded
 // from the fuzz input (each 5 bytes: one PC-selector byte + a 4-byte VA)
@@ -124,6 +125,8 @@ func cloneOf(e Prefetcher) (Prefetcher, error) {
 		return NewPangloss(v.Config()), nil
 	case *BestOffset:
 		return NewBestOffset(v.Config()), nil
+	case *Markov:
+		return NewMarkov(v.Config()), nil
 	}
 	return nil, fmt.Errorf("no clone constructor for %T", e)
 }

@@ -1,9 +1,9 @@
-// Package markov implements the 1-history Markov prefetcher of Joseph &
-// Grunwald (ISCA 1997) as configured in Section 5 of the paper: a State
-// Transition Table (STAB) with a fan-out of four successors per miss
-// address, LRU-managed both across entries and within each entry's
-// successor list. It is the stateful, training-bound comparator against
-// which the stateless content prefetcher is evaluated (Table 3, Figure 11).
+// Markov STAB: the 1-history Markov prefetcher of Joseph & Grunwald (ISCA
+// 1997) as configured in Section 5 of the paper — a State Transition Table
+// (STAB) with a fan-out of four successors per miss address, LRU-managed
+// both across entries and within each entry's successor list. It is the
+// stateful, training-bound comparator against which the stateless content
+// prefetcher is evaluated (Table 3, Figure 11).
 //
 // The STAB observes the L2 demand-miss stream at cache-line granularity.
 // On a miss to line M it (a) records M as a successor of the previous miss
@@ -11,54 +11,53 @@
 // paper, the stride prefetcher is given precedence: if the stride engine
 // issued for the triggering reference, the Markov prefetcher is blocked
 // from issuing, reducing redundant prefetches.
-package markov
+package prefetch
 
 import (
 	"bytes"
 	"container/list"
 	"encoding/gob"
 	"fmt"
-
-	"repro/internal/prefetch"
 )
 
-// Fanout is the number of successor slots per STAB entry (the paper's
-// configuration).
-const Fanout = 4
+// MarkovFanout is the number of successor slots per STAB entry (the
+// paper's configuration).
+const MarkovFanout = 4
 
-// EntryBytes is the modelled hardware cost of one STAB entry, used to
-// convert the paper's byte budgets into entry counts: a 4-byte tag, four
+// MarkovEntryBytes is the modelled hardware cost of one STAB entry, used
+// to convert the paper's byte budgets into entry counts: a 4-byte tag, four
 // 4-byte successors, and ~4 bytes of valid/LRU state.
-const EntryBytes = 24
+const MarkovEntryBytes = 24
 
-// EntriesForBudget converts a STAB byte budget (e.g. 512 KiB) to entries.
-func EntriesForBudget(bytes int) int { return bytes / EntryBytes }
+// MarkovEntriesForBudget converts a STAB byte budget (e.g. 512 KiB) to
+// entries.
+func MarkovEntriesForBudget(bytes int) int { return bytes / MarkovEntryBytes }
 
-// Config sizes the STAB.
-type Config struct {
+// MarkovConfig sizes the STAB.
+type MarkovConfig struct {
 	// MaxEntries bounds the table; 0 means unbounded (the paper's
 	// markov_big upper-limit configuration).
 	MaxEntries int
 }
 
-// Validate checks the table bound; New panics on what this rejects.
-func (c Config) Validate() error {
+// Validate checks the table bound; NewMarkov panics on what this rejects.
+func (c MarkovConfig) Validate() error {
 	if c.MaxEntries < 0 {
 		return fmt.Errorf("markov: negative entry bound %d", c.MaxEntries)
 	}
 	return nil
 }
 
-type entry struct {
+type markovEntry struct {
 	line uint32
-	succ []uint32 // MRU-first, at most Fanout
+	succ []uint32 // MRU-first, at most MarkovFanout
 	elem *list.Element
 }
 
 // Markov is the STAB prefetcher.
 type Markov struct {
-	cfg      Config
-	table    map[uint32]*entry
+	cfg      MarkovConfig
+	table    map[uint32]*markovEntry
 	lru      *list.List // front = MRU entries
 	lastMiss uint32
 	haveLast bool
@@ -69,53 +68,53 @@ type Markov struct {
 	transition uint64
 }
 
-// New builds a Markov prefetcher.
-func New(cfg Config) *Markov {
-	if cfg.MaxEntries < 0 {
-		panic(fmt.Sprintf("markov: negative entry bound %d", cfg.MaxEntries))
+// NewMarkov builds a Markov prefetcher.
+func NewMarkov(cfg MarkovConfig) *Markov {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
-	return &Markov{cfg: cfg, table: make(map[uint32]*entry), lru: list.New(), enabled: true}
+	return &Markov{cfg: cfg, table: make(map[uint32]*markovEntry), lru: list.New(), enabled: true}
 }
 
-var _ prefetch.Prefetcher = (*Markov)(nil)
+var _ Prefetcher = (*Markov)(nil)
 
 // Name is the engine's registry name.
 func (m *Markov) Name() string { return "markov" }
 
 // Stream: the STAB observes the L2 demand-miss stream (Section 5).
-func (m *Markov) Stream() prefetch.Stream { return prefetch.StreamL2 }
+func (m *Markov) Stream() Stream { return StreamL2 }
 
 // Translate: the STAB is modelled post-translation; predictions consult
 // the page map directly.
-func (m *Markov) Translate() prefetch.TranslateVia { return prefetch.TranslateDirect }
+func (m *Markov) Translate() TranslateVia { return TranslateDirect }
 
 // SetEnabled toggles issue; transition recording continues while disabled.
 func (m *Markov) SetEnabled(enabled bool) { m.enabled = enabled }
 
 // Counters reports the engine's lifetime counters.
-func (m *Markov) Counters() prefetch.Counters {
-	return prefetch.Counters{Observed: m.observed, Issued: m.predicted}
+func (m *Markov) Counters() Counters {
+	return Counters{Observed: m.observed, Issued: m.predicted}
 }
 
 // Reset reverts to the just-constructed state.
 func (m *Markov) Reset() {
-	m.table = make(map[uint32]*entry)
+	m.table = make(map[uint32]*markovEntry)
 	m.lru = list.New()
 	m.lastMiss, m.haveLast = 0, false
 	m.observed, m.predicted, m.transition = 0, 0, 0
 }
 
 // Config returns the table bound.
-func (m *Markov) Config() Config { return m.cfg }
+func (m *Markov) Config() MarkovConfig { return m.cfg }
 
 // Entries reports the current table population.
 func (m *Markov) Entries() int { return len(m.table) }
 
-func (m *Markov) touch(e *entry) {
+func (m *Markov) touch(e *markovEntry) {
 	m.lru.MoveToFront(e.elem)
 }
 
-func (m *Markov) get(line uint32, create bool) *entry {
+func (m *Markov) get(line uint32, create bool) *markovEntry {
 	if e, ok := m.table[line]; ok {
 		m.touch(e)
 		return e
@@ -125,11 +124,11 @@ func (m *Markov) get(line uint32, create bool) *entry {
 	}
 	if m.cfg.MaxEntries > 0 && len(m.table) >= m.cfg.MaxEntries {
 		victim := m.lru.Back()
-		ve := victim.Value.(*entry)
+		ve := victim.Value.(*markovEntry)
 		m.lru.Remove(victim)
 		delete(m.table, ve.line)
 	}
-	e := &entry{line: line}
+	e := &markovEntry{line: line}
 	e.elem = m.lru.PushFront(e)
 	m.table[line] = e
 	return e
@@ -140,14 +139,14 @@ func (m *Markov) get(line uint32, create bool) *entry {
 // when the stride prefetcher already issued for this reference, mirroring
 // the sequential stride-then-Markov access of Section 5.
 func (m *Markov) ObserveMiss(line uint32, strideIssued bool) []uint32 {
-	return m.Observe(prefetch.Event{VA: line, PriorIssued: strideIssued}, nil)
+	return m.Observe(Event{VA: line, PriorIssued: strideIssued}, nil)
 }
 
 // Observe trains on one L2 miss event and appends the predicted successor
 // lines to dst. ev.PriorIssued carries the paper's stride-takes-precedence
 // rule: a reference the stride engine already covered records its
 // transition but predicts nothing.
-func (m *Markov) Observe(ev prefetch.Event, dst []uint32) []uint32 {
+func (m *Markov) Observe(ev Event, dst []uint32) []uint32 {
 	line := ev.VA
 	m.observed++
 	// Record the transition lastMiss -> line.
@@ -163,7 +162,7 @@ func (m *Markov) Observe(ev prefetch.Event, dst []uint32) []uint32 {
 			}
 		}
 		if !inserted {
-			if len(e.succ) < Fanout {
+			if len(e.succ) < MarkovFanout {
 				e.succ = append(e.succ, 0)
 			}
 			copy(e.succ[1:], e.succ[:len(e.succ)-1])
@@ -197,19 +196,19 @@ func (m *Markov) String() string {
 	if m.cfg.MaxEntries > 0 {
 		bound = fmt.Sprintf("%d entries", m.cfg.MaxEntries)
 	}
-	return fmt.Sprintf("markov{STAB %s, fanout %d}", bound, Fanout)
+	return fmt.Sprintf("markov{STAB %s, fanout %d}", bound, MarkovFanout)
 }
 
-// EntryState is one STAB entry in a State, MRU-first in the State's Entries
-// slice so the cross-entry LRU order restores exactly.
-type EntryState struct {
+// markovEntryState is one STAB entry in a markovState, MRU-first in the
+// state's Entries slice so the cross-entry LRU order restores exactly.
+type markovEntryState struct {
 	Line uint32
 	Succ []uint32
 }
 
-// State is a checkpointable deep copy of the STAB.
-type State struct {
-	Entries     []EntryState // MRU-first
+// markovState is the gob payload of MarshalState: a deep copy of the STAB.
+type markovState struct {
+	Entries     []markovEntryState // MRU-first
 	LastMiss    uint32
 	HaveLast    bool
 	Observed    uint64
@@ -217,35 +216,35 @@ type State struct {
 	Predicted   uint64
 }
 
-// State snapshots the STAB, preserving both the cross-entry LRU order and
+// state snapshots the STAB, preserving both the cross-entry LRU order and
 // each entry's MRU-first successor order.
-func (m *Markov) State() State {
-	st := State{
+func (m *Markov) state() markovState {
+	st := markovState{
 		LastMiss: m.lastMiss, HaveLast: m.haveLast,
 		Observed: m.observed, Transitions: m.transition, Predicted: m.predicted,
 	}
 	for el := m.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
-		st.Entries = append(st.Entries, EntryState{Line: e.line, Succ: append([]uint32(nil), e.succ...)})
+		e := el.Value.(*markovEntry)
+		st.Entries = append(st.Entries, markovEntryState{Line: e.line, Succ: append([]uint32(nil), e.succ...)})
 	}
 	return st
 }
 
-// Restore overwrites the STAB with a previously captured State.
-func (m *Markov) Restore(st State) error {
+// restore overwrites the STAB with a previously captured state.
+func (m *Markov) restore(st markovState) error {
 	if m.cfg.MaxEntries > 0 && len(st.Entries) > m.cfg.MaxEntries {
 		return fmt.Errorf("markov: state has %d entries, table bound is %d", len(st.Entries), m.cfg.MaxEntries)
 	}
-	m.table = make(map[uint32]*entry, len(st.Entries))
+	m.table = make(map[uint32]*markovEntry, len(st.Entries))
 	m.lru = list.New()
 	for _, es := range st.Entries {
-		if len(es.Succ) > Fanout {
-			return fmt.Errorf("markov: entry %#x has %d successors, fanout is %d", es.Line, len(es.Succ), Fanout)
+		if len(es.Succ) > MarkovFanout {
+			return fmt.Errorf("markov: entry %#x has %d successors, fanout is %d", es.Line, len(es.Succ), MarkovFanout)
 		}
 		if _, dup := m.table[es.Line]; dup {
 			return fmt.Errorf("markov: duplicate entry %#x in state", es.Line)
 		}
-		e := &entry{line: es.Line, succ: append([]uint32(nil), es.Succ...)}
+		e := &markovEntry{line: es.Line, succ: append([]uint32(nil), es.Succ...)}
 		e.elem = m.lru.PushBack(e) // Entries is MRU-first; appending keeps the order
 		m.table[es.Line] = e
 	}
@@ -254,10 +253,10 @@ func (m *Markov) Restore(st State) error {
 	return nil
 }
 
-// MarshalState serialises the STAB for checkpointing (gob of State).
+// MarshalState serialises the STAB for checkpointing.
 func (m *Markov) MarshalState() ([]byte, error) {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m.State()); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(m.state()); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -265,9 +264,9 @@ func (m *Markov) MarshalState() ([]byte, error) {
 
 // UnmarshalState restores a MarshalState payload into a same-bound engine.
 func (m *Markov) UnmarshalState(data []byte) error {
-	var st State
+	var st markovState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return err
 	}
-	return m.Restore(st)
+	return m.restore(st)
 }

@@ -1,12 +1,12 @@
-package markov
+package prefetch
 
 import (
 	"testing"
 	"testing/quick"
 )
 
-func TestLearnsTransition(t *testing.T) {
-	m := New(Config{})
+func TestMarkovLearnsTransition(t *testing.T) {
+	m := NewMarkov(MarkovConfig{})
 	if got := m.ObserveMiss(10, false); got != nil {
 		t.Fatalf("untrained prediction %v", got)
 	}
@@ -18,16 +18,16 @@ func TestLearnsTransition(t *testing.T) {
 	}
 }
 
-func TestFanoutLRUWithinEntry(t *testing.T) {
-	m := New(Config{})
+func TestMarkovFanoutLRUWithinEntry(t *testing.T) {
+	m := NewMarkov(MarkovConfig{})
 	// Build transitions 1 -> 2, 1 -> 3, 1 -> 4, 1 -> 5, 1 -> 6.
 	for _, succ := range []uint32{2, 3, 4, 5, 6} {
 		m.ObserveMiss(1, false)
 		m.ObserveMiss(succ, false)
 	}
 	got := m.ObserveMiss(1, false)
-	if len(got) != Fanout {
-		t.Fatalf("fanout = %d, want %d", len(got), Fanout)
+	if len(got) != MarkovFanout {
+		t.Fatalf("fanout = %d, want %d", len(got), MarkovFanout)
 	}
 	// MRU-first: 6, 5, 4, 3 (2 evicted).
 	want := []uint32{6, 5, 4, 3}
@@ -38,8 +38,8 @@ func TestFanoutLRUWithinEntry(t *testing.T) {
 	}
 }
 
-func TestRepeatTransitionMovesToMRU(t *testing.T) {
-	m := New(Config{})
+func TestMarkovRepeatTransitionMovesToMRU(t *testing.T) {
+	m := NewMarkov(MarkovConfig{})
 	for _, succ := range []uint32{2, 3, 4} {
 		m.ObserveMiss(1, false)
 		m.ObserveMiss(succ, false)
@@ -59,8 +59,8 @@ func TestRepeatTransitionMovesToMRU(t *testing.T) {
 	}
 }
 
-func TestStridePrecedenceBlocks(t *testing.T) {
-	m := New(Config{})
+func TestMarkovStridePrecedenceBlocks(t *testing.T) {
+	m := NewMarkov(MarkovConfig{})
 	m.ObserveMiss(1, false)
 	m.ObserveMiss(2, false)
 	if got := m.ObserveMiss(1, true); got != nil {
@@ -73,8 +73,8 @@ func TestStridePrecedenceBlocks(t *testing.T) {
 	}
 }
 
-func TestEntryBoundLRUEviction(t *testing.T) {
-	m := New(Config{MaxEntries: 2})
+func TestMarkovEntryBoundLRUEviction(t *testing.T) {
+	m := NewMarkov(MarkovConfig{MaxEntries: 2})
 	// Create entries for lines 1 and 2.
 	m.ObserveMiss(1, false)
 	m.ObserveMiss(2, false) // entry 1 created
@@ -92,8 +92,8 @@ func TestEntryBoundLRUEviction(t *testing.T) {
 	}
 }
 
-func TestSelfTransitionIgnored(t *testing.T) {
-	m := New(Config{})
+func TestMarkovSelfTransitionIgnored(t *testing.T) {
+	m := NewMarkov(MarkovConfig{})
 	m.ObserveMiss(5, false)
 	m.ObserveMiss(5, false) // repeated miss to the same line
 	if got := m.ObserveMiss(5, false); got != nil {
@@ -101,21 +101,21 @@ func TestSelfTransitionIgnored(t *testing.T) {
 	}
 }
 
-func TestEntriesForBudget(t *testing.T) {
+func TestMarkovEntriesForBudget(t *testing.T) {
 	// Table 3: 512 KB STAB.
-	if n := EntriesForBudget(512 * 1024); n != 21845 {
+	if n := MarkovEntriesForBudget(512 * 1024); n != 21845 {
 		t.Fatalf("512KB = %d entries", n)
 	}
-	if n := EntriesForBudget(128 * 1024); n != 5461 {
+	if n := MarkovEntriesForBudget(128 * 1024); n != 5461 {
 		t.Fatalf("128KB = %d entries", n)
 	}
 }
 
 // Property: the table never exceeds its bound, and predictions only ever
 // name previously observed miss lines.
-func TestBoundedAndSoundQuick(t *testing.T) {
+func TestMarkovBoundedAndSoundQuick(t *testing.T) {
 	f := func(seq []uint8) bool {
-		m := New(Config{MaxEntries: 8})
+		m := NewMarkov(MarkovConfig{MaxEntries: 8})
 		seen := map[uint32]bool{}
 		for _, s := range seq {
 			line := uint32(s % 32)

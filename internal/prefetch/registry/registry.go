@@ -7,10 +7,10 @@
 //
 // e.g. "pangloss", "stride:degree=4,distance=20", "markov:entries=8192".
 // The spec is the unit of configuration everywhere engines are selected:
-// sim.Config.Engine, cdpsim's -engine flag, and the cdpd arena sweep. It is
-// deliberately a flat string so the simcache content key hashes it without
-// new encoder cases, and so an engine plus its parameters is one
-// copy-pasteable token.
+// each element of sim.Config.Engines' "+"-separated list, cdpsim's -engine
+// flag, and the cdpd arena sweep. It is deliberately a flat string so the
+// simcache content key hashes it without new encoder cases, and so an
+// engine plus its parameters is one copy-pasteable token.
 package registry
 
 import (
@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/markov"
 	"repro/internal/prefetch"
 )
 
@@ -134,7 +133,7 @@ var entries = []Entry{
 		Doc:  "Joseph & Grunwald Markov STAB (ISCA'97): address-keyed successor table over the L2 miss stream, fanout 4",
 		Keys: []string{"entries"},
 		Build: func(ps Params) (prefetch.Prefetcher, error) {
-			cfg := markov.Config{MaxEntries: markov.EntriesForBudget(512 * 1024)}
+			cfg := prefetch.MarkovConfig{MaxEntries: prefetch.MarkovEntriesForBudget(512 * 1024)}
 			var err error
 			if cfg.MaxEntries, err = ps.intOr("entries", cfg.MaxEntries); err != nil {
 				return nil, err
@@ -142,7 +141,7 @@ var entries = []Entry{
 			if err := cfg.Validate(); err != nil {
 				return nil, err
 			}
-			return markov.New(cfg), nil
+			return prefetch.NewMarkov(cfg), nil
 		},
 	},
 	{

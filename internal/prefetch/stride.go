@@ -150,22 +150,6 @@ func (s *Stride) Observe(ev Event, dst []uint32) []uint32 {
 	return dst
 }
 
-// WouldPredict reports whether a steady entry for pc would cover va as its
-// next access — used by the tuning experiments to compute stride-adjusted
-// coverage and accuracy without perturbing the table.
-func (s *Stride) WouldPredict(pc, va uint32) bool {
-	e := &s.table[pc%uint32(len(s.table))]
-	if !e.valid || e.pc != pc || e.state != stSteady || e.stride == 0 {
-		return false
-	}
-	for k := 1; k <= s.cfg.Distance+s.cfg.Degree; k++ {
-		if e.lastAddr+uint32(e.stride*int32(k)) == va {
-			return true
-		}
-	}
-	return false
-}
-
 // Stats returns misses observed and prefetch addresses generated.
 func (s *Stride) Stats() (observed, predicted uint64) { return s.observed, s.predicted }
 
@@ -173,8 +157,9 @@ func (s *Stride) String() string {
 	return fmt.Sprintf("stride{%d entries, degree %d}", s.cfg.TableEntries, s.cfg.Degree)
 }
 
-// EntryState is one valid reference-prediction-table entry in a State.
-type EntryState struct {
+// strideEntryState is one valid reference-prediction-table entry in a
+// strideState.
+type strideEntryState struct {
 	Index    uint32 // direct-mapped table slot
 	PC       uint32
 	LastAddr uint32
@@ -182,21 +167,21 @@ type EntryState struct {
 	Phase    uint8 // INIT/TRANSIENT/STEADY
 }
 
-// State is a checkpointable deep copy of the stride engine's mutable
-// contents.
-type State struct {
+// strideState is the gob payload of MarshalState: a deep copy of the
+// stride engine's mutable contents.
+type strideState struct {
 	Observed  uint64
 	Predicted uint64
-	Entries   []EntryState
+	Entries   []strideEntryState
 }
 
-// State snapshots the reference prediction table.
-func (s *Stride) State() State {
-	st := State{Observed: s.observed, Predicted: s.predicted}
+// state snapshots the reference prediction table.
+func (s *Stride) state() strideState {
+	st := strideState{Observed: s.observed, Predicted: s.predicted}
 	for i := range s.table {
 		if s.table[i].valid {
 			e := &s.table[i]
-			st.Entries = append(st.Entries, EntryState{
+			st.Entries = append(st.Entries, strideEntryState{
 				Index: uint32(i), PC: e.pc, LastAddr: e.lastAddr, Stride: e.stride, Phase: e.state,
 			})
 		}
@@ -204,9 +189,9 @@ func (s *Stride) State() State {
 	return st
 }
 
-// Restore overwrites the table with a previously captured State. The table
+// restore overwrites the table with a previously captured state. The table
 // must have the geometry the state was captured from.
-func (s *Stride) Restore(st State) error {
+func (s *Stride) restore(st strideState) error {
 	for i := range s.table {
 		s.table[i] = strideEntry{}
 	}
@@ -226,10 +211,10 @@ func (s *Stride) Restore(st State) error {
 	return nil
 }
 
-// MarshalState serialises the table for checkpointing (gob of State).
+// MarshalState serialises the table for checkpointing.
 func (s *Stride) MarshalState() ([]byte, error) {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s.State()); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(s.state()); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -238,9 +223,9 @@ func (s *Stride) MarshalState() ([]byte, error) {
 // UnmarshalState restores a MarshalState payload into a same-geometry
 // engine.
 func (s *Stride) UnmarshalState(data []byte) error {
-	var st State
+	var st strideState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return err
 	}
-	return s.Restore(st)
+	return s.restore(st)
 }

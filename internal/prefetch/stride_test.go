@@ -85,23 +85,6 @@ func TestPCConflictReallocates(t *testing.T) {
 	}
 }
 
-func TestWouldPredict(t *testing.T) {
-	s := NewStride(StrideConfig{TableEntries: 64, Degree: 2})
-	pc := uint32(0x414)
-	s.ObserveMiss(pc, 0)
-	s.ObserveMiss(pc, 128)
-	s.ObserveMiss(pc, 256)
-	if !s.WouldPredict(pc, 384) || !s.WouldPredict(pc, 512) {
-		t.Fatal("WouldPredict missed in-degree addresses")
-	}
-	if s.WouldPredict(pc, 640) {
-		t.Fatal("WouldPredict beyond degree")
-	}
-	if s.WouldPredict(pc+4, 384) {
-		t.Fatal("WouldPredict for unknown pc")
-	}
-}
-
 func TestStats(t *testing.T) {
 	s := NewStride(DefaultStrideConfig)
 	s.ObserveMiss(8, 0)

@@ -20,8 +20,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/faultinject"
-	"repro/internal/markov"
-	"repro/internal/prefetch"
 	"repro/internal/simtrace"
 	"repro/internal/stats"
 	"repro/internal/tlb"
@@ -52,15 +50,13 @@ type MemState struct {
 	Bus        bus.State
 	L1, L2     cache.State
 	TLB        tlb.State
-	Stride     *prefetch.State
 	Content    *core.State
-	Markov     *markov.State
-	// AuxEngine pins the registry spec the Aux blob was captured from;
-	// Aux is the cfg.Engine entrant's opaque MarshalState payload. The
-	// interface owns the encoding, so new zoo entrants checkpoint without
-	// touching this struct again.
-	AuxEngine string
-	Aux       []byte
+	// Engines pins the engine list the snapshot was taken under;
+	// EngineStates holds one opaque MarshalState blob per engine, in list
+	// order. The interface owns each encoding, so new zoo entrants
+	// checkpoint without touching this struct.
+	Engines      string
+	EngineStates [][]byte
 }
 
 // state snapshots a quiesced memory system; it fails if anything is in
@@ -78,26 +74,18 @@ func (ms *MemSystem) state() (MemState, error) {
 		L1:         ms.l1.State(),
 		L2:         ms.l2.State(),
 		TLB:        ms.dtlb.State(),
-	}
-	if ms.stride != nil {
-		s := ms.stride.State()
-		st.Stride = &s
+		Engines:    ms.cfg.Engines,
 	}
 	if ms.cdp != nil {
 		s := ms.cdp.State()
 		st.Content = &s
 	}
-	if ms.mkv != nil {
-		s := ms.mkv.State()
-		st.Markov = &s
-	}
-	if ms.aux != nil {
-		data, err := ms.aux.MarshalState()
+	for i := range ms.ports {
+		data, err := ms.ports[i].eng.MarshalState()
 		if err != nil {
 			return MemState{}, err
 		}
-		st.AuxEngine = ms.cfg.Engine
-		st.Aux = data
+		st.EngineStates = append(st.EngineStates, data)
 	}
 	return st, nil
 }
@@ -105,14 +93,11 @@ func (ms *MemSystem) state() (MemState, error) {
 // restore loads a quiesce-point snapshot into a freshly built memory
 // system. The snapshot's prefetcher set must match the configuration's.
 func (ms *MemSystem) restore(st MemState) error {
-	if (st.Stride != nil) != (ms.stride != nil) ||
-		(st.Content != nil) != (ms.cdp != nil) ||
-		(st.Markov != nil) != (ms.mkv != nil) ||
-		(st.Aux != nil) != (ms.aux != nil) {
+	if (st.Content != nil) != (ms.cdp != nil) {
 		return fmt.Errorf("sim: snapshot prefetcher set does not match the configuration")
 	}
-	if ms.aux != nil && st.AuxEngine != ms.cfg.Engine {
-		return fmt.Errorf("sim: snapshot engine %q does not match configured engine %q", st.AuxEngine, ms.cfg.Engine)
+	if st.Engines != ms.cfg.Engines || len(st.EngineStates) != len(ms.ports) {
+		return fmt.Errorf("sim: snapshot engine list %q does not match configured engine list %q", st.Engines, ms.cfg.Engines)
 	}
 	if err := ms.l1.Restore(st.L1); err != nil {
 		return err
@@ -123,23 +108,13 @@ func (ms *MemSystem) restore(st MemState) error {
 	if err := ms.dtlb.Restore(st.TLB); err != nil {
 		return err
 	}
-	if ms.stride != nil {
-		if err := ms.stride.Restore(*st.Stride); err != nil {
-			return err
-		}
-	}
 	if ms.cdp != nil {
 		if err := ms.cdp.Restore(*st.Content); err != nil {
 			return err
 		}
 	}
-	if ms.mkv != nil {
-		if err := ms.mkv.Restore(*st.Markov); err != nil {
-			return err
-		}
-	}
-	if ms.aux != nil {
-		if err := ms.aux.UnmarshalState(st.Aux); err != nil {
+	for i := range ms.ports {
+		if err := ms.ports[i].eng.UnmarshalState(st.EngineStates[i]); err != nil {
 			return err
 		}
 	}
@@ -178,7 +153,7 @@ type Snapshot struct {
 
 // snapshotMagic versions the serialized stream; bump it when Snapshot's
 // shape changes incompatibly.
-const snapshotMagic = "cdpsnap1"
+const snapshotMagic = "cdpsnap2"
 
 // WriteSnapshot serializes s to w behind a version header.
 func WriteSnapshot(w io.Writer, s *Snapshot) error {
@@ -218,9 +193,9 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	return ReadSnapshot(bytes.NewReader(data))
 }
 
-// machine bundles the components of one simulation so the uninterrupted
-// and resumed paths share construction, warm-up arming, and result
-// assembly.
+// machine bundles the components of one simulation so the plain,
+// checkpointed and resumed paths share construction, warm-up arming, and
+// result assembly.
 type machine struct {
 	cfg  Config
 	st   *stats.Counters
@@ -232,16 +207,25 @@ type machine struct {
 	warmed    bool
 }
 
-func newMachine(ck *trace.Checkpoint, cfg Config) *machine {
+// newMachine builds the memory system and core for cfg, with tr attached to
+// both when non-nil. NewMemSystem panics on an invalid cfg.
+func newMachine(ck *trace.Checkpoint, cfg Config, tr *simtrace.Tracer) *machine {
 	m := &machine{cfg: cfg, st: &stats.Counters{}}
 	m.mptu = stats.NewMPTUSeries(cfg.MPTUBucketOps)
 	m.ms = NewMemSystem(&m.cfg, ck.Space, m.st, m.mptu)
 	m.c = cpu.New(cfg.Core, m.st)
+	if tr != nil {
+		m.ms.AttachTracer(tr)
+		m.c.AttachTracer(tr)
+	}
 	return m
 }
 
 // armWarmup attaches the warm-up retire observer unless the boundary has
-// already passed (a resume from a post-warm-up snapshot).
+// already passed (a resume from a post-warm-up snapshot). The observer
+// unsubscribes at the boundary so the post-warm-up region (the measured
+// bulk of the run) retires with batched accounting and no per-µop
+// callback.
 func (m *machine) armWarmup() {
 	if m.cfg.WarmupOps == 0 || m.warmed {
 		return
@@ -302,11 +286,13 @@ func (m *machine) restoreSnapshot(snap *Snapshot) error {
 	return nil
 }
 
-// finish mirrors Run's result assembly.
+// finish assembles the Result of a completed run.
 func (m *machine) finish(coreRes cpu.Result) *Result {
 	m.st.Cycles = coreRes.Cycles
 	m.st.WarmCycles = m.warmCycle
 	hits, misses := m.ms.TLBStats()
+	// Mirror the lifetime translation counts into the counter block so the
+	// report emitter sees them (statsreg keeps the two in lockstep).
 	m.st.TLBHits = hits
 	m.st.TLBMisses = misses
 	res := &Result{
@@ -375,11 +361,7 @@ func RunCheckpointedTraced(ck *trace.Checkpoint, cfg Config, tr *simtrace.Tracer
 	if cfg.CheckpointEveryOps <= 0 {
 		return nil, fmt.Errorf("sim: RunCheckpointed needs CheckpointEveryOps > 0")
 	}
-	m := newMachine(ck, cfg)
-	if tr != nil {
-		m.ms.AttachTracer(tr)
-		m.c.AttachTracer(tr)
-	}
+	m := newMachine(ck, cfg, tr)
 	m.armWarmup()
 	return m.run(ck, sink)
 }
@@ -391,7 +373,7 @@ func Resume(ck *trace.Checkpoint, cfg Config, snap *Snapshot, sink func(*Snapsho
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := newMachine(ck, cfg)
+	m := newMachine(ck, cfg, nil)
 	if err := m.restoreSnapshot(snap); err != nil {
 		return nil, err
 	}

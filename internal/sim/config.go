@@ -1,18 +1,19 @@
 // Package sim assembles the full performance model: the out-of-order core
 // of internal/cpu in front of an event-driven memory system wiring together
 // the DL1, the DTLB with its hardware page walker, the unified L2, the L2
-// and bus arbiters, the front-side bus, and the three prefetchers (stride
-// baseline, content-directed, Markov). The microarchitecture follows
-// Figure 6 of the paper; the numbers follow Table 1.
+// and bus arbiters, the front-side bus, the content-directed prefetcher, and
+// an ordered list of miss-stream engines (the stride baseline, the Markov
+// comparator, the zoo entrants). The microarchitecture follows Figure 6 of
+// the paper; the numbers follow Table 1.
 package sim
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/markov"
 	"repro/internal/prefetch"
 	"repro/internal/prefetch/registry"
 	"repro/internal/tlb"
@@ -44,21 +45,18 @@ type Config struct {
 	L2QueueSize  int
 	BusQueueSize int
 
-	// Stride enables the baseline stride prefetcher (present in every
-	// configuration the paper evaluates).
-	Stride *prefetch.StrideConfig
 	// Content enables the content-directed prefetcher.
 	Content *core.Config
-	// Markov enables the Markov comparator of Section 5.
-	Markov *markov.Config
-	// Engine attaches one additional zoo entrant by registry spec
-	// ("pangloss", "bestoffset:degree=2", ... — see
-	// internal/prefetch/registry). The engine observes the miss stream its
-	// registration declares and issues at Markov arbitration rank,
-	// accounted under the markov prefetch source. A flat string keeps the
-	// engine and its parameters inside the simcache content hash with no
-	// new encoder cases. Empty attaches nothing.
-	Engine string
+	// Engines is the ordered, "+"-separated list of miss-stream engines by
+	// registry spec (internal/prefetch/registry), e.g. "stride",
+	// "stride+markov:entries=21845" or "stride+pangloss". List order is
+	// precedence: an engine that issues for a reference blocks the ones
+	// after it (the paper's stride-blocks-Markov rule). An L1-stream
+	// engine issues at stride arbitration rank and an L2-stream engine at
+	// Markov rank, accounted under those prefetch sources. A string, not a
+	// slice, keeps Config comparable and inside the simcache content hash
+	// with no new encoder cases. Empty attaches no miss-stream engine.
+	Engines string
 
 	// InjectBadPrefetches floods every idle bus cycle with a useless
 	// prefetch, reproducing the pollution limit study of Section 3.5.
@@ -106,7 +104,7 @@ func Default() Config {
 		L2QueueSize:  128,
 		BusQueueSize: 32,
 
-		Stride: &prefetch.DefaultStrideConfig,
+		Engines: "stride",
 
 		WarmupOps:     150_000,
 		MPTUBucketOps: 25_000,
@@ -124,27 +122,58 @@ func (c Config) WithContent(p core.Config) Config {
 	return c
 }
 
-// WithMarkov returns c with the Markov prefetcher enabled and the UL2
-// resized per Table 3. stabBudget of 0 means an unbounded STAB with the
-// original UL2 (markov_big).
+// WithMarkov returns c with the Markov prefetcher appended to the engine
+// list and the UL2 resized per Table 3. stabBudget of 0 means an unbounded
+// STAB with the original UL2 (markov_big).
 func (c Config) WithMarkov(stabBudgetBytes int, l2 cache.Config) Config {
-	mc := markov.Config{}
-	if stabBudgetBytes > 0 {
-		mc.MaxEntries = markov.EntriesForBudget(stabBudgetBytes)
-	}
-	c.Markov = &mc
+	spec := fmt.Sprintf("markov:entries=%d", prefetch.MarkovEntriesForBudget(stabBudgetBytes))
+	c.Engines = appendEngine(c.Engines, spec)
 	c.L2 = l2
 	c.Name = fmt.Sprintf("%s+markov(%dKB stab,%dKB ul2)", c.Name,
 		stabBudgetBytes/1024, l2.SizeBytes/1024)
 	return c
 }
 
-// WithEngine returns c with an additional zoo entrant attached by registry
-// spec.
+// WithEngine returns c with a zoo entrant appended to the engine list by
+// registry spec.
 func (c Config) WithEngine(spec string) Config {
-	c.Engine = spec
+	c.Engines = appendEngine(c.Engines, spec)
 	c.Name = fmt.Sprintf("%s+%s", c.Name, spec)
 	return c
+}
+
+// appendEngine adds spec at the end (lowest precedence) of an Engines list.
+func appendEngine(list, spec string) string {
+	if list == "" {
+		return spec
+	}
+	return list + "+" + spec
+}
+
+// buildEngines constructs the engines an Engines list names, in precedence
+// order. Every spec must build through the registry and observe a miss
+// stream, and no engine may appear twice.
+func buildEngines(list string) ([]prefetch.Prefetcher, error) {
+	if list == "" {
+		return nil, nil
+	}
+	var engs []prefetch.Prefetcher
+	for _, spec := range strings.Split(list, "+") {
+		eng, err := registry.Build(spec)
+		if err != nil {
+			return nil, err
+		}
+		if eng.Stream() == prefetch.StreamFill {
+			return nil, fmt.Errorf("sim: engine %q scans fills; enable the content prefetcher via Content instead", spec)
+		}
+		for _, prev := range engs {
+			if prev.Name() == eng.Name() {
+				return nil, fmt.Errorf("sim: engine list %q names %q twice", list, eng.Name())
+			}
+		}
+		engs = append(engs, eng)
+	}
+	return engs, nil
 }
 
 // Validate checks every configuration field and their cross-field
@@ -173,29 +202,13 @@ func (c Config) Validate() error {
 	if c.L2QueueSize <= 0 || c.BusQueueSize <= 0 {
 		return fmt.Errorf("sim: non-positive queue size")
 	}
-	if c.Stride != nil {
-		if err := c.Stride.Validate(); err != nil {
-			return err
-		}
-	}
 	if c.Content != nil {
 		if err := c.Content.Validate(); err != nil {
 			return err
 		}
 	}
-	if c.Markov != nil {
-		if err := c.Markov.Validate(); err != nil {
-			return err
-		}
-	}
-	if c.Engine != "" {
-		eng, err := registry.Build(c.Engine)
-		if err != nil {
-			return err
-		}
-		if eng.Stream() == prefetch.StreamFill {
-			return fmt.Errorf("sim: engine %q scans fills; enable the content prefetcher via Content instead", c.Engine)
-		}
+	if _, err := buildEngines(c.Engines); err != nil {
+		return err
 	}
 	if c.MaxOps < 0 {
 		return fmt.Errorf("sim: negative µop bound %d", c.MaxOps)

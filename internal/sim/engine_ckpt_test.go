@@ -3,25 +3,36 @@ package sim
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/cache"
 )
 
-// engineCkptConfig attaches one zoo entrant to the checkpointing machine so
-// snapshots carry the engine's opaque state blob.
-func engineCkptConfig(spec string) Config {
-	cfg := testConfig().WithEngine(spec)
+// engineCkptConfig puts cfg on the checkpointing schedule so snapshots
+// carry every listed engine's opaque state blob.
+func engineCkptConfig(cfg Config) Config {
 	cfg.WarmupOps = 12_000
 	cfg.CheckpointEveryOps = 5_000
 	return cfg
 }
 
-// TestResumeByteIdenticalEngines extends the resume tentpole to the
-// interface-native entrants: a run with pangloss or bestoffset attached
-// resumes from every boundary snapshot — engine table included — to the
-// uninterrupted result, byte for byte.
+// table3Config is Table 3's markov_1/2 machine: a 512 KiB STAB behind the
+// stride baseline, with the UL2 cut to 512 KiB.
+func table3Config() Config {
+	return testConfig().WithMarkov(512*1024, cache.Config{SizeBytes: 512 * 1024, Ways: 8, LineSize: LineSize})
+}
+
+// TestResumeByteIdenticalEngines extends the resume tentpole to every
+// engine list: a run resumes from every boundary snapshot — each engine's
+// table included — to the uninterrupted result, byte for byte.
 func TestResumeByteIdenticalEngines(t *testing.T) {
-	for _, spec := range []string{"pangloss", "bestoffset"} {
-		t.Run(spec, func(t *testing.T) {
-			cfg := engineCkptConfig(spec)
+	for name, cfg := range map[string]Config{
+		"pangloss":        testConfig().WithEngine("pangloss"),
+		"bestoffset":      testConfig().WithEngine("bestoffset"),
+		"markov":          table3Config(),
+		"markov+pangloss": table3Config().WithEngine("pangloss"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := engineCkptConfig(cfg)
 			var blobs [][]byte
 			want, err := RunCheckpointed(buildChase(t, 2000, 2, 2, true), cfg, func(s *Snapshot) error {
 				blob, err := EncodeSnapshot(s)
@@ -52,11 +63,15 @@ func TestResumeByteIdenticalEngines(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsEngineMismatch pins the snapshot guard for the Engine
-// field: a snapshot taken with one entrant must not restore into a machine
-// running another — or none.
+// TestResumeRejectsEngineMismatch pins the snapshot guard for the Engines
+// list: a snapshot taken under one list must not restore into a machine
+// running another — a different entrant, the same engines in another
+// order, or a shorter list.
 func TestResumeRejectsEngineMismatch(t *testing.T) {
-	cfg := engineCkptConfig("pangloss")
+	cfg := engineCkptConfig(table3Config().WithEngine("pangloss"))
+	if cfg.Engines != "stride+markov:entries=21845+pangloss" {
+		t.Fatalf("test premise: engine list %q", cfg.Engines)
+	}
 	ck := buildChase(t, 1500, 1, 2, true)
 	var snap *Snapshot
 	if _, err := RunCheckpointed(ck, cfg, func(s *Snapshot) error {
@@ -71,24 +86,26 @@ func TestResumeRejectsEngineMismatch(t *testing.T) {
 		t.Fatal("no snapshot captured")
 	}
 
-	other := engineCkptConfig("bestoffset")
-	other.Name = cfg.Name // bypass the name guard to hit the engine guard
-	if _, err := Resume(ck, other, snap, nil); err == nil {
-		t.Fatal("engine-spec mismatch accepted")
-	} else if !strings.Contains(err.Error(), "engine") {
-		t.Fatalf("mismatch error does not name the engine: %v", err)
-	}
-
-	bare := engineCkptConfig("pangloss")
-	bare.Engine = ""
-	bare.Name = cfg.Name
-	if _, err := Resume(ck, bare, snap, nil); err == nil {
-		t.Fatal("engine-presence mismatch accepted")
+	for name, engines := range map[string]string{
+		"other entrant": "stride+markov:entries=21845+bestoffset",
+		"reordered":     "stride+pangloss+markov:entries=21845",
+		"shortened":     "stride+markov:entries=21845",
+		"stride only":   "stride",
+	} {
+		other := cfg
+		other.Engines = engines
+		// Keep the name so the config-name guard passes and the
+		// engine-list guard is what fires.
+		if _, err := Resume(ck, other, snap, nil); err == nil {
+			t.Errorf("%s (%q): engine-list mismatch accepted", name, engines)
+		} else if !strings.Contains(err.Error(), "engine") {
+			t.Errorf("%s: mismatch error does not name the engines: %v", name, err)
+		}
 	}
 }
 
 // TestValidateRejectsUnknownEngine is the regression the cdpsim exit-2
-// convention depends on: a bad Engine spec fails Validate with the
+// convention depends on: a bad Engines spec fails Validate with the
 // registry's full valid-name listing, so every surface (flag, API, config
 // file) reports the same actionable message.
 func TestValidateRejectsUnknownEngine(t *testing.T) {
@@ -106,5 +123,12 @@ func TestValidateRejectsUnknownEngine(t *testing.T) {
 	cdp := Default().WithEngine("cdp")
 	if err := cdp.Validate(); err == nil || !strings.Contains(err.Error(), "Content") {
 		t.Fatalf("fill-stream engine spec not redirected to Content: %v", err)
+	}
+
+	// A list naming one engine twice would run a second table at a later
+	// rank; it must be rejected by name, whatever the parameters.
+	dup := Default().WithEngine("stride:degree=4")
+	if err := dup.Validate(); err == nil || !strings.Contains(err.Error(), `"stride" twice`) {
+		t.Fatalf("duplicate engine accepted or not named: %v", err)
 	}
 }

@@ -36,9 +36,8 @@ func goldenBase() Config {
 	return cfg
 }
 
-// engineGoldenConfigs is the fixed pre-refactor engine matrix. The two
-// interface-native entrants (pangloss, bestoffset) are appended by
-// TestEngineGoldenCounters when the Engine field exists; their goldens are
+// engineGoldenConfigs is the fixed pre-refactor engine matrix. The goldens
+// of the two interface-native entrants (pangloss, bestoffset) are
 // regression anchors captured at introduction rather than equivalence
 // witnesses.
 func engineGoldenConfigs() map[string]Config {

@@ -6,10 +6,8 @@ import (
 	"repro/internal/bus"
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/markov"
 	"repro/internal/mem"
 	"repro/internal/prefetch"
-	"repro/internal/prefetch/registry"
 	"repro/internal/simtrace"
 	"repro/internal/stats"
 	"repro/internal/tlb"
@@ -33,18 +31,13 @@ type MemSystem struct {
 	l2q  *bus.Arbiter
 	busq *bus.Arbiter
 
-	// stride and mkv keep typed handles for checkpointing and the tuning
-	// experiments; aux is the cfg.Engine zoo entrant. All miss-stream
-	// engines are *driven* only through ports, the ordered Prefetcher
-	// chain (stride first, then the L2-stream engines), so adding an
-	// engine to the zoo never touches the observe code again. The CDP is
-	// not in the chain: its stored-depth/rescan coupling with the cache
-	// needs the full core.Prefetcher surface (see DESIGN.md §12).
-	stride *prefetch.Stride
-	cdp    *core.Prefetcher
-	mkv    *markov.Markov
-	aux    prefetch.Prefetcher
-	ports  []enginePort
+	// ports holds cfg.Engines' miss-stream engines in list (precedence)
+	// order; they are driven and checkpointed only through the Prefetcher
+	// interface, so adding an engine to the zoo never touches this file.
+	// The CDP is not in the list: its stored-depth/rescan coupling with
+	// the cache needs the full core.Prefetcher surface (see DESIGN.md §12).
+	cdp   *core.Prefetcher
+	ports []enginePort
 
 	// engBuf is the scratch slice engine predictions are appended into;
 	// reused across Observe calls so the steady-state miss path allocates
@@ -130,25 +123,22 @@ func NewMemSystem(cfg *Config, space *mem.AddressSpace, st *stats.Counters, mptu
 		st:           st,
 		mptu:         mptu,
 	}
-	if cfg.Stride != nil {
-		ms.stride = prefetch.NewStride(*cfg.Stride)
-		ms.ports = append(ms.ports, enginePort{eng: ms.stride, class: bus.ClassStride})
-	}
 	if cfg.Content != nil {
 		ms.cdp = core.New(*cfg.Content)
 	}
-	if cfg.Markov != nil {
-		ms.mkv = markov.New(*cfg.Markov)
-		ms.ports = append(ms.ports, enginePort{eng: ms.mkv, class: bus.ClassMarkov})
-	}
-	if cfg.Engine != "" {
-		// Validate (above) already proved the spec builds a miss-stream
-		// engine. Zoo entrants issue at Markov arbitration rank and are
-		// accounted under the markov prefetch source: adding a bus class
-		// and a cache source per entrant would grow every per-source
-		// report table (and its goldens) for no modelled difference.
-		ms.aux = registry.MustBuild(cfg.Engine)
-		ms.ports = append(ms.ports, enginePort{eng: ms.aux, class: bus.ClassMarkov})
+	// Validate (above) already proved the list builds. An engine issues at
+	// the rank of the stream it observes — stride rank on the L1 stream,
+	// Markov rank on the L2 stream — and is accounted under that prefetch
+	// source: a bus class and cache source per zoo entrant would grow every
+	// per-source report table (and its goldens) for no modelled difference.
+	engs, _ := buildEngines(cfg.Engines)
+	ms.ports = make([]enginePort, 0, len(engs))
+	for _, eng := range engs {
+		class := bus.ClassMarkov
+		if eng.Stream() == prefetch.StreamL1 {
+			class = bus.ClassStride
+		}
+		ms.ports = append(ms.ports, enginePort{eng: eng, class: class})
 	}
 	ms.engBuf = make([]uint32, 0, 16)
 	ms.sched.ms = ms

@@ -8,7 +8,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/heap"
-	"repro/internal/markov"
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
@@ -46,8 +45,7 @@ func TestMarkovLearnsRepeatingMissSequence(t *testing.T) {
 	// repeats, which is exactly what a 1-history Markov table captures.
 	ck := buildLoop(t, 40_000, 3, 8)
 	base := Run(ck, testConfig())
-	mk := testConfig()
-	mk.Markov = &markov.Config{}
+	mk := testConfig().WithEngine("markov:entries=0")
 	mk.Name = "markov"
 	mkRes := Run(ck, mk)
 	if mkRes.Counters.PrefIssued[cache.SrcMarkov] == 0 {
@@ -67,10 +65,8 @@ func TestMarkovLearnsRepeatingMissSequence(t *testing.T) {
 
 func TestMarkovBoundedTableWorsens(t *testing.T) {
 	ck := buildLoop(t, 40_000, 3, 8)
-	big := testConfig()
-	big.Markov = &markov.Config{}
-	tiny := testConfig()
-	tiny.Markov = &markov.Config{MaxEntries: 256}
+	big := testConfig().WithEngine("markov:entries=0")
+	tiny := testConfig().WithEngine("markov:entries=256")
 	rBig := Run(ck, big)
 	rTiny := Run(ck, tiny)
 	if rTiny.Counters.UsefulPrefetches(cache.SrcMarkov) >= rBig.Counters.UsefulPrefetches(cache.SrcMarkov) {
@@ -196,9 +192,7 @@ func TestMarkovStridePrecedence(t *testing.T) {
 	// With both stride and markov active on a strided workload, stride's
 	// precedence must suppress markov issues for stride-covered misses.
 	ck := buildStrideWalk(t, 30_000, 2)
-	cfg := testConfig()
-	cfg.Markov = &markov.Config{}
-	res := Run(ck, cfg)
+	res := Run(ck, testConfig().WithEngine("markov:entries=0"))
 	str := res.Counters.PrefIssued[cache.SrcStride]
 	mkv := res.Counters.PrefIssued[cache.SrcMarkov]
 	t.Logf("stride issued %d, markov issued %d", str, mkv)

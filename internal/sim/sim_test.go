@@ -211,7 +211,7 @@ func TestStrideOwnsRegularWorkload(t *testing.T) {
 		t.Fatal("stride prefetches never useful")
 	}
 	nostride := testConfig()
-	nostride.Stride = nil
+	nostride.Engines = ""
 	off := Run(ck, nostride)
 	if sp := base.SpeedupOver(off); sp < 1.03 {
 		t.Fatalf("stride prefetcher speedup over no-prefetch = %.3f, want >= 1.03", sp)

@@ -62,15 +62,15 @@ func TestKeySeparatesInputs(t *testing.T) {
 }
 
 // TestKeySensitiveToEveryField walks the fully-populated configuration
-// (content + markov + stride all enabled, so every pointer is followed)
-// and perturbs each scalar leaf in turn: every single-field change must
+// (content enabled, so its pointer is followed; stride + markov in the
+// engine list) and perturbs each scalar leaf in turn: every single-field change must
 // change the key, and undoing it must restore the key.
 func TestKeySensitiveToEveryField(t *testing.T) {
 	spec := specFor(t, "tpcc-1")
 	cfg := sim.Default().WithContent(core.DefaultConfig)
 	cfg = cfg.WithMarkov(128*1024, cfg.L2)
-	// Deep-copy so mutations through pointer fields cannot corrupt
-	// package-level defaults like prefetch.DefaultStrideConfig.
+	// Deep-copy so mutations through pointer fields cannot corrupt the
+	// caller's configuration.
 	v := deepCopy(reflect.ValueOf(cfg))
 	base := KeyFor(spec, v.Interface().(sim.Config), 60_000)
 
