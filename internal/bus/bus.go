@@ -12,7 +12,10 @@
 // squashes the lowest-priority queued prefetch rather than stalling.
 package bus
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Class ranks request sources for arbitration.
 type Class uint8
@@ -67,7 +70,7 @@ type Request struct {
 	VABase   uint32 // virtual line base (content scanning context)
 	TrigVA   uint32 // effective VA of the triggering access (scan compare)
 	Class    Class
-	Depth    int  // request depth (0 = non-speculative)
+	Depth    int  // request depth (0 = non-speculative; never negative)
 	PageWalk bool // page-table fill: bypasses the content scanner
 	IsStore  bool
 	Injected bool // bad-prefetch injection (limit study): never scanned
@@ -87,14 +90,29 @@ type Request struct {
 	Granted  int64 // cycle the bus transfer began
 	Arrive   int64 // cycle the fill returns
 
-	// Waiters are completions to run when the fill arrives; the demand
-	// promotion path appends here when a load catches an in-flight
+	// Waiters are the completions to run when the fill arrives; the
+	// demand promotion path appends here when a load catches an in-flight
 	// prefetch (a "partial" mask in Figure 10's terms).
-	Waiters []func(arrive int64)
+	Waiters []Waiter
 
 	// DemandWaited marks that some demand access attached to this
 	// request while it was in flight (partial timeliness accounting).
 	DemandWaited bool
+
+	// Arbiter links, owned by the arbiter that holds the request: the
+	// neighbours in its bucket and the arbiter itself (nil when queued
+	// nowhere).
+	prev, next *Request
+	arb        *Arbiter
+	bucket     uint8
+}
+
+// Waiter is one completion parked on an in-flight request: a core
+// callback, or (when Done is nil) the index of a page-walk record its
+// owner resumes.
+type Waiter struct {
+	Done func(arrive int64)
+	Walk int32
 }
 
 // Better reports whether r should be granted before o: lower class rank
@@ -109,11 +127,44 @@ func (r *Request) Better(o *Request) bool {
 	return r.ID < o.ID
 }
 
-// Arbiter is a bounded priority queue of requests.
+// Bucket layout: each of the three ranks owns depthLevels consecutive
+// buckets, one per depth, the last shared by every deeper request. A bucket
+// is a doubly linked list kept in Better order — by ID, and in the shared
+// bucket by (depth, ID) — so its head is its best request and its tail its
+// worst. Arrival order is not ID order: a promoted prefetch keeps its old
+// ID, and the bus queue is fed in priority order.
+const (
+	ranks       = 3
+	depthLevels = 64 / ranks // 21: depths 0–19 alone, 20 and deeper shared
+	numBuckets  = ranks * depthLevels
+
+	// demandMask covers rank 0's buckets; every other bucket holds
+	// prefetches.
+	demandMask = 1<<depthLevels - 1
+)
+
+func bucketOf(r *Request) uint8 {
+	d := r.Depth
+	if d < 0 {
+		panic(fmt.Sprintf("bus: request %d has negative depth %d", r.ID, d))
+	}
+	if d >= depthLevels {
+		d = depthLevels - 1
+	}
+	return uint8(r.Class.rank()*depthLevels + d)
+}
+
+// Arbiter is a bounded priority queue of requests. Requests sit in
+// (rank, depth) buckets with a 64-bit occupancy mask, so popping the best
+// request and squashing the worst prefetch each cost one bit scan and no
+// walk over queued requests or empty buckets.
 type Arbiter struct {
 	name string
 	cap  int
-	q    []*Request
+	n    int
+	mask uint64
+	head [numBuckets]*Request
+	tail [numBuckets]*Request
 }
 
 // NewArbiter builds an arbiter holding at most capacity requests.
@@ -121,14 +172,14 @@ func NewArbiter(name string, capacity int) *Arbiter {
 	if capacity <= 0 {
 		panic("bus: arbiter needs positive capacity")
 	}
-	return &Arbiter{name: name, cap: capacity, q: make([]*Request, 0, capacity)}
+	return &Arbiter{name: name, cap: capacity}
 }
 
 // Len returns the number of queued requests.
-func (a *Arbiter) Len() int { return len(a.q) }
+func (a *Arbiter) Len() int { return a.n }
 
 // Full reports whether the arbiter has no free slot.
-func (a *Arbiter) Full() bool { return len(a.q) >= a.cap }
+func (a *Arbiter) Full() bool { return a.n >= a.cap }
 
 // Enqueue inserts r, or reports false when full. Per the paper a full
 // arbiter simply drops prefetch requests — no retry buffering. Demand
@@ -137,7 +188,7 @@ func (a *Arbiter) Enqueue(r *Request) bool {
 	if a.Full() {
 		return false
 	}
-	a.q = append(a.q, r)
+	a.insert(r)
 	if debugInvariants {
 		a.checkBounds()
 	}
@@ -150,27 +201,15 @@ func (a *Arbiter) Enqueue(r *Request) bool {
 // demand request is never rejected unless the arbiter is full of demands,
 // which the caller treats as back-pressure (ok = false).
 func (a *Arbiter) EnqueueDemand(r *Request) (squashed *Request, ok bool) {
-	if !a.Full() {
-		a.q = append(a.q, r)
-		if debugInvariants {
-			a.checkBounds()
+	if a.Full() {
+		pf := a.mask &^ demandMask
+		if pf == 0 {
+			return nil, false // all demands: stall
 		}
-		return nil, true
+		squashed = a.tail[63-bits.LeadingZeros64(pf)]
+		a.remove(squashed)
 	}
-	worst := -1
-	for i, q := range a.q {
-		if !q.Class.IsPrefetch() {
-			continue
-		}
-		if worst == -1 || a.q[worst].Better(q) {
-			worst = i
-		}
-	}
-	if worst == -1 {
-		return nil, false // all demands: stall
-	}
-	squashed = a.q[worst]
-	a.q[worst] = r
+	a.insert(r)
 	if debugInvariants {
 		a.checkBounds()
 	}
@@ -180,41 +219,94 @@ func (a *Arbiter) EnqueueDemand(r *Request) (squashed *Request, ok bool) {
 // PopBest removes and returns the highest-priority request, or nil when
 // empty.
 func (a *Arbiter) PopBest() *Request {
-	if len(a.q) == 0 {
+	if a.mask == 0 {
 		return nil
 	}
-	best := 0
-	for i := 1; i < len(a.q); i++ {
-		if a.q[i].Better(a.q[best]) {
-			best = i
-		}
-	}
-	r := a.q[best]
-	a.q[best] = a.q[len(a.q)-1]
-	a.q = a.q[:len(a.q)-1]
+	r := a.head[bits.TrailingZeros64(a.mask)]
+	a.remove(r)
 	if debugInvariants {
 		a.checkBounds()
 	}
 	return r
 }
 
-// Requests returns the queued requests in insertion order. The slice is the
-// arbiter's own backing store — callers (the simdebug invariant layer) must
-// treat it as read-only.
-func (a *Arbiter) Requests() []*Request { return a.q }
-
-// Find returns the queued request for the given physical line base, or nil.
-func (a *Arbiter) Find(paBase uint32) *Request {
-	for _, r := range a.q {
-		if r.PABase == paBase {
-			return r
+// Promote turns r into a demand request at depth 0, as a demand access
+// that catches an in-flight prefetch does. If r is queued, its arbiter
+// re-files it under the new priority; it keeps its ID, and so its age.
+func (r *Request) Promote() {
+	a := r.arb
+	if a != nil {
+		a.remove(r)
+	}
+	r.Class, r.Depth = ClassDemand, 0
+	if a != nil {
+		a.insert(r)
+		if debugInvariants {
+			a.checkBounds()
 		}
 	}
-	return nil
+}
+
+// Requests returns the queued requests in grant order, in a fresh slice
+// (the simdebug invariant layer's view).
+func (a *Arbiter) Requests() []*Request {
+	out := make([]*Request, 0, a.n)
+	for m := a.mask; m != 0; m &= m - 1 {
+		for r := a.head[bits.TrailingZeros64(m)]; r != nil; r = r.next {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// insert files r in its bucket after the last request that grants before
+// it. IDs mostly arrive in increasing order, so the walk back from the tail
+// usually stops at once.
+func (a *Arbiter) insert(r *Request) {
+	b := bucketOf(r)
+	after := a.tail[b]
+	for after != nil && r.Better(after) {
+		after = after.prev
+	}
+	r.arb, r.bucket, r.prev = a, b, after
+	if after == nil {
+		r.next = a.head[b]
+		a.head[b] = r
+	} else {
+		r.next = after.next
+		after.next = r
+	}
+	if r.next == nil {
+		a.tail[b] = r
+	} else {
+		r.next.prev = r
+	}
+	a.mask |= 1 << b
+	a.n++
+}
+
+// remove unlinks r from its bucket.
+func (a *Arbiter) remove(r *Request) {
+	b := r.bucket
+	if r.prev == nil {
+		a.head[b] = r.next
+	} else {
+		r.prev.next = r.next
+	}
+	if r.next == nil {
+		a.tail[b] = r.prev
+	} else {
+		r.next.prev = r.prev
+	}
+	if a.head[b] == nil {
+		a.mask &^= 1 << b
+	}
+	r.prev, r.next, r.arb = nil, nil, nil
+	a.n--
 }
 
 func (a *Arbiter) String() string {
-	return fmt.Sprintf("arbiter{%s %d/%d}", a.name, len(a.q), a.cap)
+	return fmt.Sprintf("arbiter{%s %d/%d}", a.name, a.n, a.cap)
 }
 
 // Bus models front-side-bus timing: one transfer at a time, each occupying

@@ -85,18 +85,6 @@ func TestDemandStallsWhenAllDemand(t *testing.T) {
 	}
 }
 
-func TestFind(t *testing.T) {
-	a := NewArbiter("test", 4)
-	r := req(7, ClassContent, 2)
-	a.Enqueue(r)
-	if a.Find(r.PABase) != r {
-		t.Fatal("Find missed queued request")
-	}
-	if a.Find(0xFFFF_FFC0) != nil {
-		t.Fatal("Find invented a request")
-	}
-}
-
 func TestBusTiming(t *testing.T) {
 	b := NewBus(0, 0)
 	if b.Latency != DefaultLatency || b.Occupancy != DefaultOccupancy {

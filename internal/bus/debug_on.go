@@ -10,11 +10,11 @@ import "fmt"
 // debug_off.go.
 const debugInvariants = true
 
-// checkBounds panics when the arbiter's queue has grown past its capacity —
-// a squash/enqueue bookkeeping bug that release builds would let corrupt
-// the paper's queue-pressure results silently.
+// checkBounds panics when the arbiter holds more requests than its
+// capacity — a squash/enqueue bookkeeping bug that release builds would let
+// corrupt the paper's queue-pressure results silently.
 func (a *Arbiter) checkBounds() {
-	if len(a.q) > a.cap {
-		panic(fmt.Sprintf("bus: arbiter %q holds %d requests, capacity %d", a.name, len(a.q), a.cap))
+	if a.n > a.cap {
+		panic(fmt.Sprintf("bus: arbiter %q holds %d requests, capacity %d", a.name, a.n, a.cap))
 	}
 }

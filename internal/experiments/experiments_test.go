@@ -96,6 +96,33 @@ func TestFig4Renders(t *testing.T) {
 	}
 }
 
+// fig4 runs its three sims on the matrix runner: it reports each to
+// Options.Progress, ending at (3, 3), and its text does not depend on the
+// worker count.
+func TestFig4ProgressAndParallelism(t *testing.T) {
+	r, err := Get("fig4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls [][2]int
+	serial, err := r.Run(Options{Parallelism: 1, Progress: func(done, total int) {
+		calls = append(calls, [2]int{done, total})
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != 3 || calls[2] != [2]int{3, 3} {
+		t.Fatalf("Progress calls = %v, want three ending at [3 3]", calls)
+	}
+	parallel, err := r.Run(Options{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serial.Text != parallel.Text {
+		t.Fatalf("fig4 text differs between 1 and 2 workers:\n%s\n---\n%s", serial.Text, parallel.Text)
+	}
+}
+
 func TestTLBRenders(t *testing.T) {
 	rep := mustRun(t, "tlb")
 	for _, want := range []string{"64", "1024", "speedup"} {

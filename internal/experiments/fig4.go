@@ -63,13 +63,11 @@ func runFig4(o Options) (*Report, error) {
 		}
 		return base.WithContent(cc)
 	}
-	rows := []struct {
-		name string
-		cfg  sim.Config
-	}{
-		{"(a) no reinforcement", mk(false, 1)},
-		{"(b) with reinforcement", mk(true, 1)},
-		{"(c) reinforcement, rescan slack 2", mk(true, 2)},
+	names := []string{"(a) no reinforcement", "(b) with reinforcement", "(c) reinforcement, rescan slack 2"}
+	cfgs := []sim.Config{mk(false, 1), mk(true, 1), mk(true, 2)}
+	results, err := runCheckpoints(o, []*trace.Checkpoint{ck}, cfgs)
+	if err != nil {
+		return nil, err
 	}
 
 	t := &report.Table{
@@ -79,22 +77,14 @@ func runFig4(o Options) (*Report, error) {
 		Note: "Paper: without reinforcement the chain dies at the threshold and costs a miss every " +
 			"4 requests; reinforcement sustains it after the initial miss; slack 2 halves the rescans.",
 	}
-	var first *sim.Result
-	for _, r := range rows {
-		res, err := sim.RunContext(o.ctx(), ck, r.cfg)
-		if err != nil {
-			return nil, err
-		}
-		if first == nil {
-			first = res
-		}
+	for i, res := range results[0] {
 		c := res.Counters
 		perMiss := "-"
 		if c.MissNoPF > 0 {
 			perMiss = fmt.Sprintf("%.1f", float64(nodes)/float64(c.MissNoPF))
 		}
-		t.AddRow(r.name, c.MissNoPF, perMiss, c.Rescans,
-			c.FullHits[cache.SrcContent], res.SpeedupOver(first))
+		t.AddRow(names[i], c.MissNoPF, perMiss, c.Rescans,
+			c.FullHits[cache.SrcContent], res.SpeedupOver(results[0][0]))
 	}
 	return &Report{ID: "fig4", Title: "Figure 4", Text: t.Render()}, nil
 }

@@ -18,7 +18,7 @@ import (
 )
 
 // SimsRun reports how many simulations this process has completed,
-// including runs an experiment makes outside runMatrix. cmd/bench divides
+// including runs made outside the matrix runner. cmd/bench divides
 // the delta across an experiment by its wall time for the sims/sec
 // telemetry.
 func SimsRun() uint64 { return sim.Runs() }
@@ -113,10 +113,9 @@ type Report struct {
 
 // cell identifies one simulation in a matrix run.
 type cell struct {
-	spec workloads.Spec
-	cfg  sim.Config
-	si   int
-	ci   int
+	cfg sim.Config
+	si  int
+	ci  int
 }
 
 // runMatrix simulates every (spec, config) pair and returns results indexed
@@ -125,25 +124,32 @@ type cell struct {
 // cells: completed cells keep their results, unstarted cells stay nil, and
 // the returned error reports the partial coverage.
 func runMatrix(o Options, specs []workloads.Spec, cfgs []sim.Config) ([][]*sim.Result, error) {
-	ctx := o.ctx()
-	total := len(specs) * len(cfgs)
 	// Pre-generate checkpoints sequentially (generation itself is
 	// allocation-heavy; doing it once also warms the cache).
 	cks := make([]*trace.Checkpoint, len(specs))
 	for i, s := range specs {
-		if err := ctx.Err(); err != nil {
-			return nil, partialErr(0, total, err)
+		if err := o.ctx().Err(); err != nil {
+			return nil, partialErr(0, len(specs)*len(cfgs), err)
 		}
 		cks[i] = workloads.Checkpoint(s, o.ops())
 	}
-	out := make([][]*sim.Result, len(specs))
+	return runCheckpoints(o, cks, cfgs)
+}
+
+// runCheckpoints is runMatrix over prebuilt checkpoints: it simulates every
+// (checkpoint, config) pair on o's worker pool, reports each completed
+// cell to o.Progress, and returns results indexed [checkpoint][config].
+func runCheckpoints(o Options, cks []*trace.Checkpoint, cfgs []sim.Config) ([][]*sim.Result, error) {
+	ctx := o.ctx()
+	total := len(cks) * len(cfgs)
+	out := make([][]*sim.Result, len(cks))
 	for i := range out {
 		out[i] = make([]*sim.Result, len(cfgs))
 	}
 	var cells []cell
-	for si, s := range specs {
+	for si := range cks {
 		for ci, c := range cfgs {
-			cells = append(cells, cell{spec: s, cfg: c, si: si, ci: ci})
+			cells = append(cells, cell{cfg: c, si: si, ci: ci})
 		}
 	}
 	var (

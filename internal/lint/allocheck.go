@@ -13,12 +13,11 @@ import (
 // This file is the library behind cmd/allocheck: it matches the compiler's
 // escape-analysis diagnostics (`go build -gcflags=-m`) against the
 // functions the hotalloc analyzer marked `simlint:hotpath`, and ratchets
-// the result against a checked-in baseline. The hot paths are allowed their
-// known slow-path allocations (a page-walk continuation that only exists on
-// a TLB miss), but any NEW escape — a refactor that quietly promotes a
-// per-µop value to the heap — fails before a benchmark ever runs, which is
-// how the 16,497 allocs/run invariant of BENCH_1/BENCH_2 is enforced in CI
-// without running a benchmark.
+// the result against a checked-in baseline. Any escape the baseline does
+// not list — a refactor that quietly promotes a per-µop value to the heap —
+// fails before a benchmark ever runs, which is how the allocs/run
+// invariant of BENCH_1/BENCH_2 is enforced in CI without running a
+// benchmark.
 
 // Escape is one compiler escape decision attributed to a hotpath function.
 type Escape struct {

@@ -35,8 +35,7 @@ type HotallocResult struct {
 //     &composite literals, function literals (a closure allocates its
 //     environment), and go/defer statements. Plain value composite
 //     literals (simtrace.Event{...} passed by value) are fine and not
-//     flagged. A deliberate slow-path allocation — the page-walk
-//     continuation that only exists on a TLB miss — carries a
+//     flagged. A deliberate slow-path allocation would carry a
 //     `//simlint:allow hotalloc` marker so the exception stays visible.
 //   - cmd/allocheck compiles the package with -gcflags=-m and diffs the
 //     compiler's actual escape decisions inside these functions against a

@@ -1,6 +1,10 @@
 package mem
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Virtual/physical layout of the simulated process. The page-table region is
 // identity-mapped (VA == PA), mirroring a kernel direct map, so the hardware
@@ -147,12 +151,14 @@ type Mapping struct {
 	Frame uint32
 }
 
-// Mappings returns all virtual-to-frame associations in unspecified order.
+// Mappings returns all virtual-to-frame associations in ascending VPage
+// order.
 func (as *AddressSpace) Mappings() []Mapping {
 	out := make([]Mapping, 0, len(as.vToFrame))
 	for v, f := range as.vToFrame {
 		out = append(out, Mapping{VPage: v, Frame: f})
 	}
+	slices.SortFunc(out, func(a, b Mapping) int { return cmp.Compare(a.VPage, b.VPage) })
 	return out
 }
 

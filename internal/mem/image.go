@@ -21,37 +21,65 @@ const (
 	WordSize  = 4 // address-sized words are 32 bits
 )
 
-// Image is a sparse byte-addressable memory, keyed by page. The zero value
-// is an empty memory; reads of unbacked pages return zeros without
-// allocating, so a sparsely touched 4 GiB space stays cheap.
+// Image is a sparse byte-addressable memory held in a two-level page
+// directory: 1,024 tables of 1,024 pages each cover the 32-bit space, and a
+// lookup is two array indexings. The zero value is an empty memory; reads
+// of unbacked pages return zeros without allocating, so a sparsely touched
+// 4 GiB space stays cheap.
 type Image struct {
-	pages map[uint32]*[PageSize]byte
+	dir   [dirEntries]*pageTable
+	pages int
 }
 
+const (
+	dirEntries   = 1 << 10 // page tables in the directory
+	tableEntries = 1 << 10 // pages per table (4 MiB)
+	tableShift   = PageShift + 10
+)
+
+type pageTable [tableEntries]*[PageSize]byte
+
+// zeroPage backs reads of unbacked memory through Line.
+var zeroPage [PageSize]byte
+
 // NewImage returns an empty memory image.
-func NewImage() *Image {
-	return &Image{pages: make(map[uint32]*[PageSize]byte)}
-}
+func NewImage() *Image { return &Image{} }
 
 // page returns the backing page for addr, allocating it if create is set.
 func (m *Image) page(addr uint32, create bool) *[PageSize]byte {
-	pn := addr >> PageShift
-	p := m.pages[pn]
+	t := m.dir[addr>>tableShift]
+	if t == nil {
+		if !create {
+			return nil
+		}
+		t = new(pageTable)
+		m.dir[addr>>tableShift] = t
+	}
+	pi := addr >> PageShift & (tableEntries - 1)
+	p := t[pi]
 	if p == nil && create {
 		p = new([PageSize]byte)
-		m.pages[pn] = p
+		t[pi] = p
+		m.pages++
 	}
 	return p
 }
 
 // PageCount reports how many distinct pages are backed.
-func (m *Image) PageCount() int { return len(m.pages) }
+func (m *Image) PageCount() int { return m.pages }
 
-// PageNumbers returns the backed page numbers in unspecified order.
+// PageNumbers returns the backed page numbers in ascending order.
 func (m *Image) PageNumbers() []uint32 {
-	out := make([]uint32, 0, len(m.pages))
-	for pn := range m.pages {
-		out = append(out, pn)
+	out := make([]uint32, 0, m.pages)
+	for ti, t := range m.dir {
+		if t == nil {
+			continue
+		}
+		for pi, p := range t {
+			if p != nil {
+				out = append(out, uint32(ti*tableEntries+pi))
+			}
+		}
 	}
 	return out
 }
@@ -144,18 +172,24 @@ func (m *Image) WriteBytes(addr uint32, src []byte) {
 // slice. addr is truncated down to the line boundary.
 func (m *Image) ReadLine(addr uint32, size int) []byte {
 	out := make([]byte, size)
-	m.ReadLineInto(addr, out)
+	m.ReadBytes(addr&^uint32(size-1), out)
 	return out
 }
 
-// ReadLineInto fills dst with the len(dst)-byte cache line containing addr,
-// truncating addr down to the line boundary. It is the allocation-free form
-// of ReadLine for callers that reuse a scratch buffer.
-func (m *Image) ReadLineInto(addr uint32, dst []byte) {
-	base := addr &^ uint32(len(dst)-1)
-	m.ReadBytes(base, dst)
+// Line returns the size-byte cache line containing addr without copying
+// it: the slice aliases the image's page (or shared zeros when the page is
+// unbacked). size must be a power of two no larger than PageSize, so a line
+// never straddles a page. Callers must treat the slice as read-only, and it
+// reflects later writes to the image.
+func (m *Image) Line(addr uint32, size int) []byte {
+	off := addr & PageMask &^ uint32(size-1)
+	p := m.page(addr, false)
+	if p == nil {
+		p = &zeroPage
+	}
+	return p[off : off+uint32(size) : off+uint32(size)]
 }
 
 func (m *Image) String() string {
-	return fmt.Sprintf("mem.Image{%d pages, %d KiB backed}", len(m.pages), len(m.pages)*PageSize/1024)
+	return fmt.Sprintf("mem.Image{%d pages, %d KiB backed}", m.pages, m.pages*PageSize/1024)
 }

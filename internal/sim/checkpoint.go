@@ -3,9 +3,9 @@
 // multiples of the interval, the machine drains completely (empty ROB,
 // drained store buffer, quiesced memory system), and the whole deterministic
 // state is captured as a Snapshot. Because the in-flight machinery — event
-// heap, arbiters, bus transactions, page-walk continuations — is empty by
+// heap, arbiters, bus transactions, page-walk records — is empty by
 // construction at a boundary, the snapshot is a plain value with no
-// closures, and resuming from it replays the remaining segments
+// callbacks, and resuming from it replays the remaining segments
 // byte-identically to an uninterrupted checkpointed run.
 package sim
 
@@ -30,15 +30,14 @@ import (
 // events, no in-flight transactions, empty arbiters. cpu.RunSegmented polls
 // it while draining a segment.
 func (ms *MemSystem) Quiesced() bool {
-	return ms.sched.next() < 0 && len(ms.inflight) == 0 &&
+	return ms.sched.next() < 0 && ms.inflight.len() == 0 &&
 		ms.l2q.Len() == 0 && ms.busq.Len() == 0 && ms.nextPumpAt == 0
 }
 
 // MemState is the checkpointable state of a quiesced memory system. The
-// stride-recent set is carried as its insertion-ordered FIFO alone; the
-// membership map is rebuilt from it on restore (package sim must not
-// iterate maps — simlint's determinism analyzer — and the FIFO already
-// holds every member in a canonical order).
+// stride-recent set is carried as its insertion-ordered FIFO alone, oldest
+// first; the membership table is rebuilt from it on restore (the FIFO
+// already holds every member in a canonical order).
 type MemState struct {
 	Now        int64
 	ReqID      uint64
@@ -64,12 +63,12 @@ type MemState struct {
 func (ms *MemSystem) state() (MemState, error) {
 	if !ms.Quiesced() {
 		return MemState{}, fmt.Errorf("sim: memory system not quiesced (next event %d, inflight %d, l2q %d, busq %d)",
-			ms.sched.next(), len(ms.inflight), ms.l2q.Len(), ms.busq.Len())
+			ms.sched.next(), ms.inflight.len(), ms.l2q.Len(), ms.busq.Len())
 	}
 	st := MemState{
 		Now: ms.now, ReqID: ms.reqID, ChainSeq: ms.chainSeq, L2PortFree: ms.l2PortFree,
 		InjLCG: ms.injLCG, LastInject: ms.lastInject,
-		StrideFIFO: append([]uint32(nil), ms.strideFIFO...),
+		StrideFIFO: ms.strideFIFO.oldestFirst(),
 		Bus:        ms.fsb.State(),
 		L1:         ms.l1.State(),
 		L2:         ms.l2.State(),
@@ -123,12 +122,18 @@ func (ms *MemSystem) restore(st MemState) error {
 	ms.chainSeq = st.ChainSeq
 	ms.injLCG, ms.lastInject = st.InjLCG, st.LastInject
 	ms.sched.now = st.Now
-	ms.strideFIFO = append(ms.strideFIFO[:0], st.StrideFIFO...)
-	ms.strideRecent = make(map[uint32]bool, len(st.StrideFIFO))
-	for _, pa := range st.StrideFIFO {
-		ms.strideRecent[pa] = true
-	}
+	ms.restoreStrideRecent(st.StrideFIFO)
 	return nil
+}
+
+// restoreStrideRecent rebuilds the stride-recent set and its FIFO from
+// fifo, oldest first.
+func (ms *MemSystem) restoreStrideRecent(fifo []uint32) {
+	ms.strideFIFO.reset(fifo)
+	ms.strideRecent = newLineTable[struct{}](len(fifo))
+	for _, pa := range fifo {
+		ms.strideRecent.put(pa, struct{}{})
+	}
 }
 
 // Snapshot is the complete deterministic state of a checkpointed simulation

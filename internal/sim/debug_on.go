@@ -9,7 +9,7 @@ import (
 )
 
 // debugInvariants enables the runtime invariant layer: monotonicity of the
-// event heap, consistency of the inflight map with the queue and bus
+// event heap, consistency of the inflight table with the queue and bus
 // occupancy, and the arbiter bounds, asserted on every pump. Violations
 // panic with enough context to localise the model bug. Normal builds (no
 // -tags simdebug) compile all of this away; see debug_off.go.
@@ -35,9 +35,9 @@ func assertMonotone(at, now int64) {
 // system:
 //
 //   - both arbiters respect their configured bounds;
-//   - every queued request is tracked in the inflight map under its own
+//   - every queued request is tracked in the inflight table under its own
 //     physical line base;
-//   - the inflight map contains exactly the queued plus the bus-flying
+//   - the inflight table contains exactly the queued plus the bus-flying
 //     transactions — no leaked and no orphaned entries.
 func (ms *MemSystem) checkInvariants(at int64) {
 	l2q := ms.l2q.Requests()
@@ -53,15 +53,15 @@ func (ms *MemSystem) checkInvariants(at int64) {
 	queued := 0
 	for _, reqs := range [2][]*bus.Request{l2q, busq} {
 		for _, r := range reqs {
-			if got := ms.inflight[r.PABase]; got != r {
+			if got, _ := ms.inflight.get(r.PABase); got != r {
 				panic(fmt.Sprintf("sim: queued %s request %d (line %#x) not tracked in inflight at cycle %d",
 					r.Class, r.ID, r.PABase, at))
 			}
 			queued++
 		}
 	}
-	if len(ms.inflight) != queued+ms.flying {
-		panic(fmt.Sprintf("sim: inflight map holds %d lines but %d are queued and %d flying at cycle %d",
-			len(ms.inflight), queued, ms.flying, at))
+	if ms.inflight.len() != queued+ms.flying {
+		panic(fmt.Sprintf("sim: inflight table holds %d lines but %d are queued and %d flying at cycle %d",
+			ms.inflight.len(), queued, ms.flying, at))
 	}
 }

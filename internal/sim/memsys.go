@@ -44,36 +44,38 @@ type MemSystem struct {
 	// nothing.
 	engBuf []uint32
 
-	inflight map[uint32]*bus.Request // by physical line base
+	inflight lineTable[*bus.Request] // by physical line base
 	sched    scheduler
 	reqID    uint64
 	now      int64
 
 	// reqFree recycles bus.Request objects. A request is referenced only
-	// by the two arbiters, the inflight map, and its scheduled fill event,
+	// by the two arbiters, the inflight table, and its scheduled fill event,
 	// so it can be recycled the moment its fill completes (or it is
 	// squashed) without aliasing a live transaction. The freelist keeps
 	// the per-request allocation off the miss path entirely.
 	reqFree []*bus.Request
 
+	// walks holds the page walks in progress, indexed by the walk
+	// number a bus.Waiter carries; walkFree lists the free records.
+	walks    []walkRec
+	walkFree []int32
+
 	// flying counts granted but not-yet-arrived non-injected transfers.
 	// Maintained only under -tags simdebug (debugInvariants), where
-	// checkInvariants reconciles it against the inflight map.
+	// checkInvariants reconciles it against the inflight table.
 	flying int
 
 	l2PortFree int64
 
-	strideRecent map[uint32]bool
-	strideFIFO   []uint32
+	// strideRecent holds the last strideRecentCap stride-requested lines;
+	// strideFIFO is its eviction order.
+	strideRecent lineTable[struct{}]
+	strideFIFO   lineRing
 
 	injLCG     uint32
 	lastInject int64
 	nextPumpAt int64 // earliest scheduled pump event (0 = none)
-
-	// lineBuf is the scratch buffer the content scanner reads fills
-	// through; the scanner only inspects the bytes, so one buffer per
-	// memory system keeps line copies off the heap.
-	lineBuf [LineSize]byte
 
 	st   *stats.Counters
 	mptu *stats.MPTUSeries
@@ -108,21 +110,24 @@ func NewMemSystem(cfg *Config, space *mem.AddressSpace, st *stats.Counters, mptu
 		panic(err)
 	}
 	ms := &MemSystem{
-		cfg:          cfg,
-		space:        space,
-		l1:           cache.New(cfg.L1),
-		l2:           cache.New(cfg.L2),
-		dtlb:         tlb.New(cfg.TLB),
-		fsb:          bus.NewBus(cfg.BusLatency, cfg.BusOccupancy),
-		l2q:          bus.NewArbiter("l2", cfg.L2QueueSize),
-		busq:         bus.NewArbiter("bus", cfg.BusQueueSize),
-		inflight:     make(map[uint32]*bus.Request),
-		strideRecent: make(map[uint32]bool),
-		injLCG:       0x2545_F491,
-		lastInject:   -1,
-		st:           st,
-		mptu:         mptu,
+		cfg:        cfg,
+		space:      space,
+		l1:         cache.New(cfg.L1),
+		l2:         cache.New(cfg.L2),
+		dtlb:       tlb.New(cfg.TLB),
+		fsb:        bus.NewBus(cfg.BusLatency, cfg.BusOccupancy),
+		l2q:        bus.NewArbiter("l2", cfg.L2QueueSize),
+		busq:       bus.NewArbiter("bus", cfg.BusQueueSize),
+		injLCG:     0x2545_F491,
+		lastInject: -1,
+		st:         st,
+		mptu:       mptu,
 	}
+	// A line is in flight while it is queued in either arbiter or on the
+	// bus, and the bus overlaps at most latency/occupancy+1 transfers.
+	ms.inflight = newLineTable[*bus.Request](cfg.L2QueueSize + cfg.BusQueueSize +
+		int(ms.fsb.Latency/ms.fsb.Occupancy) + 1)
+	ms.strideRecent = newLineTable[struct{}](0)
 	if cfg.Content != nil {
 		ms.cdp = core.New(*cfg.Content)
 	}
@@ -167,13 +172,11 @@ func (ms *MemSystem) newRequest() *bus.Request {
 
 // releaseRequest returns a dead request to the freelist. Callers must hold
 // the only remaining reference: fillArrive (the request has left the
-// queues, the inflight map, and the event heap) and the squash path (the
+// queues, the inflight table, and the event heap) and the squash path (the
 // arbiter removed it, and an unsquashable promoted request never reaches
 // here because promotion makes it demand-class).
 func (ms *MemSystem) releaseRequest(req *bus.Request) {
-	for i := range req.Waiters {
-		req.Waiters[i] = nil
-	}
+	clear(req.Waiters)
 	ms.reqFree = append(ms.reqFree, req)
 }
 
@@ -245,22 +248,10 @@ func (ms *MemSystem) Load(cycle int64, va, pc uint32, done func(int64)) {
 	ms.st.L1Misses++
 	strideIssued := ms.observeL1Miss(cycle, pc, va)
 	if pa, ok := ms.dtlb.Lookup(va); ok {
-		// TLB hit: continue synchronously without building the walk
-		// continuation (which would otherwise be allocated on every L1
-		// miss just in case the slow path needed it).
 		ms.l2Access(cycle, pa, va, done, strideIssued, false)
 		return
 	}
-	//simlint:allow hotalloc -- walk continuation only exists on a TLB miss (slow path); see allocheck.baseline.json
-	ms.walk(cycle, va, false, func(at int64, pa uint32, ok bool) {
-		if !ok {
-			// Demand access to an unmapped page: return junk after an
-			// L2-latency delay. Valid traces never hit this path.
-			done(at + ms.cfg.L2Lat)
-			return
-		}
-		ms.l2Access(at, pa, va, done, strideIssued, false)
-	})
+	ms.walk(cycle, walkRec{va: va, done: done, strideIssued: strideIssued})
 }
 
 // Store implements cpu.MemPort. Stores are committed (post-retirement), so
@@ -282,14 +273,7 @@ func (ms *MemSystem) Store(cycle int64, va, pc uint32, done func(int64)) {
 		ms.l2Access(cycle, pa, va, done, strideIssued, true)
 		return
 	}
-	//simlint:allow hotalloc -- walk continuation only exists on a TLB miss (slow path); see allocheck.baseline.json
-	ms.walk(cycle, va, false, func(at int64, pa uint32, ok bool) {
-		if !ok {
-			done(at + ms.cfg.L2Lat)
-			return
-		}
-		ms.l2Access(at, pa, va, done, strideIssued, true)
-	})
+	ms.walk(cycle, walkRec{va: va, done: done, strideIssued: strideIssued, isStore: true})
 }
 
 // observeL1Miss drives every L1-stream engine on one L1 miss and issues
@@ -355,89 +339,145 @@ func (ms *MemSystem) issuePrediction(at int64, pva uint32, p *enginePort) bool {
 	if p.class == bus.ClassStride {
 		ms.noteStrideLine(lineBase(pa))
 	}
-	return ms.enqueuePrefetch(at, pa, pva, pva, p.class, 0, false)
+	return ms.enqueuePrefetch(at, pa, pva, pva, p.class, 0, false, false, 0)
 }
 
 // noteStrideLine records a stride-requested physical line for the
 // adjusted-metric overlap test.
 func (ms *MemSystem) noteStrideLine(paBase uint32) {
-	if ms.strideRecent[paBase] {
+	if ms.strideRecent.has(paBase) {
 		return
 	}
-	ms.strideRecent[paBase] = true
-	ms.strideFIFO = append(ms.strideFIFO, paBase)
-	if len(ms.strideFIFO) > strideRecentCap {
-		old := ms.strideFIFO[0]
-		ms.strideFIFO = ms.strideFIFO[1:]
-		delete(ms.strideRecent, old)
+	ms.strideRecent.put(paBase, struct{}{})
+	if old, ok := ms.strideFIFO.push(paBase); ok {
+		ms.strideRecent.del(old)
 	}
 }
 
-// walk resolves va's translation by walking the page table; callers handle
-// the DTLB lookup themselves (so the hot TLB-hit path can continue inline
-// without constructing a continuation closure) and reach here only on a
-// miss. cont receives the completion cycle, the physical address, and
-// whether the page is mapped. speculative marks content-prefetch walks
-// (accounted separately and charged to the prefetcher, not the demand
-// stream).
-func (ms *MemSystem) walk(cycle int64, va uint32, speculative bool, cont func(at int64, pa uint32, ok bool)) {
-	if speculative {
+// walkRec is one page walk in progress: what the walker has read and what
+// runs when the translation resolves. A demand walk resumes the core's
+// access (done, strideIssued, isStore); a speculative walk, launched for a
+// content candidate, issues that candidate in its chain.
+type walkRec struct {
+	va          uint32
+	speculative bool
+	level       uint8 // the page-table read in progress: 0 = PDE, 1 = PTE
+	refs        [2]mem.WalkEntry
+	frame       uint32
+	mapped      bool
+
+	done         func(int64)
+	strideIssued bool
+	isStore      bool
+
+	cand  core.Candidate
+	chain uint64
+}
+
+// walk files rec in a free walk record and starts it: it resolves rec.va
+// by walking the page table through the L2. Callers handle the DTLB lookup
+// themselves and reach here only on a miss. Speculative walks (content
+// prefetches) are accounted separately and charged to the prefetcher, not
+// the demand stream.
+//
+// simlint:hotpath
+func (ms *MemSystem) walk(cycle int64, rec walkRec) {
+	if rec.speculative {
 		ms.st.CDPWalks++
 	} else {
 		ms.st.Walks++
 	}
 	if ms.tr.Enabled() {
 		spec := uint64(0)
-		if speculative {
+		if rec.speculative {
 			spec = 1
 		}
 		ms.tr.Emit(simtrace.Event{
 			Kind: simtrace.KindWalk, Comp: simtrace.CompTLB,
-			Cycle: cycle, Addr: va, Arg: spec,
+			Cycle: cycle, Addr: rec.va, Arg: spec,
 		})
 	}
-	refs, frame, ok := ms.space.Walk(va)
+	rec.refs, rec.frame, rec.mapped = ms.space.Walk(rec.va)
+	var w int32
+	if n := len(ms.walkFree); n > 0 {
+		w = ms.walkFree[n-1]
+		ms.walkFree = ms.walkFree[:n-1]
+	} else {
+		w = int32(len(ms.walks))
+		ms.walks = append(ms.walks, walkRec{})
+	}
+	ms.walks[w] = rec
 	// First level: page-directory entry.
-	ms.ptRead(cycle, refs[0].Addr, func(at1 int64) {
-		if refs[0].Value&mem.PresentBit == 0 {
-			cont(at1, 0, false)
+	ms.ptRead(cycle, rec.refs[0].Addr, w)
+}
+
+// walkStep advances walk w once its outstanding page-table read completes
+// at cycle at.
+//
+// simlint:hotpath
+func (ms *MemSystem) walkStep(at int64, w int32) {
+	rec := &ms.walks[w]
+	if rec.level == 0 {
+		if rec.refs[0].Value&mem.PresentBit == 0 {
+			ms.endWalk(at, w, 0, false)
 			return
 		}
 		// Second level: page-table entry.
-		ms.ptRead(at1, refs[1].Addr, func(at2 int64) {
-			if !ok {
-				cont(at2, 0, false)
-				return
-			}
-			if speculative {
-				ms.dtlb.InsertCold(va, frame)
-			} else {
-				ms.dtlb.Insert(va, frame)
-			}
-			cont(at2, frame<<mem.PageShift|va&mem.PageMask, true)
-		})
-	})
+		rec.level = 1
+		ms.ptRead(at, rec.refs[1].Addr, w)
+		return
+	}
+	if !rec.mapped {
+		ms.endWalk(at, w, 0, false)
+		return
+	}
+	if rec.speculative {
+		ms.dtlb.InsertCold(rec.va, rec.frame)
+	} else {
+		ms.dtlb.Insert(rec.va, rec.frame)
+	}
+	ms.endWalk(at, w, rec.frame<<mem.PageShift|rec.va&mem.PageMask, true)
 }
 
-// ptRead fetches one page-table line through the L2. Page-walk fills bypass
-// the content scanner (Section 3.5: page tables are full of pointers).
-func (ms *MemSystem) ptRead(cycle int64, pa uint32, cont func(at int64)) {
+// endWalk frees walk w and runs its continuation with the resolved
+// physical address (ok = false for an unmapped page).
+//
+// simlint:hotpath
+func (ms *MemSystem) endWalk(at int64, w int32, pa uint32, ok bool) {
+	rec := ms.walks[w]
+	ms.walks[w] = walkRec{}
+	ms.walkFree = append(ms.walkFree, w)
+	switch {
+	case rec.speculative && ok:
+		ms.finishContentPrefetch(at, pa, rec.cand, rec.chain)
+	case rec.speculative:
+		ms.st.PrefDroppedUnmapped++
+	case ok:
+		ms.l2Access(at, pa, rec.va, rec.done, rec.strideIssued, rec.isStore)
+	default:
+		// Demand access to an unmapped page: return junk after an
+		// L2-latency delay. Valid traces never hit this path.
+		rec.done(at + ms.cfg.L2Lat)
+	}
+}
+
+// ptRead fetches one page-table line for walk w through the L2, resuming
+// the walk when the line is available. Page-walk fills bypass the content
+// scanner (Section 3.5: page tables are full of pointers).
+//
+// simlint:hotpath
+func (ms *MemSystem) ptRead(cycle int64, pa uint32, w int32) {
 	slot := ms.reserveL2(cycle)
 	if ms.l2.Lookup(pa, true) != nil {
-		cont(slot + ms.cfg.L2Lat)
+		ms.walkStep(slot+ms.cfg.L2Lat, w)
 		return
 	}
 	paBase := lineBase(pa)
-	if req := ms.inflight[paBase]; req != nil {
-		req.Waiters = append(req.Waiters, cont)
+	if req, ok := ms.inflight.get(paBase); ok {
+		req.Waiters = append(req.Waiters, bus.Waiter{Walk: w})
 		return
 	}
-	ms.reqID++
-	req := ms.newRequest()
-	req.ID, req.PABase, req.VABase, req.TrigVA = ms.reqID, paBase, paBase, pa
-	req.Class, req.PageWalk, req.Enqueued = bus.ClassDemand, true, slot
-	req.Waiters = append(req.Waiters, cont)
-	ms.enqueueDemandReq(slot, req)
+	ms.issueDemand(slot, paBase, paBase, pa, false, true, bus.Waiter{Walk: w})
 }
 
 // l2Access handles a demand load or store at the (physically indexed) L2.
@@ -462,10 +502,11 @@ func (ms *MemSystem) l2Access(at int64, pa, va uint32, done func(int64), strideI
 	}
 	ms.observeL2Miss(slot, va, strideIssued)
 	paBase := lineBase(pa)
-	if req := ms.inflight[paBase]; req != nil {
+	if req, ok := ms.inflight.get(paBase); ok {
 		// A matching transaction is in flight. If it is a prefetch, the
 		// demand promotes it to demand priority and depth (positive
-		// reinforcement; its latency was partially masked).
+		// reinforcement; its latency was partially masked), re-filing it
+		// if it is still queued.
 		if req.Class.IsPrefetch() {
 			src := srcOf(req.Class)
 			if !req.DemandWaited && !isStore {
@@ -496,21 +537,15 @@ func (ms *MemSystem) l2Access(at int64, pa, va uint32, done func(int64), strideI
 				}
 			}
 			req.DemandWaited = true
-			req.Class = bus.ClassDemand
-			req.Depth = 0
+			req.Promote()
 		}
-		req.Waiters = append(req.Waiters, done)
+		req.Waiters = append(req.Waiters, bus.Waiter{Done: done})
 		return
 	}
 	if !isStore {
 		ms.st.MissNoPF++
 	}
-	ms.reqID++
-	req := ms.newRequest()
-	req.ID, req.PABase, req.VABase, req.TrigVA = ms.reqID, paBase, lineBase(va), va
-	req.Class, req.IsStore, req.Enqueued = bus.ClassDemand, isStore, slot
-	req.Waiters = append(req.Waiters, done)
-	ms.enqueueDemandReq(slot, req)
+	ms.issueDemand(slot, paBase, lineBase(va), va, isStore, false, bus.Waiter{Done: done})
 }
 
 // consumeHit applies first-touch timeliness classification and the
@@ -567,7 +602,9 @@ func (ms *MemSystem) consumeHit(l *cache.Line, va uint32, slot int64, isStore bo
 // scanAndIssue runs the content scanner over the line at lineVA and issues
 // the resulting candidates. chain is the content chain of the fill that
 // triggered the scan (0 for demand fills: each candidate issued from a
-// non-speculative fill starts a fresh chain in enqueuePrefetch2).
+// non-speculative fill starts a fresh chain in enqueuePrefetch). The
+// scanner reads the line in place: the memory image is never written
+// during a simulation.
 func (ms *MemSystem) scanAndIssue(at int64, trigVA uint32, depth int, lineVA uint32, chain uint64) {
 	if ms.cdp == nil {
 		return
@@ -577,8 +614,7 @@ func (ms *MemSystem) scanAndIssue(at int64, trigVA uint32, depth int, lineVA uin
 		// carry this cycle.
 		ms.tr.SetNow(at)
 	}
-	ms.space.Img.ReadLineInto(lineVA, ms.lineBuf[:])
-	cands := ms.cdp.OnFill(trigVA, depth, lineVA, ms.lineBuf[:])
+	cands := ms.cdp.OnFill(trigVA, depth, lineVA, ms.space.Img.Line(lineVA, LineSize))
 	if ms.tr.Enabled() {
 		ms.tr.Emit(simtrace.Event{
 			Kind: simtrace.KindScan, Comp: simtrace.CompCDP,
@@ -604,43 +640,31 @@ func (ms *MemSystem) issueContentPrefetch(at int64, cand core.Candidate, chain u
 		return
 	}
 	ms.st.CDPNeedWalk++
-	//simlint:allow hotalloc -- speculative walk continuation only exists on a TLB miss (slow path); see allocheck.baseline.json
-	ms.walk(at, cand.VA, true, func(at2 int64, pa uint32, ok bool) {
-		if !ok {
-			ms.st.PrefDroppedUnmapped++
-			return
-		}
-		ms.finishContentPrefetch(at2, pa, cand, chain)
-	})
+	ms.walk(at, walkRec{va: cand.VA, speculative: true, cand: cand, chain: chain})
 }
 
 // finishContentPrefetch enqueues a translated content candidate, tagging it
 // with the stride-overlap bit the adjusted metrics need.
 func (ms *MemSystem) finishContentPrefetch(at int64, pa uint32, cand core.Candidate, chain uint64) {
-	overlap := ms.strideRecent[lineBase(pa)]
-	if ms.enqueuePrefetch2(at, pa, cand.VA, cand.Pointer, bus.ClassContent, cand.Depth, overlap, cand.Widened, chain) && overlap {
+	overlap := ms.strideRecent.has(lineBase(pa))
+	if ms.enqueuePrefetch(at, pa, cand.VA, cand.Pointer, bus.ClassContent, cand.Depth, overlap, cand.Widened, chain) && overlap {
 		ms.st.CDPOverlapIssued++
 	}
 }
 
 // enqueuePrefetch applies the drop rules (already present, already in
 // flight, queue full) and enqueues a prefetch. Reports whether the request
-// entered the memory system.
-func (ms *MemSystem) enqueuePrefetch(at int64, pa, va, trigVA uint32, class bus.Class, depth int, overlap bool) bool {
-	return ms.enqueuePrefetch2(at, pa, va, trigVA, class, depth, overlap, false, 0)
-}
-
-// enqueuePrefetch2 additionally marks widened (next-/prev-line) requests,
-// whose fills are not scanned, and threads the content chain ID: a content
+// entered the memory system. widened marks next-/prev-line requests, whose
+// fills are not scanned. chain threads the content chain ID: a content
 // prefetch arriving with chain 0 (issued off a non-speculative fill)
 // starts a fresh chain; deeper issues inherit their trigger's.
-func (ms *MemSystem) enqueuePrefetch2(at int64, pa, va, trigVA uint32, class bus.Class, depth int, overlap, widened bool, chain uint64) bool {
+func (ms *MemSystem) enqueuePrefetch(at int64, pa, va, trigVA uint32, class bus.Class, depth int, overlap, widened bool, chain uint64) bool {
 	if ms.l2.Lookup(pa, false) != nil {
 		ms.st.PrefDroppedPresent++
 		return false
 	}
 	paBase := lineBase(pa)
-	if ms.inflight[paBase] != nil {
+	if ms.inflight.has(paBase) {
 		ms.st.PrefDroppedInflight++
 		return false
 	}
@@ -678,10 +702,21 @@ func (ms *MemSystem) enqueuePrefetch2(at int64, pa, va, trigVA uint32, class bus
 		})
 	}
 	ms.l2q.Enqueue(req)
-	ms.inflight[paBase] = req
+	ms.inflight.put(paBase, req)
 	ms.st.PrefIssued[srcOf(class)]++
 	ms.pump(at)
 	return true
+}
+
+// issueDemand enqueues a fresh demand-class request for the line at paBase
+// with w as its first waiter.
+func (ms *MemSystem) issueDemand(slot int64, paBase, vaBase, trigVA uint32, isStore, pageWalk bool, w bus.Waiter) {
+	ms.reqID++
+	req := ms.newRequest()
+	req.ID, req.PABase, req.VABase, req.TrigVA = ms.reqID, paBase, vaBase, trigVA
+	req.Class, req.IsStore, req.PageWalk, req.Enqueued = bus.ClassDemand, isStore, pageWalk, slot
+	req.Waiters = append(req.Waiters, w)
+	ms.enqueueDemandReq(slot, req)
 }
 
 // enqueueDemandReq inserts a demand-class request, squashing the
@@ -689,7 +724,7 @@ func (ms *MemSystem) enqueuePrefetch2(at int64, pa, va, trigVA uint32, class bus
 func (ms *MemSystem) enqueueDemandReq(at int64, req *bus.Request) {
 	squashed, ok := ms.l2q.EnqueueDemand(req)
 	if squashed != nil {
-		delete(ms.inflight, squashed.PABase)
+		ms.inflight.del(squashed.PABase)
 		ms.st.PrefSquashed++
 		ms.releaseRequest(squashed)
 	}
@@ -699,7 +734,7 @@ func (ms *MemSystem) enqueueDemandReq(at int64, req *bus.Request) {
 		// as a model invariant violation.
 		panic(fmt.Sprintf("sim: L2 queue full of demands at cycle %d", at))
 	}
-	ms.inflight[req.PABase] = req
+	ms.inflight.put(req.PABase, req)
 	ms.pump(at)
 }
 
@@ -777,10 +812,9 @@ func (ms *MemSystem) makeInjectedRequest() *bus.Request {
 }
 
 // fillArrive completes one bus transaction: fill the L2 (and the L1 for
-// demands), wake waiters, and hand a copy of the line to the content
-// scanner.
+// demands), wake waiters, and hand the line to the content scanner.
 func (ms *MemSystem) fillArrive(at int64, req *bus.Request) {
-	delete(ms.inflight, req.PABase)
+	ms.inflight.del(req.PABase)
 	if debugInvariants && !req.Injected {
 		ms.flying--
 	}
@@ -836,7 +870,11 @@ func (ms *MemSystem) fillArrive(at int64, req *bus.Request) {
 		ms.l1.Fill(req.VABase, cache.Line{Source: cache.SrcDemand, VA: req.VABase, Dirty: req.IsStore})
 	}
 	for _, w := range req.Waiters {
-		w(at)
+		if w.Done != nil {
+			w.Done(at)
+		} else {
+			ms.walkStep(at, w.Walk)
+		}
 	}
 	if ms.cdp != nil && !req.PageWalk && !req.Injected && !req.Widened {
 		ms.scanAndIssue(at, req.TrigVA, req.Depth, req.VABase, req.Chain)

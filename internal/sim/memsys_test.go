@@ -203,3 +203,48 @@ func TestMarkovStridePrecedence(t *testing.T) {
 		t.Fatalf("markov (%d) out-issued stride (%d) despite precedence", mkv, str)
 	}
 }
+
+// A simulation never writes its memory image: stores change cache state
+// only. workloads.Checkpoint shares one image across concurrent sims, and
+// the content scanner reads fills in place, so both rely on this. A CDP run
+// over a store-heavy pointer chase leaves the page count and every backed
+// byte unchanged.
+func TestSimLeavesImageUnchanged(t *testing.T) {
+	as := mem.NewAddressSpace()
+	alloc := heap.NewAllocator(as, 0x1000_0000, 0x1100_0000)
+	l := heap.BuildList(alloc, rand.New(rand.NewSource(12)), heap.ListSpec{
+		Nodes: 6000, NodeSize: 64, NextOff: 0, Fill: heap.DefaultFill,
+	})
+	b := trace.NewBuilder()
+	for p := 0; p < 2; p++ {
+		for i, n := range l.Nodes {
+			b.Load(0x100, 1, 1, n) // r1 = node->next: the chase
+			b.Store(0x104, 1, trace.NoReg, n+4)
+			b.Store(0x108, 1, trace.NoReg, n+32)
+			b.Branch(0x180, 1, i+1 < len(l.Nodes))
+		}
+	}
+	ck := &trace.Checkpoint{Name: "chase-stores", Space: as, Trace: b.Trace()}
+	image := func() []byte {
+		var out []byte
+		page := make([]byte, mem.PageSize)
+		for _, pn := range as.Img.PageNumbers() {
+			as.Img.ReadBytes(pn<<mem.PageShift, page)
+			out = append(out, page...)
+		}
+		return out
+	}
+	pages, before := as.Img.PageCount(), image()
+
+	res := Run(ck, testConfig().WithContent(core.DefaultConfig))
+	if res.Counters.RetiredStores == 0 || res.Counters.PrefIssued[cache.SrcContent] == 0 {
+		t.Fatalf("run retired %d stores and issued %d content prefetches; want both nonzero",
+			res.Counters.RetiredStores, res.Counters.PrefIssued[cache.SrcContent])
+	}
+	if got := as.Img.PageCount(); got != pages {
+		t.Fatalf("page count %d after the run, %d before", got, pages)
+	}
+	if !bytes.Equal(image(), before) {
+		t.Fatal("the run changed the memory image's bytes")
+	}
+}

@@ -36,7 +36,8 @@ const (
 // WriteTo serialises the checkpoint. Only the raw memory pages and the
 // virtual-to-frame map are stored; the page-table pages are included among
 // the raw pages (they live in the image), so a restored checkpoint walks
-// identically.
+// identically. Pages go out in ascending page number and mappings in
+// ascending virtual page, so equal checkpoints serialise to equal bytes.
 func (c *Checkpoint) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var n int64
