@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -163,6 +164,27 @@ func BenchmarkSimulatorUopsPerSecond(b *testing.B) {
 	ck := workloads.Checkpoint(spec, 150_000)
 	cfg := sim.Default().WithContent(core.DefaultConfig)
 	cfg.WarmupOps = 20_000
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := sim.Run(ck, cfg)
+		if res.Core.Retired == 0 {
+			b.Fatal("nothing retired")
+		}
+	}
+	b.ReportMetric(float64(ck.Trace.Len()), "uops/op")
+}
+
+// BenchmarkSimulatorMemoryBound measures simulation throughput where the
+// core backs up on memory: creation at 20,000 µops on the default machine,
+// configured as the daemon configures {"benchmark":"creation","ops":20000}
+// (the shape of a cdpd-cluster miss). Its cold start fills the 48-entry
+// load buffer, which BenchmarkSimulatorUopsPerSecond's run never does.
+func BenchmarkSimulatorMemoryBound(b *testing.B) {
+	spec, cfg, ops, err := api.ResolveSim(api.SimRequest{Benchmark: "creation", Ops: 20_000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ck := workloads.Checkpoint(spec, ops)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := sim.Run(ck, cfg)

@@ -8,8 +8,12 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strconv"
 
 	"repro/internal/mem"
 	"repro/internal/trace"
@@ -35,32 +39,66 @@ func usage() {
 	os.Exit(2)
 }
 
-func gen(args []string) {
-	ops := 0
-	out := ""
-	var name string
-	for i := 0; i < len(args); i++ {
-		switch args[i] {
-		case "-ops":
-			i++
-			fmt.Sscanf(args[i], "%d", &ops)
-		case "-o":
-			i++
-			out = args[i]
-		default:
-			name = args[i]
+// genArgs is what gen's command line asks for.
+type genArgs struct {
+	ops  int // µop budget; 0 = the benchmark default
+	out  string
+	name string
+}
+
+// positiveInt is a flag value that accepts only a positive integer.
+type positiveInt int
+
+func (p *positiveInt) String() string { return strconv.Itoa(int(*p)) }
+
+func (p *positiveInt) Set(s string) error {
+	n, err := strconv.Atoi(s)
+	if err != nil || n <= 0 {
+		return errors.New("want a positive integer")
+	}
+	*p = positiveInt(n)
+	return nil
+}
+
+// parseGen reads gen's arguments. Flags may come before or after the
+// benchmark name; exactly one name is required.
+func parseGen(args []string) (genArgs, error) {
+	fs := flag.NewFlagSet("gen", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	var ops positiveInt
+	fs.Var(&ops, "ops", "µop budget")
+	out := fs.String("o", "", "output file (default <benchmark>.cdpt)")
+	var names []string
+	for {
+		if err := fs.Parse(args); err != nil {
+			return genArgs{}, err
 		}
+		if fs.NArg() == 0 {
+			break
+		}
+		names = append(names, fs.Arg(0))
+		args = fs.Args()[1:]
 	}
-	if name == "" {
-		usage()
+	if len(names) != 1 {
+		return genArgs{}, fmt.Errorf("want one benchmark, got %d", len(names))
 	}
-	spec, err := workloads.ByName(name)
+	return genArgs{ops: int(ops), out: *out, name: names[0]}, nil
+}
+
+func gen(args []string) {
+	a, err := parseGen(args)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tracegen gen: %v\n", err)
+		os.Exit(2)
+	}
+	spec, err := workloads.ByName(a.name)
 	if err != nil {
 		fatal(err)
 	}
-	ck := workloads.Checkpoint(spec, ops)
+	ck := workloads.Checkpoint(spec, a.ops)
+	out := a.out
 	if out == "" {
-		out = name + ".cdpt"
+		out = a.name + ".cdpt"
 	}
 	f, err := os.Create(out)
 	if err != nil {

@@ -199,11 +199,14 @@ type Core struct {
 	// clears a µop's entry when it finishes, so a drained core has none.
 	lastWriter [trace.NumRegs]int32
 
-	// ready holds the slots whose operands are all available, in
+	// ready holds the slots of the µops other than loads whose operands
+	// are all available, and readyLoads those of the loads. Both are in
 	// ascending seq order: fetch appends (a new µop has the largest seq)
-	// and a wakeup inserts by seq, so one in-order pass in issue visits
-	// candidates oldest-first.
-	ready []int32
+	// and a wakeup inserts by seq, so issue visits candidates oldest-first
+	// by merging the two. Keeping loads apart lets issue pass over every
+	// waiting load at once while the load buffer is full.
+	ready      []int32
+	readyLoads []int32
 
 	// Completions due within wheelSize-1 cycles wait in wheel[at&wheelMask];
 	// later ones wait in the completed heap. Every completion is due after
@@ -262,18 +265,21 @@ func New(cfg Config, st *stats.Counters) *Core {
 	if st == nil {
 		st = &stats.Counters{}
 	}
+	// Every ready or completing µop occupies a ROB slot, so neither ready
+	// list nor a wheel bucket ever outgrows the ROB: the two ready lists
+	// share one backing array, each capped at its own half.
+	ready := make([]int32, 2*cfg.ROBSize)
 	c := &Core{
-		cfg:     cfg,
-		bp:      NewGshare(cfg.GshareBits),
-		st:      st,
-		rob:     make([]robEntry, cfg.ROBSize),
-		depHead: make([]int32, cfg.ROBSize),
-		depNext: make([]int32, 2*cfg.ROBSize),
-		robSize: int32(cfg.ROBSize),
-		// Every ready or completing µop occupies a ROB slot, so neither
-		// the ready list nor a wheel bucket ever outgrows the ROB.
-		ready:     make([]int32, 0, cfg.ROBSize),
-		completed: make(completionHeap, 0, cfg.ROBSize),
+		cfg:        cfg,
+		bp:         NewGshare(cfg.GshareBits),
+		st:         st,
+		rob:        make([]robEntry, cfg.ROBSize),
+		depHead:    make([]int32, cfg.ROBSize),
+		depNext:    make([]int32, 2*cfg.ROBSize),
+		robSize:    int32(cfg.ROBSize),
+		ready:      ready[:0:cfg.ROBSize],
+		readyLoads: ready[cfg.ROBSize:cfg.ROBSize],
+		completed:  make(completionHeap, 0, cfg.ROBSize),
 	}
 	for i := range c.depHead {
 		c.depHead[i] = -1
@@ -327,7 +333,7 @@ func (c *Core) run(ops []trace.Op, mp MemPort, quiesced func() bool) {
 				state = fmt.Sprintf(", quiesced %v", quiesced())
 			}
 			panic(fmt.Sprintf("cpu: no progress since cycle %d (rob %d, ready %d, loads %d, stores %d, fetch %d/%d%s)",
-				lastProgress, c.count, len(c.ready), c.outstandingLoads, c.outstandingStores, c.fetchIdx, len(ops), state))
+				lastProgress, c.count, len(c.ready)+len(c.readyLoads), c.outstandingLoads, c.outstandingStores, c.fetchIdx, len(ops), state))
 		}
 	}
 }
@@ -418,7 +424,11 @@ func (c *Core) complete() bool {
 		for edge := c.depHead[slot]; edge >= 0; edge = c.depNext[edge] {
 			dep := edge >> 1
 			if c.rob[dep].pendingSrcs--; c.rob[dep].pendingSrcs == 0 {
-				c.wake(dep)
+				if c.rob[dep].op.Kind == trace.KLoad {
+					c.readyLoads = c.wake(c.readyLoads, dep)
+				} else {
+					c.ready = c.wake(c.ready, dep)
+				}
 			}
 		}
 		c.depHead[slot] = -1
@@ -433,19 +443,21 @@ func (c *Core) complete() bool {
 	return true
 }
 
-// wake inserts slot, whose operands have all become available, into the
-// ready list at its seq position.
+// wake returns list, a ready list, with slot, whose operands have all
+// become available, inserted at its seq position. complete picks the list
+// by the µop's kind; taking and returning the slice keeps wake small
+// enough to inline there.
 //
 // simlint:hotpath
-func (c *Core) wake(slot int32) {
+func (c *Core) wake(list []int32, slot int32) []int32 {
 	seq := c.rob[slot].seq
-	r := append(c.ready, slot)
+	r := append(list, slot)
 	i := len(r) - 1
 	for ; i > 0 && c.rob[r[i-1]].seq > seq; i-- {
 		r[i] = r[i-1]
 	}
 	r[i] = slot
-	c.ready = r
+	return r
 }
 
 // markComplete schedules completion of an issued entry at cycle at (at the
@@ -519,55 +531,45 @@ func (c *Core) retire(mp MemPort) bool {
 	return any
 }
 
-// issue makes one oldest-first pass over the ready list, issuing each µop
+// issue makes one oldest-first pass over the ready µops, issuing each µop
 // whose functional unit (and, for a load, load-buffer entry) is free until
 // IssueWidth µops have gone. Units and load-buffer room only shrink within
-// a cycle, so a µop passed over stays ineligible for the rest of the pass:
-// the result is the same as picking the oldest eligible µop once per slot.
+// a cycle — complete frees load-buffer entries, and a load done
+// synchronously only schedules its completion — so a µop passed over stays
+// ineligible for the rest of the pass: the result is the same as picking
+// the oldest eligible µop once per slot.
+//
+// A pass that no load can join — none is ready, or the load buffer is full
+// — walks ready alone, so its cost is set by the ready µops that are not
+// loads and IssueWidth, however many loads wait. Otherwise issueMerged
+// merges in readyLoads.
 //
 // simlint:hotpath
 func (c *Core) issue(mp MemPort) bool {
+	if len(c.readyLoads) > 0 && c.outstandingLoads < c.cfg.LoadBuf {
+		return c.issueMerged(mp)
+	}
 	r := c.ready
 	if len(r) == 0 {
 		return false
 	}
-	intLeft, memLeft, fpLeft := c.cfg.IntUnits, c.cfg.MemUnits, c.cfg.FPUnits
+	u := freeUnits{c.cfg.IntUnits, c.cfg.MemUnits, c.cfg.FPUnits}
 	width := c.cfg.IssueWidth
 	kept, i := 0, 0
 	for ; i < len(r) && width > 0; i++ {
 		slot := r[i]
-		e := &c.rob[slot]
-		var lat int64 // 0 for a load, whose latency the memory port decides
-		switch k := e.op.Kind; {
-		case (k == trace.KInt || k == trace.KBranch) && intLeft > 0:
-			intLeft--
-			lat = c.cfg.IntLatency
-		case k == trace.KFP && fpLeft > 0:
-			fpLeft--
-			lat = c.cfg.FPLatency
-		case k == trace.KStore && memLeft > 0:
-			// Address generation only; memory traffic happens at retire.
-			memLeft--
-			c.res.Stores++
-			lat = c.cfg.IntLatency
-		case k == trace.KLoad && memLeft > 0 && c.outstandingLoads < c.cfg.LoadBuf:
-			memLeft--
-			c.outstandingLoads++
-			c.res.Loads++
-		default: // no free unit (or load-buffer entry) this cycle
+		lat := c.takeUnit(&u, c.rob[slot].op.Kind)
+		if lat == 0 { // no free unit this cycle
 			r[kept] = slot
 			kept++
 			continue
 		}
 		width--
-		switch {
-		case lat == 0:
-			mp.Load(c.cycle, e.op.Addr, e.op.PC, c.loadDone[slot])
-		case lat < wheelSize:
+		if lat < wheelSize {
 			// markComplete's wheel path: a latency is at least 1, so the
 			// completion is due after this cycle.
 			c.toWheel(slot, c.cycle+lat)
-		default:
+		} else {
 			c.markComplete(slot, c.cycle+lat)
 		}
 	}
@@ -579,6 +581,88 @@ func (c *Core) issue(mp MemPort) bool {
 	}
 	c.ready = r[:kept]
 	return true
+}
+
+// issueMerged is issue's pass when a load can go: it walks ready and
+// readyLoads together in seq order, treating the µops in ready as issue
+// does. Loads leave readyLoads strictly from its head, and once memory
+// units or load-buffer room run out no later load could go, so from then
+// on the pass looks at ready alone. The oldest ready µop always goes,
+// since every unit class starts the pass with a free unit, so the pass
+// always makes progress.
+//
+// simlint:hotpath
+func (c *Core) issueMerged(mp MemPort) bool {
+	r, l := c.ready, c.readyLoads
+	u := freeUnits{c.cfg.IntUnits, c.cfg.MemUnits, c.cfg.FPUnits}
+	width := c.cfg.IssueWidth
+	// Loads l[j:ln] are still candidates.
+	kept, i, j, ln := 0, 0, 0, len(l)
+	for width > 0 {
+		if j < ln && (i == len(r) || c.rob[l[j]].seq < c.rob[r[i]].seq) {
+			slot := l[j]
+			j++
+			width--
+			u.mem--
+			c.outstandingLoads++
+			c.res.Loads++
+			e := &c.rob[slot]
+			mp.Load(c.cycle, e.op.Addr, e.op.PC, c.loadDone[slot])
+			if u.mem == 0 || c.outstandingLoads >= c.cfg.LoadBuf {
+				ln = j
+			}
+			continue
+		}
+		if i == len(r) {
+			break
+		}
+		slot := r[i]
+		i++
+		lat := c.takeUnit(&u, c.rob[slot].op.Kind)
+		if lat == 0 {
+			r[kept] = slot
+			kept++
+			continue
+		}
+		if u.mem == 0 {
+			ln = j // a store took the last memory unit
+		}
+		width--
+		if lat < wheelSize {
+			c.toWheel(slot, c.cycle+lat)
+		} else {
+			c.markComplete(slot, c.cycle+lat)
+		}
+	}
+	c.readyLoads = l[:copy(l, l[j:])]
+	if i < len(r) {
+		kept += copy(r[kept:], r[i:])
+	}
+	c.ready = r[:kept]
+	return true
+}
+
+// freeUnits counts the functional units an issue pass has left.
+type freeUnits struct{ alu, mem, fp int }
+
+// takeUnit claims a unit of u for a ready µop of kind k that is not a
+// load and returns the µop's latency, or 0 (Validate makes every latency
+// at least 1) when every unit of its class is taken.
+func (c *Core) takeUnit(u *freeUnits, k trace.Kind) int64 {
+	switch {
+	case (k == trace.KInt || k == trace.KBranch) && u.alu > 0:
+		u.alu--
+		return c.cfg.IntLatency
+	case k == trace.KFP && u.fp > 0:
+		u.fp--
+		return c.cfg.FPLatency
+	case k == trace.KStore && u.mem > 0:
+		// Address generation only; memory traffic happens at retire.
+		u.mem--
+		c.res.Stores++
+		return c.cfg.IntLatency
+	}
+	return 0
 }
 
 // dependOn makes operand edge wait on the unfinished writer of register
@@ -642,7 +726,11 @@ func (c *Core) fetch(ops []trace.Op) bool {
 			c.lastWriter[op.Dst] = slot + 1
 		}
 		if e.pendingSrcs == 0 {
-			c.ready = append(c.ready, slot)
+			if op.Kind == trace.KLoad {
+				c.readyLoads = append(c.readyLoads, slot)
+			} else {
+				c.ready = append(c.ready, slot)
+			}
 		}
 		any = true
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/stats"
@@ -20,6 +21,9 @@ import (
 type oraclePort struct {
 	pending []oracleFill
 	log     []string
+	// onTick, if set, runs at the start of every Tick: between one cycle's
+	// fetch and the next cycle's complete, when the core is at rest.
+	onTick func()
 }
 
 type oracleFill struct {
@@ -36,6 +40,9 @@ func (p *oraclePort) Tick(cycle int64) {
 		panic(fmt.Sprintf("oraclePort: run still going at cycle %d", cycle))
 	}
 	p.log = append(p.log, fmt.Sprintf("tick %d", cycle))
+	if p.onTick != nil {
+		p.onTick()
+	}
 	keep := p.pending[:0]
 	var fire []oracleFill
 	for _, f := range p.pending {
@@ -72,8 +79,11 @@ func (p *oraclePort) Store(cycle int64, va, pc uint32, done func(int64)) {
 	p.access(cycle, va, done)
 }
 
+// oracleHash is the address hash behind an access's latency and path.
+func oracleHash(va uint32) uint32 { return (va>>2 ^ va>>9) * 2654435761 }
+
 func (p *oraclePort) access(cycle int64, va uint32, done func(int64)) {
-	h := (va>>2 ^ va>>9) * 2654435761
+	h := oracleHash(va)
 	lat := int64(h >> 8 % 150)
 	switch h >> 29 {
 	case 0, 1: // synchronous hit: due now or up to 12 cycles out
@@ -139,6 +149,43 @@ func randomTrace(rng *rand.Rand, n int) *trace.Trace {
 	return &trace.Trace{Ops: ops}
 }
 
+// loadHeavyTrace draws n µops, three in four of them loads. Most loads
+// read no register, and every load address misses in oraclePort for over
+// 100 cycles; the rest are integer µops, some reading a load's result,
+// and a few stores. On the Table 1 machine the loads back up behind the
+// 48-entry load buffer while younger integer µops keep issuing past them.
+func loadHeavyTrace(rng *rand.Rand, n int) *trace.Trace {
+	reg := func() uint8 {
+		if rng.Intn(2) == 0 {
+			return trace.NoReg
+		}
+		return uint8(rng.Intn(6))
+	}
+	slowAddr := func() uint32 {
+		for {
+			va := uint32(rng.Intn(1 << 16))
+			if h := oracleHash(va); (h>>29 == 3 || h>>29 == 4) && h>>8%150 > 100 {
+				return va
+			}
+		}
+	}
+	ops := make([]trace.Op, n)
+	for i := range ops {
+		op := trace.Op{PC: uint32(0x1000 + 4*rng.Intn(64)), Kind: trace.KInt, Src1: reg(), Src2: trace.NoReg, Dst: reg()}
+		switch r := rng.Intn(16); {
+		case r < 12:
+			op.Kind, op.Addr = trace.KLoad, slowAddr()
+			if r > 1 {
+				op.Src1 = trace.NoReg
+			}
+		case r == 12:
+			op.Kind, op.Addr, op.Dst = trace.KStore, slowAddr(), trace.NoReg
+		}
+		ops[i] = op
+	}
+	return &trace.Trace{Ops: ops}
+}
+
 // coreRun is everything one run exposes: the result, the counters, each
 // µop's completion and retirement cycles (indexed by seq, which equals
 // the µop's 1-based position since retirement is in order), the segment
@@ -179,10 +226,9 @@ type simCore interface {
 	RunSegmented(tr *trace.Trace, mp MemPort, maxOps int, plan SegmentPlan) (Result, error)
 }
 
-// drive runs c over tr in mode m through a fresh oraclePort, recording
-// into run. atBoundary is checked at every segment boundary.
-func drive(c simCore, tr *trace.Trace, m runMode, run *coreRun, atBoundary func() error) {
-	port := &oraclePort{}
+// drive runs c over tr in mode m through port, which must be fresh,
+// recording into run. atBoundary is checked at every segment boundary.
+func drive(c simCore, port *oraclePort, tr *trace.Trace, m runMode, run *coreRun, atBoundary func() error) {
 	if m.segEvery == 0 {
 		run.res = c.Run(tr, port, m.maxOps)
 	} else {
@@ -201,25 +247,79 @@ func drive(c simCore, tr *trace.Trace, m runMode, run *coreRun, atBoundary func(
 	run.log = port.log
 }
 
-// runCore runs Core, also reporting whether any completion was seen
-// waiting in the wheel or in the heap, and requiring State to succeed at
-// every segment boundary.
-func runCore(cfg Config, tr *trace.Trace, m runMode) (run coreRun, sawWheel, sawHeap bool) {
+// corePaths records which of Core's paths a run went through.
+type corePaths struct {
+	wheel, heap bool // a completion waited in the wheel; in the heap
+	// passedLoad: a cycle's issue sent a µop that is not a load past an
+	// older ready load that the full load buffer held back.
+	passedLoad bool
+}
+
+// runCore runs Core, also reporting the paths it saw and requiring State
+// to succeed at every segment boundary.
+func runCore(cfg Config, tr *trace.Trace, m runMode) (run coreRun, saw corePaths) {
 	c := New(cfg, &run.counters)
 	if m.observe {
 		finished := run.finishHook(len(tr.Ops))
 		c.onFinish = func(seq uint64, cycle int64) {
-			sawWheel = sawWheel || c.wheelLen() > 0
-			sawHeap = sawHeap || len(c.completed) > 0
+			saw.wheel = saw.wheel || c.wheelLen() > 0
+			saw.heap = saw.heap || len(c.completed) > 0
 			finished(seq, cycle)
 		}
 		c.OnRetire = run.retireHook(len(tr.Ops))
 	}
-	drive(c, tr, m, &run, func() error {
+	port := &oraclePort{}
+	// Between two Ticks the core runs exactly one issue, and nothing but
+	// that issue takes a µop off a ready list. So a load ready at both
+	// Ticks was passed over, and a µop ready at the first Tick but not the
+	// second was issued.
+	var loads, others []uint64 // ready seqs at the previous Tick
+	port.onTick = func() {
+		if !saw.passedLoad && c.outstandingLoads >= cfg.LoadBuf {
+			saw.passedLoad = passedLoad(c, loads, others)
+		}
+		loads = readySeqs(c, loads[:0], c.readyLoads)
+		others = readySeqs(c, others[:0], c.ready)
+	}
+	drive(c, port, tr, m, &run, func() error {
 		_, err := c.State()
 		return err
 	})
-	return run, sawWheel, sawHeap
+	return run, saw
+}
+
+// readySeqs appends the seqs of the µops in list to dst.
+func readySeqs(c *Core, dst []uint64, list []int32) []uint64 {
+	for _, slot := range list {
+		dst = append(dst, c.rob[slot].seq)
+	}
+	return dst
+}
+
+// inReady reports whether the µop with seq is in list, which is in seq
+// order.
+func inReady(c *Core, list []int32, seq uint64) bool {
+	i := sort.Search(len(list), func(i int) bool { return c.rob[list[i]].seq >= seq })
+	return i < len(list) && c.rob[list[i]].seq == seq
+}
+
+// passedLoad reports whether, given the ready seqs loads and others at the
+// previous Tick, the issue since then sent a µop that is not a load past
+// an older load that is still waiting. With the load buffer full now, it
+// was full when that load's turn came: once no load can go, none does.
+func passedLoad(c *Core, loads, others []uint64) bool {
+	for _, l := range loads {
+		if !inReady(c, c.readyLoads, l) {
+			continue // issued
+		}
+		for _, o := range others {
+			if o > l && !inReady(c, c.ready, o) {
+				return true
+			}
+		}
+		return false
+	}
+	return false
 }
 
 func runRef(cfg Config, tr *trace.Trace, m runMode) (run coreRun) {
@@ -228,7 +328,7 @@ func runRef(cfg Config, tr *trace.Trace, m runMode) (run coreRun) {
 		c.onFinish = run.finishHook(len(tr.Ops))
 		c.OnRetire = run.retireHook(len(tr.Ops))
 	}
-	drive(c, tr, m, &run, func() error { return nil })
+	drive(c, &oraclePort{}, tr, m, &run, func() error { return nil })
 	return run
 }
 
@@ -272,18 +372,26 @@ func diffRuns(got, want coreRun) string {
 // TestCoreMatchesReference runs random traces on random machines through
 // Core and the reference core under Run and RunSegmented, and requires the
 // same result, counters, per-µop completion and retirement cycles, segment
-// boundaries and memory-port calls, cycle for cycle.
+// boundaries and memory-port calls, cycle for cycle. One case in four runs
+// a load-heavy trace, every other one of those on the Table 1 machine.
 func TestCoreMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20021005))
 	cases := 300
 	if testing.Short() {
 		cases = 60
 	}
-	var sawWheel, sawHeap bool
+	var saw corePaths
+	var passedLoadTable1 bool
 	var mispredicts uint64
 	for i := 0; i < cases; i++ {
 		cfg := randomConfig(rng)
 		tr := randomTrace(rng, 20+rng.Intn(600))
+		if i%4 == 3 {
+			if i%8 == 7 {
+				cfg = DefaultConfig()
+			}
+			tr = loadHeavyTrace(rng, 100+rng.Intn(600))
+		}
 		modes := []runMode{{observe: true}, {}}
 		if rng.Intn(3) == 0 {
 			modes = append(modes, runMode{observe: true, maxOps: 1 + rng.Intn(len(tr.Ops))})
@@ -292,17 +400,20 @@ func TestCoreMatchesReference(t *testing.T) {
 			modes = append(modes, runMode{observe: j == 0, segEvery: 1 + rng.Intn(len(tr.Ops)+10)})
 		}
 		for _, m := range modes {
-			got, wheel, heap := runCore(cfg, tr, m)
+			got, paths := runCore(cfg, tr, m)
 			want := runRef(cfg, tr, m)
 			if d := diffRuns(got, want); d != "" {
 				t.Fatalf("case %d (%d µops, %+v, %v): %s", i, len(tr.Ops), cfg, m, d)
 			}
-			sawWheel = sawWheel || wheel
-			sawHeap = sawHeap || heap
+			saw.wheel = saw.wheel || paths.wheel
+			saw.heap = saw.heap || paths.heap
+			saw.passedLoad = saw.passedLoad || paths.passedLoad
+			passedLoadTable1 = passedLoadTable1 || paths.passedLoad && cfg == DefaultConfig()
 			mispredicts += got.res.Mispredicts
 		}
 	}
-	if !sawWheel || !sawHeap || mispredicts == 0 {
-		t.Fatalf("random cases missed a path: wheel %v, heap %v, mispredicts %d", sawWheel, sawHeap, mispredicts)
+	if !saw.wheel || !saw.heap || !passedLoadTable1 || mispredicts == 0 {
+		t.Fatalf("random cases missed a path: wheel %v, heap %v, µop issued past a load held by a full load buffer %v (on the Table 1 machine %v), mispredicts %d",
+			saw.wheel, saw.heap, saw.passedLoad, passedLoadTable1, mispredicts)
 	}
 }

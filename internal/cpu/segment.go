@@ -59,7 +59,7 @@ func (c *Core) RunSegmented(tr *trace.Trace, mp MemPort, maxOps int, plan Segmen
 }
 
 // CoreState is the checkpointable state of a quiesced core. In-flight
-// structures (ROB, ready list, completion wheel and heap, writer map) are
+// structures (ROB, ready lists, completion wheel and heap, writer map) are
 // absent by construction: State refuses to capture a core that is not
 // drained.
 type CoreState struct {
@@ -75,7 +75,7 @@ type CoreState struct {
 func (c *Core) State() (CoreState, error) {
 	if !c.drained() {
 		return CoreState{}, fmt.Errorf("cpu: core not quiesced (rob %d, ready %d, completions %d, loads %d, stores %d)",
-			c.count, len(c.ready), c.wheelLen()+len(c.completed), c.outstandingLoads, c.outstandingStores)
+			c.count, len(c.ready)+len(c.readyLoads), c.wheelLen()+len(c.completed), c.outstandingLoads, c.outstandingStores)
 	}
 	return CoreState{
 		Cycle:             c.cycle,
@@ -88,9 +88,9 @@ func (c *Core) State() (CoreState, error) {
 }
 
 // drained reports whether nothing is in flight: no µop in the ROB, ready
-// list, completion wheel or heap, and no outstanding load or store.
+// lists, completion wheel or heap, and no outstanding load or store.
 func (c *Core) drained() bool {
-	return c.count == 0 && len(c.ready) == 0 && c.wheelLen() == 0 && len(c.completed) == 0 &&
+	return c.count == 0 && len(c.ready) == 0 && len(c.readyLoads) == 0 && c.wheelLen() == 0 && len(c.completed) == 0 &&
 		c.outstandingLoads == 0 && c.outstandingStores == 0
 }
 

@@ -167,6 +167,9 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			return nil, fmt.Errorf("trace: op %d: %w", i, err)
 		}
+		if k := Kind(rec[8]); k > KBranch {
+			return nil, fmt.Errorf("trace: op %d: unknown kind %d", i, k)
+		}
 		ops = append(ops, Op{
 			PC:    binary.LittleEndian.Uint32(rec[0:]),
 			Addr:  binary.LittleEndian.Uint32(rec[4:]),

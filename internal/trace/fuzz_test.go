@@ -22,9 +22,9 @@ func fuzzSeedCheckpoint() *Checkpoint {
 }
 
 // FuzzReadCheckpoint throws arbitrary bytes at the checkpoint decoder. The
-// decoder must never panic or over-allocate on corrupt input, and anything
-// it accepts must survive a write/read round trip unchanged in its header
-// fields and op stream.
+// decoder must never panic or over-allocate on corrupt input, every op it
+// accepts must have a known kind, and anything it accepts must survive a
+// write/read round trip unchanged in its header fields and op stream.
 func FuzzReadCheckpoint(f *testing.F) {
 	var seed bytes.Buffer
 	if _, err := fuzzSeedCheckpoint().WriteTo(&seed); err != nil {
@@ -45,6 +45,11 @@ func FuzzReadCheckpoint(f *testing.F) {
 		ck, err := ReadCheckpoint(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		for i, op := range ck.Trace.Ops {
+			if op.Kind > KBranch {
+				t.Fatalf("accepted op %d with unknown kind %d", i, op.Kind)
+			}
 		}
 		var out bytes.Buffer
 		if _, err := ck.WriteTo(&out); err != nil {

@@ -142,6 +142,30 @@ func TestCheckpointRejectsGarbage(t *testing.T) {
 	}
 }
 
+// A checkpoint whose op carries a kind past KBranch is refused with an
+// error naming the op and the kind, instead of loading an op no core can
+// ever issue.
+func TestCheckpointRejectsUnknownKind(t *testing.T) {
+	ck := fuzzSeedCheckpoint()
+	var buf bytes.Buffer
+	if _, err := ck.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// magic(4) version(4) nameLen(4) name instrs(8) opCount(8), then 16-byte
+	// op records with the kind at offset 8.
+	const op = 2
+	data := buf.Bytes()
+	off := 4 + 4 + 4 + len(ck.Name) + 8 + 8 + op*opRecSize + 8
+	if got := Kind(data[off]); got != ck.Trace.Ops[op].Kind {
+		t.Fatalf("byte %d holds %v, want op %d's kind %v", off, got, op, ck.Trace.Ops[op].Kind)
+	}
+	data[off] = 9
+	_, err := ReadCheckpoint(bytes.NewReader(data))
+	if err == nil || err.Error() != "trace: op 2: unknown kind 9" {
+		t.Fatalf("corrupt kind: err %v, want \"trace: op 2: unknown kind 9\"", err)
+	}
+}
+
 func TestOpEncodeQuick(t *testing.T) {
 	f := func(pc, addr uint32, kind uint8, s1, s2, d uint8, taken bool) bool {
 		op := Op{PC: pc, Addr: addr, Kind: Kind(kind % 5), Src1: s1, Src2: s2, Dst: d, Taken: taken}
