@@ -248,9 +248,7 @@ func (s *Server) handleSubmitSim(w http.ResponseWriter, r *http.Request) {
 		// µop zero. This is the work-stealing resume path: the coordinator
 		// resubmits a stolen job to a new worker, and the new worker finds
 		// the victim's snapshot right here.
-		if resume = s.store.loadSnapshot(id); resume != nil {
-			s.resumedJobs.Add(1)
-		}
+		resume = s.store.loadSnapshot(id)
 	}
 	traced := req.Trace && resume == nil
 	job, err := s.queue.SubmitTimeout(id, req.Priority, s.adaptiveTimeout(ops),
@@ -266,6 +264,11 @@ func (s *Server) handleSubmitSim(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.writeBackpressure(w, err)
 		return
+	}
+	if resume != nil {
+		// Counted only once the job carrying the snapshot exists: a
+		// submission that attached to the live job above resumed nothing.
+		s.resumedJobs.Add(1)
 	}
 	if s.store != nil {
 		// Persist the defaulted request so a restarted daemon can rebuild

@@ -420,3 +420,64 @@ func TestSubmitPersistsRequest(t *testing.T) {
 		t.Fatal("segmented run persisted no snapshots")
 	}
 }
+
+// TestDuplicateSubmitCountsNoResume: a request whose snapshot sits in the
+// store resumes once. A second submission of the same body while that job
+// is still queued attaches to it and must not count a second resume.
+func TestDuplicateSubmitCountsNoResume(t *testing.T) {
+	dir := t.TempDir()
+	body := `{"benchmark": "b2c", "ops": 10000, "checkpoint_every_ops": 2000}`
+
+	// Daemon A dies after its first boundary, leaving a snapshot behind.
+	a, _ := newResilientServer(t, jobq.Config{Workers: 1, Capacity: 4}, Options{CheckpointDir: dir})
+	prev := faultinject.Enable(faultinject.MustParse(11, "sim.checkpoint.abort:after=1"))
+	w := postSim(t, a, `{"benchmark": "b2c", "ops": 10000, "checkpoint_every_ops": 2000, "wait": true}`)
+	faultinject.Enable(prev)
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("aborted run answered %d %s, want 500", w.Code, w.Body)
+	}
+
+	// Daemon B over the same directory, its one worker pinned so the
+	// resumed job stays queued while the duplicate arrives.
+	b, q := newResilientServer(t, jobq.Config{Workers: 1, Capacity: 4}, Options{CheckpointDir: dir})
+	release := make(chan struct{})
+	started := make(chan struct{})
+	if _, err := q.Submit("pin", 0, func(ctx context.Context, j *jobq.Job) (any, error) {
+		close(started)
+		<-release
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	first, second := postSim(t, b, body), postSim(t, b, body)
+	resumed := b.resumedJobs.Load()
+	close(release)
+
+	var ids []string
+	for _, w := range []*httptest.ResponseRecorder{first, second} {
+		if w.Code != http.StatusAccepted {
+			t.Fatalf("submission answered %d %s, want 202", w.Code, w.Body)
+		}
+		var ack map[string]string
+		if err := json.Unmarshal(w.Body.Bytes(), &ack); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, ack["job_id"])
+	}
+	if ids[0] != ids[1] {
+		t.Fatalf("duplicate submission made job %s beside %s", ids[1], ids[0])
+	}
+	if resumed != 1 {
+		t.Fatalf("resumed %d jobs from snapshots, want 1", resumed)
+	}
+
+	job, ok := q.Get(ids[0])
+	if !ok {
+		t.Fatalf("job %s not found", ids[0])
+	}
+	<-job.Done()
+	if _, err := job.Result(); err != nil {
+		t.Fatalf("resumed job failed: %v", err)
+	}
+}

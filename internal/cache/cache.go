@@ -7,6 +7,7 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -210,49 +211,123 @@ func (c *Cache) String() string {
 		c.cfg.SizeBytes/1024, c.cfg.Ways, c.cfg.LineSize, c.cfg.Sets())
 }
 
-// LineState is one resident line in a State, with its replacement stamp and
-// its position in the flattened set array made explicit so a restored cache
-// replays evictions identically.
-type LineState struct {
-	Index int // position in the flattened sets array
-	LRU   uint64
-	Line  Line
-}
+// The MarshalState payload: a header of version byte, cache clock (u64)
+// and valid-line count (u32), then one fixed-width record per valid line.
+// All integers are little-endian.
+const (
+	stateVersion = 1
+	stateHeader  = 1 + 8 + 4
+	// index u32, lru u64, LineAddr u32, flags, Source, Depth, VA u32, Chain u64
+	stateRecord = 4 + 8 + 4 + 1 + 1 + 1 + 4 + 8
+)
 
-// State is a checkpointable deep copy of a cache's mutable contents. Only
-// valid lines are recorded; geometry is not part of the state and must
-// match at Restore.
-type State struct {
-	Clock uint64
-	Lines []LineState
-}
+// Record flag bits; Valid is implied by a record's presence.
+const (
+	flagDirty = 1 << iota
+	flagPrefetched
+	flagOverlap
+	flagsKnown = flagDirty | flagPrefetched | flagOverlap
+)
 
-// State snapshots the cache. The copy shares nothing with the cache, so it
-// stays stable while simulation continues.
-func (c *Cache) State() State {
-	st := State{Clock: c.clock}
+// MarshalState serialises the cache's mutable contents for checkpointing:
+// the clock and every valid line with its LRU stamp and its position in the
+// flattened set array, so a restored cache replays evictions identically.
+// Records are in ascending position, which makes the encoding of a state
+// unique. Geometry is not part of the payload and must match at
+// UnmarshalState.
+func (c *Cache) MarshalState() []byte {
+	n := c.ValidLines()
+	buf := make([]byte, stateHeader+n*stateRecord)
+	buf[0] = stateVersion
+	binary.LittleEndian.PutUint64(buf[1:], c.clock)
+	binary.LittleEndian.PutUint32(buf[9:], uint32(n))
+	rec := buf[stateHeader:]
 	for i := range c.sets {
-		if c.sets[i].Valid {
-			st.Lines = append(st.Lines, LineState{Index: i, LRU: c.sets[i].lru, Line: c.sets[i]})
+		l := &c.sets[i]
+		if !l.Valid {
+			continue
 		}
+		var flags byte
+		if l.Dirty {
+			flags |= flagDirty
+		}
+		if l.Prefetched {
+			flags |= flagPrefetched
+		}
+		if l.Overlap {
+			flags |= flagOverlap
+		}
+		r := rec[:stateRecord]
+		binary.LittleEndian.PutUint32(r[0:], uint32(i))
+		binary.LittleEndian.PutUint64(r[4:], l.lru)
+		binary.LittleEndian.PutUint32(r[12:], l.LineAddr)
+		r[16], r[17], r[18] = flags, byte(l.Source), l.Depth
+		binary.LittleEndian.PutUint32(r[19:], l.VA)
+		binary.LittleEndian.PutUint64(r[23:], l.Chain)
+		rec = rec[stateRecord:]
 	}
-	return st
+	return buf
 }
 
-// Restore overwrites the cache's contents with a previously captured State.
-// The cache must have the same geometry the state was captured from.
-func (c *Cache) Restore(st State) error {
-	for i := range c.sets {
-		c.sets[i] = Line{}
+// UnmarshalState overwrites the cache's contents with a MarshalState
+// payload. The cache must have the geometry the payload was captured from.
+// Payloads come from disk, so every field is checked; a malformed one
+// returns an error and leaves the cache partly restored, fit only to be
+// discarded.
+func (c *Cache) UnmarshalState(data []byte) error {
+	clear(c.sets)
+	c.clock = 0
+	if len(data) < stateHeader {
+		return fmt.Errorf("cache: state payload of %d bytes is shorter than its %d-byte header", len(data), stateHeader)
 	}
-	for _, ls := range st.Lines {
-		if ls.Index < 0 || ls.Index >= len(c.sets) {
-			return fmt.Errorf("cache: state index %d outside %d lines (geometry mismatch)", ls.Index, len(c.sets))
+	if data[0] != stateVersion {
+		return fmt.Errorf("cache: unknown state version %d", data[0])
+	}
+	n := uint64(binary.LittleEndian.Uint32(data[9:]))
+	if uint64(len(data)) != stateHeader+n*stateRecord {
+		return fmt.Errorf("cache: state payload of %d bytes does not hold %d lines", len(data), n)
+	}
+	next := 0 // lowest index the next record may take
+	for rec := data[stateHeader:]; len(rec) > 0; rec = rec[stateRecord:] {
+		r := rec[:stateRecord]
+		idx := binary.LittleEndian.Uint32(r[0:])
+		if uint64(idx) >= uint64(len(c.sets)) {
+			return fmt.Errorf("cache: state index %d outside %d lines (geometry mismatch)", idx, len(c.sets))
 		}
-		l := ls.Line
-		l.lru = ls.LRU
-		c.sets[ls.Index] = l
+		if int(idx) < next {
+			return fmt.Errorf("cache: state index %d not above the previous record's", idx)
+		}
+		la := binary.LittleEndian.Uint32(r[12:])
+		set := int(idx) / c.ways
+		if int(la&c.setMask) != set {
+			return fmt.Errorf("cache: state line %#x at index %d is outside the set its address indexes", la, idx)
+		}
+		for _, l := range c.sets[set*c.ways : idx] {
+			if l.Valid && l.LineAddr == la {
+				return fmt.Errorf("cache: state holds line %#x twice", la)
+			}
+		}
+		flags, src := r[16], Source(r[17])
+		if flags&^flagsKnown != 0 {
+			return fmt.Errorf("cache: unknown line flags %#x", flags)
+		}
+		if src > SrcMarkov {
+			return fmt.Errorf("cache: unknown line source %d", src)
+		}
+		c.sets[idx] = Line{
+			LineAddr:   la,
+			Valid:      true,
+			Dirty:      flags&flagDirty != 0,
+			Prefetched: flags&flagPrefetched != 0,
+			Source:     src,
+			Depth:      r[18],
+			VA:         binary.LittleEndian.Uint32(r[19:]),
+			Overlap:    flags&flagOverlap != 0,
+			Chain:      binary.LittleEndian.Uint64(r[23:]),
+			lru:        binary.LittleEndian.Uint64(r[4:]),
+		}
+		next = int(idx) + 1
 	}
-	c.clock = st.Clock
+	c.clock = binary.LittleEndian.Uint64(data[1:])
 	return nil
 }

@@ -16,7 +16,6 @@ import (
 	"io"
 
 	"repro/internal/bus"
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/faultinject"
@@ -47,9 +46,12 @@ type MemState struct {
 	LastInject int64
 	StrideFIFO []uint32
 	Bus        bus.State
-	L1, L2     cache.State
-	TLB        tlb.State
-	Content    *core.State
+	// L1 and L2 are the caches' opaque MarshalState payloads. The cache
+	// package owns their binary encoding, so the thousands of resident
+	// lines a boundary carries bypass gob's per-field reflection.
+	L1, L2  []byte
+	TLB     tlb.State
+	Content *core.State
 	// Engines pins the engine list the snapshot was taken under;
 	// EngineStates holds one opaque MarshalState blob per engine, in list
 	// order. The interface owns each encoding, so new zoo entrants
@@ -70,8 +72,8 @@ func (ms *MemSystem) state() (MemState, error) {
 		InjLCG: ms.injLCG, LastInject: ms.lastInject,
 		StrideFIFO: ms.strideFIFO.oldestFirst(),
 		Bus:        ms.fsb.State(),
-		L1:         ms.l1.State(),
-		L2:         ms.l2.State(),
+		L1:         ms.l1.MarshalState(),
+		L2:         ms.l2.MarshalState(),
 		TLB:        ms.dtlb.State(),
 		Engines:    ms.cfg.Engines,
 	}
@@ -98,11 +100,11 @@ func (ms *MemSystem) restore(st MemState) error {
 	if st.Engines != ms.cfg.Engines || len(st.EngineStates) != len(ms.ports) {
 		return fmt.Errorf("sim: snapshot engine list %q does not match configured engine list %q", st.Engines, ms.cfg.Engines)
 	}
-	if err := ms.l1.Restore(st.L1); err != nil {
-		return err
+	if err := ms.l1.UnmarshalState(st.L1); err != nil {
+		return fmt.Errorf("sim: restoring L1: %w", err)
 	}
-	if err := ms.l2.Restore(st.L2); err != nil {
-		return err
+	if err := ms.l2.UnmarshalState(st.L2); err != nil {
+		return fmt.Errorf("sim: restoring L2: %w", err)
 	}
 	if err := ms.dtlb.Restore(st.TLB); err != nil {
 		return err
@@ -157,8 +159,8 @@ type Snapshot struct {
 }
 
 // snapshotMagic versions the serialized stream; bump it when Snapshot's
-// shape changes incompatibly.
-const snapshotMagic = "cdpsnap2"
+// shape, or a payload a component owns, changes incompatibly.
+const snapshotMagic = "cdpsnap3"
 
 // WriteSnapshot serializes s to w behind a version header.
 func WriteSnapshot(w io.Writer, s *Snapshot) error {

@@ -3,10 +3,12 @@ package sim
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/workloads"
 )
 
 // ckptConfig is a full-featured machine (stride + content + warm-up) so
@@ -130,6 +132,23 @@ func TestSnapshotCodecRejectsGarbage(t *testing.T) {
 	if _, err := DecodeSnapshot([]byte(snapshotMagic + "\x01\x02garbage")); err == nil {
 		t.Fatal("garbage gob body accepted")
 	}
+	// A stream from before the caches owned their payloads carries the
+	// previous magic; it must fail the header check, so the daemon reruns
+	// that job from µop zero instead of misreading its caches.
+	var blob []byte
+	if _, err := RunCheckpointed(buildChase(t, 1500, 1, 2, true), ckptConfig(), func(s *Snapshot) error {
+		var err error
+		if blob == nil {
+			blob, err = EncodeSnapshot(s)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	copy(blob, "cdpsnap2")
+	if _, err := DecodeSnapshot(blob); err == nil || !strings.Contains(err.Error(), "cdpsnap2") {
+		t.Fatalf("cdpsnap2 stream: got %v, want a header error naming it", err)
+	}
 }
 
 func TestResumeRejectsMismatchedSnapshot(t *testing.T) {
@@ -172,4 +191,47 @@ func TestRunCheckpointedRequiresInterval(t *testing.T) {
 	if _, err := RunCheckpointed(buildChase(t, 200, 1, 1, false), cfg, nil); err == nil {
 		t.Fatal("zero interval accepted")
 	}
+}
+
+// BenchmarkBoundarySnapshot times capturing and encoding one boundary
+// snapshot on a heavy cdpd miss: creation at 20,000 µops with a 12,345-µop
+// interval, on the configuration api.buildSim assembles for that request.
+// The run stops at its first boundary, and every iteration captures and
+// encodes the machine state there.
+func BenchmarkBoundarySnapshot(b *testing.B) {
+	const ops = 20_000
+	spec, err := workloads.ByName("creation")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ck := workloads.Checkpoint(spec, ops)
+	cfg := Default()
+	cfg.WarmupOps = ops / 8
+	cfg.MPTUBucketOps = ops / 48
+	cfg.CheckpointEveryOps = 12_345
+	m := newMachine(ck, cfg, nil)
+	m.armWarmup()
+	errStop := errors.New("stopped at the first boundary")
+	size := 0
+	_, err = m.run(ck, func(s *Snapshot) error {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			snap, err := m.snapshot(s.OpsFetched)
+			if err != nil {
+				return err
+			}
+			blob, err := EncodeSnapshot(snap)
+			if err != nil {
+				return err
+			}
+			size = len(blob)
+		}
+		b.StopTimer()
+		return errStop
+	})
+	if !errors.Is(err, errStop) {
+		b.Fatalf("run did not stop at its first boundary: %v", err)
+	}
+	b.ReportMetric(float64(size), "bytes/op")
 }
