@@ -251,8 +251,9 @@ func (s *Server) handleSubmitSim(w http.ResponseWriter, r *http.Request) {
 		resume = s.store.loadSnapshot(id)
 	}
 	traced := req.Trace && resume == nil
+	persisted := make(chan struct{}) // closed once the request file below is written
 	job, err := s.queue.SubmitTimeout(id, req.Priority, s.adaptiveTimeout(ops),
-		s.simJob(id, spec, cfg, ops, key, resume, time.Now(), traced))
+		s.simJob(id, spec, cfg, ops, key, resume, time.Now(), traced, persisted))
 	if errors.Is(err, jobq.ErrDuplicateID) {
 		// The same request is already queued or running; attach to it
 		// instead of spending another slot.
@@ -277,6 +278,7 @@ func (s *Server) handleSubmitSim(w http.ResponseWriter, r *http.Request) {
 			s.ckptWriteErrs.Add(1)
 		}
 	}
+	close(persisted)
 	s.respondJob(w, r, req.Wait, job)
 }
 
@@ -294,7 +296,13 @@ func (s *Server) handleSubmitSim(w http.ResponseWriter, r *http.Request) {
 // /v1/jobs/{id}/trace — only when this job actually computes: a cache hit
 // or collapsed computation runs no simulation, so there is nothing to
 // trace.
-func (s *Server) simJob(id string, spec workloads.Spec, cfg sim.Config, ops int, key simcache.Key, resume *sim.Snapshot, submitted time.Time, traced bool) jobq.Func {
+//
+// A successful job clears its persisted files, but the submit handler
+// writes the request file only after the job exists, so the job waits for
+// persisted to close first; otherwise a job that beat the handler would
+// leave the request behind to rerun at the next restart. A nil persisted
+// means the request is already on disk.
+func (s *Server) simJob(id string, spec workloads.Spec, cfg sim.Config, ops int, key simcache.Key, resume *sim.Snapshot, submitted time.Time, traced bool, persisted <-chan struct{}) jobq.Func {
 	return func(ctx context.Context, j *jobq.Job) (any, error) {
 		wait := time.Since(submitted)
 		s.queueWait.Observe(wait)
@@ -328,6 +336,12 @@ func (s *Server) simJob(id string, spec workloads.Spec, cfg sim.Config, ops int,
 			return nil, err
 		}
 		if s.store != nil {
+			if persisted != nil {
+				select {
+				case <-persisted:
+				case <-ctx.Done():
+				}
+			}
 			s.store.remove(id)
 		}
 		j.SetProgress("finished", 2, 2)
@@ -351,10 +365,11 @@ func (s *Server) storeTrace(id string, tr *simtrace.Tracer, log *slog.Logger) {
 // runSim executes one simulation, segmented when the configuration asks
 // for checkpoints. Boundary snapshots are persisted best-effort: a failed
 // write (disk full, injected ckpt.write.error) costs one boundary of
-// resume granularity, never the run. Cancellation is observed at
-// boundaries for segmented runs and continuously for plain ones. A non-nil
-// tracer records the run's event stream; resumed runs are never traced
-// (the ring would only cover the tail segment).
+// resume granularity, never the run. A resume snapshot that does not
+// restore is deleted and the run starts from µop zero. Cancellation is
+// observed at boundaries for segmented runs and continuously for plain
+// ones. A non-nil tracer records the run's event stream; resumed runs are
+// never traced (the ring would only cover the tail segment).
 func (s *Server) runSim(ctx context.Context, j *jobq.Job, id string, ck *trace.Checkpoint, cfg sim.Config, resume *sim.Snapshot, tr *simtrace.Tracer) (*sim.Result, error) {
 	if cfg.CheckpointEveryOps <= 0 {
 		if err := ctx.Err(); err != nil {
@@ -380,7 +395,16 @@ func (s *Server) runSim(ctx context.Context, j *jobq.Job, id string, ck *trace.C
 		return nil
 	}
 	if resume != nil {
-		return sim.Resume(ck, cfg, resume, sink)
+		res, err := sim.Resume(ck, cfg, resume, sink)
+		if !errors.Is(err, sim.ErrRestore) {
+			return res, err
+		}
+		// The snapshot, which only the store supplies, decoded but does
+		// not fit this machine (a corrupt component payload, say).
+		// Discard it so neither this run nor a later submission tries it
+		// again, and start from µop zero.
+		s.logger.Warn("snapshot does not restore; rerunning from µop zero", "job_id", id, "error", err)
+		s.store.removeSnapshot(id)
 	}
 	return sim.RunCheckpointedTraced(ck, cfg, tr, sink)
 }

@@ -96,6 +96,12 @@ func (st *ckptStore) loadSnapshot(id string) *sim.Snapshot {
 // remove deletes both files for id (job finished, canceled, or stale).
 func (st *ckptStore) remove(id string) {
 	_ = os.Remove(filepath.Join(st.dir, id+reqSuffix))
+	st.removeSnapshot(id)
+}
+
+// removeSnapshot deletes id's snapshot alone, keeping the request so a
+// crash before the next boundary still finds the job to rerun.
+func (st *ckptStore) removeSnapshot(id string) {
 	_ = os.Remove(filepath.Join(st.dir, id+snapSuffix))
 }
 
@@ -182,7 +188,7 @@ func (s *Server) RecoverJobs() (int, error) {
 		// Recovered jobs are never traced: a resume would only cover the
 		// tail segment, and the submitter who wanted the trace is gone.
 		_, err = s.queue.SubmitTimeout(p.id, p.req.Priority, s.adaptiveTimeout(ops),
-			s.simJob(p.id, spec, cfg, ops, key, snap, time.Now(), false))
+			s.simJob(p.id, spec, cfg, ops, key, snap, time.Now(), false, nil))
 		if err != nil {
 			// Queue full or shutting down: leave the files for next time.
 			continue

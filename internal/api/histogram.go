@@ -64,9 +64,9 @@ func formatBound(b float64) string {
 
 // HistogramSnapshot is a point-in-time copy of one latency histogram, the
 // in-process analogue of scraping /metrics: cumulative-free per-bucket
-// counts plus sum and count. The bench suite's cluster jobs read these to
-// reconcile server-observed latency against client-side measurements
-// without an HTTP round trip perturbing what they measure.
+// counts plus sum and count. perfbench's cdpd-cluster workload and the
+// cluster tests read these to set server-observed latency beside what the
+// client measured, without an HTTP round trip perturbing it.
 type HistogramSnapshot struct {
 	// Bounds are bucket upper limits in seconds, ascending; Counts[i] is
 	// the observations at or below Bounds[i] and above Bounds[i-1]. An
@@ -79,8 +79,8 @@ type HistogramSnapshot struct {
 
 // snapshot copies the histogram's atomics. Concurrent Observe calls may
 // land between loads, so the snapshot is consistent only to within the
-// traffic in flight at the instant of the call — fine for the bench
-// reconciliation, which snapshots quiesced servers.
+// traffic in flight at the instant of the call — fine for readers that
+// snapshot quiesced servers.
 func (h *histogram) snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Bounds:  append([]float64(nil), h.bounds...),

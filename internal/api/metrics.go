@@ -99,14 +99,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("cdpd_heap_alloc_bytes", "Bytes of allocated heap objects.", "gauge", ms.HeapAlloc)
 	p("cdpd_heap_sys_bytes", "Heap memory obtained from the OS.", "gauge", ms.HeapSys)
 	p("cdpd_gc_total", "Completed GC cycles.", "counter", ms.NumGC)
-	p("cdpd_peak_rss_kb", "Peak resident set size in KiB (0 when unavailable).", "gauge",
-		benchio.PeakRSSKB())
+	peakRSS, _ := benchio.PeakRSS() // 0 when unavailable, as the help says
+	p("cdpd_peak_rss_kb", "Peak resident set size in KiB (0 when unavailable).", "gauge", peakRSS)
 
 	// The conventional always-1 info gauge: labels carry the identity, so
-	// dashboards can join any series against the toolchain and telemetry
-	// schema that produced it.
+	// dashboards can join any series against the toolchain that produced
+	// it.
 	fmt.Fprintf(w, "# HELP cdpd_build_info Build identity; value is always 1.\n"+
 		"# TYPE cdpd_build_info gauge\n"+
-		"cdpd_build_info{go_version=%q,schema=\"%d\"} 1\n",
-		runtime.Version(), benchio.SchemaVersion)
+		"cdpd_build_info{go_version=%q} 1\n",
+		runtime.Version())
 }

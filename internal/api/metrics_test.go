@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/benchio"
 	"repro/internal/jobq"
 	"repro/internal/promtest"
 	"repro/internal/simcache"
@@ -118,7 +117,7 @@ func TestMetricsExpositionFormat(t *testing.T) {
 }
 
 // TestMetricsBuildInfo pins the build-identity gauge: always-1 value with
-// the toolchain and telemetry schema in labels.
+// the toolchain in a label.
 func TestMetricsBuildInfo(t *testing.T) {
 	s, _ := newTestServer(t, jobq.Config{Workers: 1, Capacity: 4})
 	fams := promtest.ParseExposition(t, scrapeMetrics(t, s))
@@ -129,9 +128,6 @@ func TestMetricsBuildInfo(t *testing.T) {
 	sample := fam.Samples[0]
 	if !strings.Contains(sample, fmt.Sprintf("go_version=%q", runtime.Version())) {
 		t.Fatalf("go_version label missing: %q", sample)
-	}
-	if !strings.Contains(sample, fmt.Sprintf("schema=\"%d\"", benchio.SchemaVersion)) {
-		t.Fatalf("schema label missing: %q", sample)
 	}
 	if fam.Value(t, 0) != 1 {
 		t.Fatalf("build info value = %v, want 1", fam.Value(t, 0))

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/jobq"
+	"repro/internal/sim"
 	"repro/internal/simcache"
 )
 
@@ -210,6 +211,89 @@ func TestCheckpointRecoveryResumesByteIdentical(t *testing.T) {
 	for _, suffix := range []string{reqSuffix, snapSuffix} {
 		if _, err := os.Stat(filepath.Join(dir, id+suffix)); !os.IsNotExist(err) {
 			t.Errorf("%s%s still present after success (%v)", id, suffix, err)
+		}
+	}
+}
+
+// TestCheckpointRecoveryCorruptSnapshotReruns: a persisted snapshot that
+// decodes but does not restore (its L2 payload names an unknown state
+// version) must not fail its job on every later submission. A fresh daemon
+// reached by POST or by RecoverJobs reruns the job from µop zero, answers
+// with the uninterrupted result and clears both files.
+func TestCheckpointRecoveryCorruptSnapshotReruns(t *testing.T) {
+	dir := t.TempDir()
+	body := `{"benchmark": "b2c", "ops": 10000, "checkpoint_every_ops": 2000, "wait": true}`
+
+	// Daemon A dies at its third boundary, leaving a snapshot behind.
+	a, _ := newResilientServer(t, jobq.Config{Workers: 1, Capacity: 4}, Options{CheckpointDir: dir})
+	prev := faultinject.Enable(faultinject.MustParse(11, "sim.checkpoint.abort:after=2"))
+	w := postSim(t, a, body)
+	faultinject.Enable(prev)
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("aborted run answered %d %s, want 500", w.Code, w.Body)
+	}
+	reqs, err := filepath.Glob(filepath.Join(dir, "*"+reqSuffix))
+	if err != nil || len(reqs) != 1 {
+		t.Fatalf("persisted requests: %v (%v), want exactly one", reqs, err)
+	}
+	reqPath := reqs[0]
+	snapPath := strings.TrimSuffix(reqPath, reqSuffix) + snapSuffix
+	reqBlob, err := os.ReadFile(reqPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatalf("no snapshot survived the crash: %v", err)
+	}
+	snap, err := sim.DecodeSnapshot(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Mem.L2[0] = 9 // the cache payload's version byte
+	badSnap, err := sim.EncodeSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c, _ := newResilientServer(t, jobq.Config{Workers: 1, Capacity: 4}, Options{})
+	w = postSim(t, c, body)
+	if w.Code != http.StatusOK {
+		t.Fatalf("reference run: %d %s", w.Code, w.Body)
+	}
+	var ref envelope
+	if err := json.Unmarshal(w.Body.Bytes(), &ref); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, viaRecover := range []bool{false, true} {
+		if err := os.WriteFile(reqPath, reqBlob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(snapPath, badSnap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		b, _ := newResilientServer(t, jobq.Config{Workers: 1, Capacity: 4}, Options{CheckpointDir: dir})
+		if viaRecover {
+			if n, err := b.RecoverJobs(); err != nil || n != 1 {
+				t.Fatalf("RecoverJobs = (%d, %v), want (1, nil)", n, err)
+			}
+		}
+		w := postSim(t, b, body)
+		if w.Code != http.StatusOK {
+			t.Fatalf("viaRecover=%v: corrupt snapshot answered %d %s, want 200", viaRecover, w.Code, w.Body)
+		}
+		var got envelope
+		if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		if string(got.Result) != string(ref.Result) {
+			t.Fatalf("viaRecover=%v: rerun drifted from the uninterrupted run:\nrerun %s\nref   %s",
+				viaRecover, got.Result, ref.Result)
+		}
+		left, err := filepath.Glob(filepath.Join(dir, "*"))
+		if err != nil || len(left) != 0 {
+			t.Fatalf("viaRecover=%v: files left after success: %v (%v)", viaRecover, left, err)
 		}
 	}
 }

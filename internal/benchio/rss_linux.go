@@ -1,5 +1,8 @@
 //go:build linux
 
+// Package benchio reads the process's peak resident set size. The
+// repository benchmark (perfbench) reports it as peak_rss_mb and cdpd
+// exports it as the cdpd_peak_rss_kb gauge.
 package benchio
 
 import (
@@ -10,9 +13,8 @@ import (
 )
 
 // PeakRSS reads the process's resident-set high-water mark (VmHWM) from
-// /proc/self/status, in KiB. ok is false when the field cannot be read —
-// reports then record an explicit null rather than a zero a verdict would
-// mistake for a 100% regression.
+// /proc/self/status, in KiB. ok is false when the field cannot be read, so
+// callers can tell "unavailable" from a measured value.
 func PeakRSS() (kb uint64, ok bool) {
 	f, err := os.Open("/proc/self/status")
 	if err != nil {
@@ -31,11 +33,4 @@ func PeakRSS() (kb uint64, ok bool) {
 		return 0, false
 	}
 	return 0, false
-}
-
-// PeakRSSKB is the legacy spelling kept for gauge exports (/metrics), where
-// 0 is an acceptable "unavailable" encoding.
-func PeakRSSKB() uint64 {
-	kb, _ := PeakRSS()
-	return kb
 }

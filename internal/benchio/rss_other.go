@@ -3,12 +3,5 @@
 package benchio
 
 // PeakRSS reports no high-water mark on platforms without
-// /proc/self/status. The false return makes the report write an explicit
-// "peak_rss_kb": null plus an "rss_unsupported" note, so verdicts skip the
-// RSS comparison instead of flagging a 100% regression against a real
-// measurement.
+// /proc/self/status.
 func PeakRSS() (kb uint64, ok bool) { return 0, false }
-
-// PeakRSSKB is the legacy spelling kept for gauge exports (/metrics), where
-// 0 is an acceptable "unavailable" encoding.
-func PeakRSSKB() uint64 { return 0 }

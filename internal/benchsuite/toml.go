@@ -1,3 +1,7 @@
+// Package benchsuite is what is left of the retired suite harness: the
+// parser for the TOML subset its suite files were written in. perfbench
+// and BENCHMARK.json replaced the harness, and nothing in the program
+// imports this package; ROADMAP.md item 6 lists its deletion.
 package benchsuite
 
 import (

@@ -283,9 +283,6 @@ func (r *Run) RestartCoordinator() {
 	r.Logf("coordinator restarted over %s", r.coordOpts.StateDir)
 }
 
-// CoordinatorURL is the durable coordinator address.
-func (r *Run) CoordinatorURL() string { return r.coordTS.URL }
-
 // Coordinator exposes the live incarnation (nil while killed).
 func (r *Run) Coordinator() *cluster.Coordinator { return r.coord }
 
@@ -324,17 +321,6 @@ func (r *Run) StartWorker(name string) {
 
 // WorkerURL is the worker's advertised address.
 func (r *Run) WorkerURL(name string) string { return r.workers[name].ts.URL }
-
-// Worker returns the named worker for in-process inspection (the bench
-// suite reads its API server's latency histograms), or nil if the worker
-// was never started or has been killed.
-func (r *Run) Worker(name string) *cluster.Worker {
-	node := r.workers[name]
-	if node == nil || node.killed {
-		return nil
-	}
-	return node.w
-}
 
 // WorkerNames returns the live (non-killed) workers in stable order.
 func (r *Run) WorkerNames() []string {

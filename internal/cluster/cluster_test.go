@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -472,6 +473,68 @@ func TestClusterMetrics(t *testing.T) {
 	// Rebalances: two joins = at least two ring rebuilds.
 	if got := fams["cdpd_cluster_rebalances_total"].Value(t, 0); got < 2 {
 		t.Errorf("rebalances_total = %v after two joins, want >= 2", got)
+	}
+}
+
+// TestClusterRunHistogramReconciles checks the workers' run-duration
+// histograms against what concurrent clients observed. With hedging off
+// and every request a distinct content key, each success ran exactly one
+// simulation, so the merged count equals the successes; and each round
+// trip contains its run, so the mean round trip is at least the mean run.
+func TestClusterRunHistogramReconciles(t *testing.T) {
+	coord, coordTS := startCoordinator(t, CoordinatorOptions{HedgeDelay: time.Hour})
+	w1, _ := startWorker(t, coordTS.URL, "w1", WorkerOptions{})
+	w2, _ := startWorker(t, coordTS.URL, "w2", WorkerOptions{})
+	waitForWorkers(t, coord, 2)
+
+	const requests = 6
+	rtts := make([]time.Duration, requests) // zero marks a failed request
+	var wg sync.WaitGroup
+	for i := 0; i < requests; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			body, err := json.Marshal(api.SimRequest{Benchmark: "quake", Ops: 4000 + i, CDP: true})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			start := time.Now()
+			resp, err := http.Post(coordTS.URL+"/v1/sim?wait=1", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Errorf("request %d: %v", i, err)
+				return
+			}
+			payload, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("request %d: %d %s", i, resp.StatusCode, payload)
+				return
+			}
+			rtts[i] = time.Since(start)
+		}(i)
+	}
+	wg.Wait()
+
+	successes, rttSum := 0, time.Duration(0)
+	for _, d := range rtts {
+		if d > 0 {
+			successes++
+			rttSum += d
+		}
+	}
+	run := w1.API().LatencySnapshots()["cdpd_run_duration"]
+	if err := run.Merge(w2.API().LatencySnapshots()["cdpd_run_duration"]); err != nil {
+		t.Fatal(err)
+	}
+	if successes != requests || run.Count != requests {
+		t.Fatalf("%d of %d requests succeeded and the workers observed %d runs; want %d of each",
+			successes, requests, run.Count, requests)
+	}
+	rttMean := rttSum.Seconds() / requests
+	runMean := run.SumSecs / float64(run.Count)
+	if rttMean < runMean {
+		t.Errorf("mean client round trip %.3f ms is below the mean server run %.3f ms", rttMean*1e3, runMean*1e3)
 	}
 }
 

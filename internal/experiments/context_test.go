@@ -17,7 +17,7 @@ func TestRunMatrixPreCancelled(t *testing.T) {
 	cancel()
 	o := Options{Ops: 20_000, Ctx: ctx, Parallelism: 2}
 	specs := workloads.SuiteRepresentatives()[:2]
-	before := SimsRun()
+	before := sim.Runs()
 	_, err := runMatrix(o, specs, []sim.Config{baseConfig(o)})
 	if err == nil {
 		t.Fatal("cancelled context produced no error")
@@ -25,7 +25,7 @@ func TestRunMatrixPreCancelled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v does not wrap context.Canceled", err)
 	}
-	if got := SimsRun() - before; got != 0 {
+	if got := sim.Runs() - before; got != 0 {
 		t.Fatalf("cancelled sweep still ran %d simulations", got)
 	}
 }

@@ -62,11 +62,11 @@ func TestSimsRunCounterAdvances(t *testing.T) {
 	specs := workloads.SuiteRepresentatives()[:1]
 	o := Options{Ops: 20_000, Parallelism: 2}
 	cfgs := []sim.Config{baseConfig(o), with4MB(baseConfig(o))}
-	before := SimsRun()
+	before := sim.Runs()
 	if _, err := runMatrix(o, specs, cfgs); err != nil {
 		t.Fatal(err)
 	}
-	if got := SimsRun() - before; got != uint64(len(specs)*len(cfgs)) {
-		t.Fatalf("SimsRun advanced by %d, want %d", got, len(specs)*len(cfgs))
+	if got := sim.Runs() - before; got != uint64(len(specs)*len(cfgs)) {
+		t.Fatalf("sim.Runs advanced by %d, want %d", got, len(specs)*len(cfgs))
 	}
 }

@@ -17,12 +17,6 @@ import (
 	"repro/internal/workloads"
 )
 
-// SimsRun reports how many simulations this process has completed,
-// including runs made outside the matrix runner. cmd/bench divides
-// the delta across an experiment by its wall time for the sims/sec
-// telemetry.
-func SimsRun() uint64 { return sim.Runs() }
-
 // Options scales an experiment run.
 type Options struct {
 	// Ctx cancels a run between simulations (nil = context.Background()).
@@ -45,8 +39,8 @@ type Options struct {
 }
 
 // rootCtx is the experiments package's single ambient-context fallback: an
-// Options with no Ctx belongs to a process-lifecycle caller (cmd/repro,
-// cmd/bench) that runs the experiment to completion or dies with it, so the
+// Options with no Ctx belongs to a process-lifecycle caller (cmd/experiments,
+// perfbench) that runs the experiment to completion or dies with it, so the
 // detached context is the intended semantics, not an accident. Every other
 // path must thread Options.Ctx. Keeping the fallback in one declared root
 // means `go run ./cmd/simlint` proves no new ambient context sneaks into

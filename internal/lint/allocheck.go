@@ -15,9 +15,9 @@ import (
 // functions the hotalloc analyzer marked `simlint:hotpath`, and ratchets
 // the result against a checked-in baseline. Any escape the baseline does
 // not list — a refactor that quietly promotes a per-µop value to the heap —
-// fails before a benchmark ever runs, which is how the allocs/run
-// invariant of BENCH_1/BENCH_2 is enforced in CI without running a
-// benchmark.
+// fails before a benchmark ever runs. TestSimAllocCeiling (alloc_test.go at
+// the repository root) pins the other half: what one whole frozen run
+// allocates.
 
 // Escape is one compiler escape decision attributed to a hotpath function.
 type Escape struct {

@@ -27,8 +27,9 @@ type HotallocResult struct {
 }
 
 // Hotalloc polices functions marked `simlint:hotpath` — the per-µop fast
-// paths whose allocation behaviour the 16,497 allocs/run invariant (PR 2,
-// BENCH_1/BENCH_2) depends on. Two layers share the marker:
+// paths whose allocation behaviour the allocs/run ceiling of
+// TestSimAllocCeiling (alloc_test.go) depends on. Two layers share the
+// marker:
 //
 //   - This analyzer rejects syntactically obvious allocation sites inside a
 //     hotpath body at lint time: make/new calls, map and slice literals,

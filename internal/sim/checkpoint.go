@@ -12,6 +12,7 @@ package sim
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 
@@ -373,16 +374,23 @@ func RunCheckpointedTraced(ck *trace.Checkpoint, cfg Config, tr *simtrace.Tracer
 	return m.run(ck, sink)
 }
 
+// ErrRestore marks a snapshot that Resume could not restore onto the
+// machine cfg builds: another configuration, an off-grid boundary, or a
+// component payload its owner rejects. Nothing has run when Resume returns
+// it, so the caller may discard the snapshot and run from µop zero.
+var ErrRestore = errors.New("sim: snapshot does not restore")
+
 // Resume continues a checkpointed simulation from snap, replaying the
 // remaining segments. The returned result is byte-identical to what the
-// uninterrupted RunCheckpointed would have produced.
+// uninterrupted RunCheckpointed would have produced. A snapshot that does
+// not restore fails with an error wrapping ErrRestore.
 func Resume(ck *trace.Checkpoint, cfg Config, snap *Snapshot, sink func(*Snapshot) error) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	m := newMachine(ck, cfg, nil)
 	if err := m.restoreSnapshot(snap); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrRestore, err)
 	}
 	m.armWarmup()
 	return m.run(ck, sink)

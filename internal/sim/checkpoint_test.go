@@ -167,21 +167,23 @@ func TestResumeRejectsMismatchedSnapshot(t *testing.T) {
 		t.Fatal("no snapshot captured")
 	}
 
+	// Each rejection wraps ErrRestore, which is how callers tell a bad
+	// snapshot from a failed run.
 	other := cfg
 	other.Name = "some-other-machine"
-	if _, err := Resume(ck, other, snap, nil); err == nil {
-		t.Fatal("config-name mismatch accepted")
+	if _, err := Resume(ck, other, snap, nil); !errors.Is(err, ErrRestore) {
+		t.Fatalf("config-name mismatch: got %v, want ErrRestore", err)
 	}
 	offGrid := *snap
 	offGrid.OpsFetched += 17
-	if _, err := Resume(ck, cfg, &offGrid, nil); err == nil {
-		t.Fatal("off-boundary snapshot accepted")
+	if _, err := Resume(ck, cfg, &offGrid, nil); !errors.Is(err, ErrRestore) {
+		t.Fatalf("off-boundary snapshot: got %v, want ErrRestore", err)
 	}
 	bare := cfg
 	bare.Content = nil
 	bare.Name = cfg.Name
-	if _, err := Resume(ck, bare, snap, nil); err == nil {
-		t.Fatal("prefetcher-set mismatch accepted")
+	if _, err := Resume(ck, bare, snap, nil); !errors.Is(err, ErrRestore) {
+		t.Fatalf("prefetcher-set mismatch: got %v, want ErrRestore", err)
 	}
 }
 

@@ -11,8 +11,9 @@ import (
 	"repro/internal/trace"
 )
 
-// runs counts completed simulations process-wide (telemetry for cmd/bench's
-// sims/sec column; see internal/benchio).
+// runs counts completed simulations process-wide: perfbench's sims/sec,
+// cdpd's cdpd_sims_total and the exactly-once checks of the cluster and
+// chaos tests read it.
 var runs atomic.Uint64
 
 // Runs reports how many simulations this process has completed.
