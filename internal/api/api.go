@@ -266,11 +266,6 @@ func (s *Server) handleSubmitSim(w http.ResponseWriter, r *http.Request) {
 		s.writeBackpressure(w, err)
 		return
 	}
-	if resume != nil {
-		// Counted only once the job carrying the snapshot exists: a
-		// submission that attached to the live job above resumed nothing.
-		s.resumedJobs.Add(1)
-	}
 	if s.store != nil {
 		// Persist the defaulted request so a restarted daemon can rebuild
 		// this exact job (same content key, same ID) and resume it.
@@ -366,7 +361,8 @@ func (s *Server) storeTrace(id string, tr *simtrace.Tracer, log *slog.Logger) {
 // for checkpoints. Boundary snapshots are persisted best-effort: a failed
 // write (disk full, injected ckpt.write.error) costs one boundary of
 // resume granularity, never the run. A resume snapshot that does not
-// restore is deleted and the run starts from µop zero. Cancellation is
+// restore is deleted and the run starts from µop zero; only a snapshot that
+// restores counts in cdpd_jobs_resumed_total. Cancellation is
 // observed at boundaries for segmented runs and continuously for plain
 // ones. A non-nil tracer records the run's event stream; resumed runs are
 // never traced (the ring would only cover the tail segment).
@@ -397,6 +393,7 @@ func (s *Server) runSim(ctx context.Context, j *jobq.Job, id string, ck *trace.C
 	if resume != nil {
 		res, err := sim.Resume(ck, cfg, resume, sink)
 		if !errors.Is(err, sim.ErrRestore) {
+			s.resumedJobs.Add(1)
 			return res, err
 		}
 		// The snapshot, which only the store supplies, decoded but does

@@ -194,9 +194,6 @@ func (s *Server) RecoverJobs() (int, error) {
 			continue
 		}
 		n++
-		if snap != nil {
-			s.resumedJobs.Add(1)
-		}
 	}
 	return n, nil
 }

@@ -179,13 +179,13 @@ func TestCheckpointRecoveryResumesByteIdentical(t *testing.T) {
 	if err != nil || n != 1 {
 		t.Fatalf("RecoverJobs = (%d, %v), want (1, nil)", n, err)
 	}
-	if got := b.resumedJobs.Load(); got != 1 {
-		t.Fatalf("resumed %d jobs from snapshots, want 1", got)
-	}
 	// Attaching the identical request rides the recovered job to its result.
 	w = postSim(t, b, body)
 	if w.Code != http.StatusOK {
 		t.Fatalf("recovered run: %d %s", w.Code, w.Body)
+	}
+	if got := b.resumedJobs.Load(); got != 1 {
+		t.Fatalf("resumed %d jobs from snapshots, want 1", got)
 	}
 	var resumed envelope
 	if err := json.Unmarshal(w.Body.Bytes(), &resumed); err != nil {
@@ -219,7 +219,7 @@ func TestCheckpointRecoveryResumesByteIdentical(t *testing.T) {
 // decodes but does not restore (its L2 payload names an unknown state
 // version) must not fail its job on every later submission. A fresh daemon
 // reached by POST or by RecoverJobs reruns the job from µop zero, answers
-// with the uninterrupted result and clears both files.
+// with the uninterrupted result, clears both files and counts no resume.
 func TestCheckpointRecoveryCorruptSnapshotReruns(t *testing.T) {
 	dir := t.TempDir()
 	body := `{"benchmark": "b2c", "ops": 10000, "checkpoint_every_ops": 2000, "wait": true}`
@@ -294,6 +294,9 @@ func TestCheckpointRecoveryCorruptSnapshotReruns(t *testing.T) {
 		left, err := filepath.Glob(filepath.Join(dir, "*"))
 		if err != nil || len(left) != 0 {
 			t.Fatalf("viaRecover=%v: files left after success: %v (%v)", viaRecover, left, err)
+		}
+		if got := b.resumedJobs.Load(); got != 0 {
+			t.Fatalf("viaRecover=%v: counted %d resumes for a snapshot that does not restore", viaRecover, got)
 		}
 	}
 }
@@ -507,7 +510,8 @@ func TestSubmitPersistsRequest(t *testing.T) {
 
 // TestDuplicateSubmitCountsNoResume: a request whose snapshot sits in the
 // store resumes once. A second submission of the same body while that job
-// is still queued attaches to it and must not count a second resume.
+// is still queued attaches to it, so once the job has run exactly one
+// resume is counted.
 func TestDuplicateSubmitCountsNoResume(t *testing.T) {
 	dir := t.TempDir()
 	body := `{"benchmark": "b2c", "ops": 10000, "checkpoint_every_ops": 2000}`
@@ -535,7 +539,6 @@ func TestDuplicateSubmitCountsNoResume(t *testing.T) {
 	}
 	<-started
 	first, second := postSim(t, b, body), postSim(t, b, body)
-	resumed := b.resumedJobs.Load()
 	close(release)
 
 	var ids []string
@@ -552,9 +555,6 @@ func TestDuplicateSubmitCountsNoResume(t *testing.T) {
 	if ids[0] != ids[1] {
 		t.Fatalf("duplicate submission made job %s beside %s", ids[1], ids[0])
 	}
-	if resumed != 1 {
-		t.Fatalf("resumed %d jobs from snapshots, want 1", resumed)
-	}
 
 	job, ok := q.Get(ids[0])
 	if !ok {
@@ -563,5 +563,8 @@ func TestDuplicateSubmitCountsNoResume(t *testing.T) {
 	<-job.Done()
 	if _, err := job.Result(); err != nil {
 		t.Fatalf("resumed job failed: %v", err)
+	}
+	if resumed := b.resumedJobs.Load(); resumed != 1 {
+		t.Fatalf("resumed %d jobs from snapshots, want 1", resumed)
 	}
 }

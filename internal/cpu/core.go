@@ -97,14 +97,14 @@ func (r Result) IPC() float64 {
 	return float64(r.Retired) / float64(r.Cycles)
 }
 
-// robEntry is one reorder-buffer slot. It holds no pointers: the µops
-// waiting on its result are linked through Core.depHead and Core.depNext,
-// beside rob, so an entry is 32 bytes that the garbage collector never
-// scans. An unfinished µop needs no state field: it waits while
-// pendingSrcs > 0, then sits in the ready list, then in the wheel or the
-// heap until complete sets done.
+// robEntry is one reorder-buffer slot. It holds the µop packed as the
+// trace stores it, and no pointers: the µops waiting on its result are
+// linked through Core.depHead and Core.depNext, beside rob, so an entry is
+// 24 bytes that the garbage collector never scans. An unfinished µop needs
+// no state field: it waits while pendingSrcs > 0, then sits in the ready
+// list, then in the wheel or the heap until complete sets done.
 type robEntry struct {
-	op          trace.Op
+	op          trace.Packed
 	seq         uint64
 	pendingSrcs int32
 	done        bool
@@ -179,6 +179,10 @@ type Core struct {
 	cfg Config
 	bp  *Gshare
 	st  *stats.Counters
+
+	// trace is the trace being run. The core reads its µops in place and
+	// looks PCs up in it only for branches, loads and stores.
+	trace *trace.Trace
 
 	rob []robEntry
 	// The µops waiting on rob[p]'s result form a list of operand edges:
@@ -298,6 +302,7 @@ func New(cfg Config, st *stats.Counters) *Core {
 
 // Run executes up to maxOps µops of tr (0 = all) and returns timing.
 func (c *Core) Run(tr *trace.Trace, mp MemPort, maxOps int) Result {
+	c.trace = tr
 	c.run(opsUpTo(tr, maxOps), mp, nil)
 	c.res.Cycles = c.cycle
 	c.st.Cycles = c.cycle
@@ -306,11 +311,12 @@ func (c *Core) Run(tr *trace.Trace, mp MemPort, maxOps int) Result {
 
 // opsUpTo returns the first maxOps µops of tr (all of them when maxOps is
 // 0 or exceeds the trace).
-func opsUpTo(tr *trace.Trace, maxOps int) []trace.Op {
-	if maxOps > 0 && maxOps < len(tr.Ops) {
-		return tr.Ops[:maxOps]
+func opsUpTo(tr *trace.Trace, maxOps int) []trace.Packed {
+	ops := tr.Packed()
+	if maxOps > 0 && maxOps < len(ops) {
+		return ops[:maxOps]
 	}
-	return tr.Ops
+	return ops
 }
 
 // run is the cycle loop behind Run and RunSegmented: it steps the machine
@@ -318,7 +324,7 @@ func opsUpTo(tr *trace.Trace, maxOps int) []trace.Op {
 // stretches. A non-nil quiesced makes it a segment drain: it also waits for
 // the store buffer to empty and the memory system to quiesce, and a store
 // drained by the memory system counts as progress.
-func (c *Core) run(ops []trace.Op, mp MemPort, quiesced func() bool) {
+func (c *Core) run(ops []trace.Packed, mp MemPort, quiesced func() bool) {
 	drain := quiesced != nil
 	lastProgress := c.cycle
 	for c.fetchIdx < len(ops) || c.count > 0 || drain && (c.outstandingStores > 0 || !quiesced()) {
@@ -343,7 +349,7 @@ func (c *Core) run(ops []trace.Op, mp MemPort, quiesced func() bool) {
 // cycle's Tick also counts.
 //
 // simlint:hotpath
-func (c *Core) step(ops []trace.Op, mp MemPort, drains bool) bool {
+func (c *Core) step(ops []trace.Packed, mp MemPort, drains bool) bool {
 	stores := c.outstandingStores
 	c.cycle++
 	mp.Tick(c.cycle)
@@ -415,7 +421,7 @@ func (c *Core) complete() bool {
 		e := &c.rob[slot]
 		e.done = true
 		switch {
-		case e.op.Kind == trace.KLoad:
+		case e.op.Kind() == trace.KLoad:
 			c.outstandingLoads--
 		case e.mispredict:
 			c.haltFetch = false
@@ -424,7 +430,7 @@ func (c *Core) complete() bool {
 		for edge := c.depHead[slot]; edge >= 0; edge = c.depNext[edge] {
 			dep := edge >> 1
 			if c.rob[dep].pendingSrcs--; c.rob[dep].pendingSrcs == 0 {
-				if c.rob[dep].op.Kind == trace.KLoad {
+				if c.rob[dep].op.Kind() == trace.KLoad {
 					c.readyLoads = c.wake(c.readyLoads, dep)
 				} else {
 					c.ready = c.wake(c.ready, dep)
@@ -432,7 +438,7 @@ func (c *Core) complete() bool {
 			}
 		}
 		c.depHead[slot] = -1
-		if r := e.op.Dst; r < trace.NumRegs && c.lastWriter[r] == slot+1 {
+		if r := e.op.Dst(); r < trace.NumRegs && c.lastWriter[r] == slot+1 {
 			c.lastWriter[r] = 0
 		}
 		if c.onFinish != nil {
@@ -506,13 +512,13 @@ func (c *Core) retire(mp MemPort) bool {
 		if !e.done {
 			break
 		}
-		if e.op.Kind == trace.KStore {
+		if e.op.Kind() == trace.KStore {
 			if c.outstandingStores >= c.cfg.StoreBuf {
 				break // store buffer full: stall retirement
 			}
 			c.outstandingStores++
 			stores++
-			mp.Store(c.cycle, e.op.Addr, e.op.PC, c.storeDone)
+			mp.Store(c.cycle, e.op.Addr(), c.trace.PC(e.op), c.storeDone)
 		}
 		if c.head++; c.head == c.robSize {
 			c.head = 0
@@ -558,7 +564,7 @@ func (c *Core) issue(mp MemPort) bool {
 	kept, i := 0, 0
 	for ; i < len(r) && width > 0; i++ {
 		slot := r[i]
-		lat := c.takeUnit(&u, c.rob[slot].op.Kind)
+		lat := c.takeUnit(&u, c.rob[slot].op.Kind())
 		if lat == 0 { // no free unit this cycle
 			r[kept] = slot
 			kept++
@@ -607,7 +613,7 @@ func (c *Core) issueMerged(mp MemPort) bool {
 			c.outstandingLoads++
 			c.res.Loads++
 			e := &c.rob[slot]
-			mp.Load(c.cycle, e.op.Addr, e.op.PC, c.loadDone[slot])
+			mp.Load(c.cycle, e.op.Addr(), c.trace.PC(e.op), c.loadDone[slot])
 			if u.mem == 0 || c.outstandingLoads >= c.cfg.LoadBuf {
 				ln = j
 			}
@@ -618,7 +624,7 @@ func (c *Core) issueMerged(mp MemPort) bool {
 		}
 		slot := r[i]
 		i++
-		lat := c.takeUnit(&u, c.rob[slot].op.Kind)
+		lat := c.takeUnit(&u, c.rob[slot].op.Kind())
 		if lat == 0 {
 			r[kept] = slot
 			kept++
@@ -667,7 +673,7 @@ func (c *Core) takeUnit(u *freeUnits, k trace.Kind) int64 {
 
 // dependOn makes operand edge wait on the unfinished writer of register
 // src, if there is one, and reports how many writers (0 or 1) it now waits
-// on. NoReg is out of range, so one bound check skips it.
+// on. PackedNoReg is out of range, so one bound check skips it.
 func (c *Core) dependOn(src uint8, edge int32) int32 {
 	if src >= trace.NumRegs {
 		return 0
@@ -685,7 +691,7 @@ func (c *Core) dependOn(src uint8, edge int32) int32 {
 // mispredicted one until it resolves.
 //
 // simlint:hotpath
-func (c *Core) fetch(ops []trace.Op) bool {
+func (c *Core) fetch(ops []trace.Packed) bool {
 	if c.tr.Enabled() && c.fetchIdx < len(ops) {
 		// Edge-triggered ROB-stall tracking: record when fetch first finds
 		// the ROB full, emit one event with the stall length once a slot
@@ -709,6 +715,7 @@ func (c *Core) fetch(ops []trace.Op) bool {
 			break
 		}
 		op := ops[c.fetchIdx]
+		kind := op.Kind()
 		c.fetchIdx++
 		slot := c.head + int32(c.count)
 		if slot >= c.robSize {
@@ -719,14 +726,14 @@ func (c *Core) fetch(ops []trace.Op) bool {
 		e := &c.rob[slot]
 		e.op = op
 		e.seq = c.nextSeq
-		e.pendingSrcs = c.dependOn(op.Src1, 2*slot) + c.dependOn(op.Src2, 2*slot+1)
+		e.pendingSrcs = c.dependOn(op.Src1(), 2*slot) + c.dependOn(op.Src2(), 2*slot+1)
 		e.done = false
 		e.mispredict = false
-		if op.Dst < trace.NumRegs {
-			c.lastWriter[op.Dst] = slot + 1
+		if dst := op.Dst(); dst < trace.NumRegs {
+			c.lastWriter[dst] = slot + 1
 		}
 		if e.pendingSrcs == 0 {
-			if op.Kind == trace.KLoad {
+			if kind == trace.KLoad {
 				c.readyLoads = append(c.readyLoads, slot)
 			} else {
 				c.ready = append(c.ready, slot)
@@ -734,11 +741,12 @@ func (c *Core) fetch(ops []trace.Op) bool {
 		}
 		any = true
 
-		if op.Kind == trace.KBranch {
+		if kind == trace.KBranch {
 			c.res.Branches++
-			pred := c.bp.Predict(op.PC)
-			c.bp.Update(op.PC, op.Taken)
-			if pred != op.Taken {
+			pc, taken := c.trace.PC(op), op.Taken()
+			pred := c.bp.Predict(pc)
+			c.bp.Update(pc, taken)
+			if pred != taken {
 				c.res.Mispredicts++
 				e.mispredict = true
 				c.haltFetch = true

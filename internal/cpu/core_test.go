@@ -3,6 +3,7 @@ package cpu
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -65,10 +66,27 @@ func (f *fakeMem) Store(cycle int64, va, pc uint32, done func(int64)) {
 	done(cycle + 1)
 }
 
+// traceOf packs ops into a trace.
+func traceOf(ops []trace.Op) *trace.Trace {
+	b := trace.NewBuilder()
+	for _, op := range ops {
+		b.Emit(op)
+	}
+	return b.Trace()
+}
+
 func run(t *testing.T, ops []trace.Op, mem *fakeMem) Result {
 	t.Helper()
 	c := New(DefaultConfig(), &stats.Counters{})
-	return c.Run(&trace.Trace{Ops: ops}, mem, 0)
+	return c.Run(traceOf(ops), mem, 0)
+}
+
+// A ROB entry holds the µop as the trace packs it: 8 bytes of µop, the
+// seq, the pending-operand count and two flags.
+func TestROBEntryIs24Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(robEntry{}); size != 24 {
+		t.Fatalf("robEntry is %d bytes, want 24", size)
+	}
 }
 
 func TestAllOpsRetire(t *testing.T) {
@@ -151,7 +169,7 @@ func TestLoadBufferLimitsMLP(t *testing.T) {
 		slow[uint32(i*4096)&^63] = 100
 	}
 	c := New(cfg, &stats.Counters{})
-	res := c.Run(&trace.Trace{Ops: ops}, &fakeMem{latency: 3, slow: slow}, 0)
+	res := c.Run(traceOf(ops), &fakeMem{latency: 3, slow: slow}, 0)
 	// 20 loads, 2 at a time, 100 cycles each: >= 1000 cycles.
 	if res.Cycles < 900 {
 		t.Fatalf("load buffer not limiting: %d cycles", res.Cycles)
@@ -206,7 +224,7 @@ func TestMaxOpsLimits(t *testing.T) {
 		ops = append(ops, trace.Op{Kind: trace.KInt, Dst: trace.NoReg, Src1: trace.NoReg, Src2: trace.NoReg})
 	}
 	c := New(DefaultConfig(), &stats.Counters{})
-	res := c.Run(&trace.Trace{Ops: ops}, &fakeMem{latency: 1}, 250)
+	res := c.Run(traceOf(ops), &fakeMem{latency: 1}, 250)
 	if res.Retired != 250 {
 		t.Fatalf("retired = %d, want 250", res.Retired)
 	}
@@ -236,7 +254,7 @@ func TestOnRetireCallback(t *testing.T) {
 	c := New(DefaultConfig(), &stats.Counters{})
 	var calls []uint64
 	c.OnRetire = func(r uint64, cyc int64) { calls = append(calls, r) }
-	c.Run(&trace.Trace{Ops: ops}, &fakeMem{latency: 1}, 0)
+	c.Run(traceOf(ops), &fakeMem{latency: 1}, 0)
 	if len(calls) != 10 || calls[9] != 10 {
 		t.Fatalf("OnRetire calls = %v", calls)
 	}
@@ -310,8 +328,8 @@ func TestNewEnforcesValidate(t *testing.T) {
 		}
 		accepted++
 		res := New(cfg, nil).Run(tr, &fakeMem{latency: 4}, 0)
-		if res.Retired != uint64(len(tr.Ops)) {
-			t.Fatalf("config %+v retired %d of %d µops", cfg, res.Retired, len(tr.Ops))
+		if res.Retired != uint64(tr.Len()) {
+			t.Fatalf("config %+v retired %d of %d µops", cfg, res.Retired, tr.Len())
 		}
 	}
 	if accepted == 0 || rejected == 0 {

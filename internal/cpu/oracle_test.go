@@ -126,8 +126,8 @@ func randomTrace(rng *rand.Rand, n int) *trace.Trace {
 		}
 		return uint8(rng.Intn(6))
 	}
-	ops := make([]trace.Op, n)
-	for i := range ops {
+	b := trace.NewBuilder()
+	for range n {
 		op := trace.Op{
 			PC:   uint32(0x1000 + 4*rng.Intn(64)),
 			Kind: trace.Kind(rng.Intn(5)),
@@ -144,9 +144,9 @@ func randomTrace(rng *rand.Rand, n int) *trace.Trace {
 			op.Taken = rng.Intn(3) != 0
 			op.Dst = trace.NoReg
 		}
-		ops[i] = op
+		b.Emit(op)
 	}
-	return &trace.Trace{Ops: ops}
+	return b.Trace()
 }
 
 // loadHeavyTrace draws n µops, three in four of them loads. Most loads
@@ -169,8 +169,8 @@ func loadHeavyTrace(rng *rand.Rand, n int) *trace.Trace {
 			}
 		}
 	}
-	ops := make([]trace.Op, n)
-	for i := range ops {
+	b := trace.NewBuilder()
+	for range n {
 		op := trace.Op{PC: uint32(0x1000 + 4*rng.Intn(64)), Kind: trace.KInt, Src1: reg(), Src2: trace.NoReg, Dst: reg()}
 		switch r := rng.Intn(16); {
 		case r < 12:
@@ -181,9 +181,9 @@ func loadHeavyTrace(rng *rand.Rand, n int) *trace.Trace {
 		case r == 12:
 			op.Kind, op.Addr, op.Dst = trace.KStore, slowAddr(), trace.NoReg
 		}
-		ops[i] = op
+		b.Emit(op)
 	}
-	return &trace.Trace{Ops: ops}
+	return b.Trace()
 }
 
 // coreRun is everything one run exposes: the result, the counters, each
@@ -260,13 +260,13 @@ type corePaths struct {
 func runCore(cfg Config, tr *trace.Trace, m runMode) (run coreRun, saw corePaths) {
 	c := New(cfg, &run.counters)
 	if m.observe {
-		finished := run.finishHook(len(tr.Ops))
+		finished := run.finishHook(tr.Len())
 		c.onFinish = func(seq uint64, cycle int64) {
 			saw.wheel = saw.wheel || c.wheelLen() > 0
 			saw.heap = saw.heap || len(c.completed) > 0
 			finished(seq, cycle)
 		}
-		c.OnRetire = run.retireHook(len(tr.Ops))
+		c.OnRetire = run.retireHook(tr.Len())
 	}
 	port := &oraclePort{}
 	// Between two Ticks the core runs exactly one issue, and nothing but
@@ -325,8 +325,8 @@ func passedLoad(c *Core, loads, others []uint64) bool {
 func runRef(cfg Config, tr *trace.Trace, m runMode) (run coreRun) {
 	c := newRefCore(cfg, &run.counters)
 	if m.observe {
-		c.onFinish = run.finishHook(len(tr.Ops))
-		c.OnRetire = run.retireHook(len(tr.Ops))
+		c.onFinish = run.finishHook(tr.Len())
+		c.OnRetire = run.retireHook(tr.Len())
 	}
 	drive(c, &oraclePort{}, tr, m, &run, func() error { return nil })
 	return run
@@ -394,16 +394,16 @@ func TestCoreMatchesReference(t *testing.T) {
 		}
 		modes := []runMode{{observe: true}, {}}
 		if rng.Intn(3) == 0 {
-			modes = append(modes, runMode{observe: true, maxOps: 1 + rng.Intn(len(tr.Ops))})
+			modes = append(modes, runMode{observe: true, maxOps: 1 + rng.Intn(tr.Len())})
 		}
 		for j := 0; j < 2; j++ {
-			modes = append(modes, runMode{observe: j == 0, segEvery: 1 + rng.Intn(len(tr.Ops)+10)})
+			modes = append(modes, runMode{observe: j == 0, segEvery: 1 + rng.Intn(tr.Len()+10)})
 		}
 		for _, m := range modes {
 			got, paths := runCore(cfg, tr, m)
 			want := runRef(cfg, tr, m)
 			if d := diffRuns(got, want); d != "" {
-				t.Fatalf("case %d (%d µops, %+v, %v): %s", i, len(tr.Ops), cfg, m, d)
+				t.Fatalf("case %d (%d µops, %+v, %v): %s", i, tr.Len(), cfg, m, d)
 			}
 			saw.wheel = saw.wheel || paths.wheel
 			saw.heap = saw.heap || paths.heap

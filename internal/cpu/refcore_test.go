@@ -12,11 +12,14 @@ import (
 // pointer-free ROB. Every completion goes through one (at, seq) heap, the
 // ready queue is an unordered bag searched for its oldest eligible µop once
 // per issue slot, and each ROB entry carries its own dependents slice. It
-// is slow and simple on purpose; Core must match it cycle for cycle.
+// is slow and simple on purpose; Core must match it cycle for cycle. It
+// decodes each µop it fetches with Trace.At, where Core reads the packed
+// fields in place.
 type refCore struct {
 	cfg Config
 	bp  *Gshare
 	st  *stats.Counters
+	tr  *trace.Trace
 
 	rob   []refEntry
 	head  int32
@@ -138,10 +141,19 @@ func newRefCore(cfg Config, st *stats.Counters) *refCore {
 	return c
 }
 
+// refLimit is how many µops of tr a run with maxOps executes.
+func refLimit(tr *trace.Trace, maxOps int) int {
+	if maxOps > 0 && maxOps < tr.Len() {
+		return maxOps
+	}
+	return tr.Len()
+}
+
 func (c *refCore) Run(tr *trace.Trace, mp MemPort, maxOps int) Result {
-	ops := opsUpTo(tr, maxOps)
+	c.tr = tr
+	n := refLimit(tr, maxOps)
 	lastProgress := int64(0)
-	for c.fetchIdx < len(ops) || c.count > 0 {
+	for c.fetchIdx < n || c.count > 0 {
 		c.cycle++
 		mp.Tick(c.cycle)
 		progress := false
@@ -154,7 +166,7 @@ func (c *refCore) Run(tr *trace.Trace, mp MemPort, maxOps int) Result {
 		if c.issue(mp) {
 			progress = true
 		}
-		if c.fetch(ops) {
+		if c.fetch(n) {
 			progress = true
 		}
 		if progress {
@@ -169,15 +181,13 @@ func (c *refCore) Run(tr *trace.Trace, mp MemPort, maxOps int) Result {
 }
 
 func (c *refCore) RunSegmented(tr *trace.Trace, mp MemPort, maxOps int, plan SegmentPlan) (Result, error) {
-	ops := opsUpTo(tr, maxOps)
-	for c.fetchIdx < len(ops) || c.count > 0 || c.outstandingStores > 0 {
-		fetchLimit := (c.fetchIdx/plan.Every + 1) * plan.Every
-		if fetchLimit > len(ops) {
-			fetchLimit = len(ops)
-		}
-		c.runSegment(ops[:fetchLimit], mp, plan.Quiesced)
+	c.tr = tr
+	n := refLimit(tr, maxOps)
+	for c.fetchIdx < n || c.count > 0 || c.outstandingStores > 0 {
+		fetchLimit := min((c.fetchIdx/plan.Every+1)*plan.Every, n)
+		c.runSegment(fetchLimit, mp, plan.Quiesced)
 		c.lastWriter = [trace.NumRegs]refWriter{}
-		if c.fetchIdx < len(ops) {
+		if c.fetchIdx < n {
 			if err := plan.OnBoundary(c.fetchIdx); err != nil {
 				c.res.Cycles = c.cycle
 				c.st.Cycles = c.cycle
@@ -190,9 +200,9 @@ func (c *refCore) RunSegmented(tr *trace.Trace, mp MemPort, maxOps int, plan Seg
 	return c.res, nil
 }
 
-func (c *refCore) runSegment(ops []trace.Op, mp MemPort, quiesced func() bool) {
+func (c *refCore) runSegment(n int, mp MemPort, quiesced func() bool) {
 	lastProgress := c.cycle
-	for c.fetchIdx < len(ops) || c.count > 0 || c.outstandingStores > 0 || !quiesced() {
+	for c.fetchIdx < n || c.count > 0 || c.outstandingStores > 0 || !quiesced() {
 		storesBefore := c.outstandingStores
 		c.cycle++
 		mp.Tick(c.cycle)
@@ -206,7 +216,7 @@ func (c *refCore) runSegment(ops []trace.Op, mp MemPort, quiesced func() bool) {
 		if c.issue(mp) {
 			progress = true
 		}
-		if c.fetch(ops) {
+		if c.fetch(n) {
 			progress = true
 		}
 		if progress {
@@ -368,14 +378,15 @@ func (c *refCore) issue(mp MemPort) bool {
 	return any
 }
 
-func (c *refCore) fetch(ops []trace.Op) bool {
+// fetch brings µops below limit into the ROB.
+func (c *refCore) fetch(limit int) bool {
 	any := false
 	for n := 0; n < c.cfg.FetchWidth; n++ {
-		if c.fetchIdx >= len(ops) || c.count >= c.cfg.ROBSize ||
+		if c.fetchIdx >= limit || c.count >= c.cfg.ROBSize ||
 			c.haltFetch || c.cycle < c.fetchBlockedUntil {
 			break
 		}
-		op := ops[c.fetchIdx]
+		op := c.tr.At(c.fetchIdx)
 		c.fetchIdx++
 		slot := (c.head + int32(c.count)) % int32(c.cfg.ROBSize)
 		c.count++

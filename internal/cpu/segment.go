@@ -35,6 +35,7 @@ func (c *Core) RunSegmented(tr *trace.Trace, mp MemPort, maxOps int, plan Segmen
 	if plan.Every <= 0 || plan.Quiesced == nil || plan.OnBoundary == nil {
 		return Result{}, fmt.Errorf("cpu: segment plan needs Every > 0, Quiesced and OnBoundary")
 	}
+	c.trace = tr
 	ops := opsUpTo(tr, maxOps)
 	for c.fetchIdx < len(ops) || c.count > 0 || c.outstandingStores > 0 {
 		// This segment's fetch ceiling: the next absolute multiple of

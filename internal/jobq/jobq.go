@@ -617,22 +617,22 @@ func (q *Queue) worker() {
 // decremented exactly once. A crash is swallowed after recovery so the
 // worker keeps draining the queue instead of silently shrinking the pool.
 func (q *Queue) runGuarded(j *Job) {
+	ran := false // run returned, having moved the counters itself
 	defer func() {
+		if ran {
+			return
+		}
 		r := recover()
+		q.mu.Lock()
 		if r != nil {
 			j.mu.Lock()
-			already := j.state.Terminal() // finishLocked is a no-op then, and run() already counted it
+			already := j.state.Terminal() // finishLocked is a no-op then, and whoever finished it counted it
 			j.finishLocked(StateFailed, nil, &PanicError{JobID: j.id, Value: r, Stack: debug.Stack()})
 			j.mu.Unlock()
-			q.mu.Lock()
 			if !already {
 				q.failed++
 			}
-			q.running--
-			q.mu.Unlock()
-			return
 		}
-		q.mu.Lock()
 		q.running--
 		q.mu.Unlock()
 	}()
@@ -641,14 +641,19 @@ func (q *Queue) runGuarded(j *Job) {
 	faultinject.MaybePanic("jobq.worker.crash")
 	faultinject.Sleep(q.baseCtx, "jobq.worker.stall")
 	q.run(j)
+	ran = true
 }
 
-// run executes one popped job through its terminal state.
+// run executes one popped job through its terminal state and takes it off
+// the running count.
 func (q *Queue) run(j *Job) {
 	j.mu.Lock()
 	if j.state.Terminal() {
-		// Canceled between pop and here.
+		// Canceled between pop and here; Cancel counted it.
 		j.mu.Unlock()
+		q.mu.Lock()
+		q.running--
+		q.mu.Unlock()
 		return
 	}
 	timeout := q.cfg.JobTimeout
@@ -668,28 +673,25 @@ func (q *Queue) run(j *Job) {
 	value, err := runSafely(ctx, j)
 	cancel()
 
+	// finishLocked releases the job's waiters, so it runs under q.mu (taken
+	// before j.mu, as in Cancel and Shutdown) beside the counter updates: a
+	// waiter that reads Stats once Done closes sees this job counted and
+	// not running.
+	q.mu.Lock()
 	j.mu.Lock()
-	canceled := j.canceled
 	switch {
 	case err == nil:
 		j.finishLocked(StateDone, value, nil)
-	case canceled || errors.Is(err, context.Canceled):
-		j.finishLocked(StateCanceled, nil, fmt.Errorf("%w: %v", ErrCanceled, err))
-	default:
-		j.finishLocked(StateFailed, nil, err)
-	}
-	st := j.state
-	j.mu.Unlock()
-
-	q.mu.Lock()
-	switch st {
-	case StateDone:
 		q.completed++
-	case StateCanceled:
+	case j.canceled || errors.Is(err, context.Canceled):
+		j.finishLocked(StateCanceled, nil, fmt.Errorf("%w: %v", ErrCanceled, err))
 		q.canceled++
 	default:
+		j.finishLocked(StateFailed, nil, err)
 		q.failed++
 	}
+	j.mu.Unlock()
+	q.running--
 	q.mu.Unlock()
 }
 

@@ -52,6 +52,36 @@ func TestSubmitRunsAndReturnsValue(t *testing.T) {
 	}
 }
 
+// A job's waiters wake only after the queue has counted it: run moves the
+// counters under q.mu before closing Done, so while the test holds q.mu a
+// finished job cannot release its waiters, and once they wake Stats shows
+// it completed and no longer running.
+func TestCountersMoveBeforeWaitersWake(t *testing.T) {
+	q := New(Config{Workers: 1, Capacity: 1})
+	defer q.Shutdown(context.Background())
+	started := make(chan string, 1)
+	release := make(chan struct{})
+	j, err := q.Submit("j", 0, blockingJob(started, release))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	q.mu.Lock()
+	close(release)
+	select {
+	case <-j.Done():
+		completed, running := q.completed, q.running
+		q.mu.Unlock()
+		t.Fatalf("Done closed before the queue counted the job (completed %d, running %d)", completed, running)
+	case <-time.After(100 * time.Millisecond):
+	}
+	q.mu.Unlock()
+	waitTerminal(t, j)
+	if st := q.Stats(); st.Completed != 1 || st.Running != 0 {
+		t.Fatalf("stats once Done closed: %+v, want 1 completed and 0 running", st)
+	}
+}
+
 // TestBackpressure fills a 1-worker, 2-slot queue and requires the next
 // submission to fail fast with ErrQueueFull, then succeed again once a
 // slot frees up.

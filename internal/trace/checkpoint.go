@@ -67,13 +67,13 @@ func (c *Checkpoint) WriteTo(w io.Writer) (int64, error) {
 	if err := write(uint64(c.Instrs)); err != nil {
 		return n, err
 	}
-	ops := c.Trace.Ops
-	if err := write(uint64(len(ops))); err != nil {
+	tr := c.Trace
+	if err := write(uint64(tr.Len())); err != nil {
 		return n, err
 	}
 	var rec [opRecSize]byte
-	for i := range ops {
-		op := &ops[i]
+	for i := range tr.Len() {
+		op := tr.At(i)
 		binary.LittleEndian.PutUint32(rec[0:], op.PC)
 		binary.LittleEndian.PutUint32(rec[4:], op.Addr)
 		rec[8] = uint8(op.Kind)
@@ -158,19 +158,19 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if err := binary.Read(br, binary.LittleEndian, &opCount); err != nil {
 		return nil, err
 	}
-	// Grow the op slice as records actually arrive rather than trusting the
+	// The builder grows as records actually arrive rather than trusting the
 	// header's count: a corrupt (or hostile) opCount would otherwise demand
 	// an arbitrarily large upfront allocation before the first read fails.
-	ops := make([]Op, 0, min(opCount, 1<<16))
+	// It refuses what a trace cannot hold (an unknown kind, a register
+	// outside [0,NumRegs) that is not NoReg, more than MaxPCs distinct
+	// PCs), so every accepted op is one the core can run.
+	b := NewBuilder()
 	var rec [opRecSize]byte
 	for i := uint64(0); i < opCount; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			return nil, fmt.Errorf("trace: op %d: %w", i, err)
 		}
-		if k := Kind(rec[8]); k > KBranch {
-			return nil, fmt.Errorf("trace: op %d: unknown kind %d", i, k)
-		}
-		ops = append(ops, Op{
+		err := b.add(Op{
 			PC:    binary.LittleEndian.Uint32(rec[0:]),
 			Addr:  binary.LittleEndian.Uint32(rec[4:]),
 			Kind:  Kind(rec[8]),
@@ -179,6 +179,9 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 			Dst:   rec[11],
 			Taken: rec[12] != 0,
 		})
+		if err != nil {
+			return nil, fmt.Errorf("trace: op %d: %w", i, err)
+		}
 	}
 
 	space := mem.NewAddressSpace()
@@ -213,5 +216,5 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		space.RestoreMapping(vpage, frame)
 	}
 
-	return &Checkpoint{Name: string(name), Space: space, Trace: &Trace{Ops: ops}, Instrs: int(instrs)}, nil
+	return &Checkpoint{Name: string(name), Space: space, Trace: b.Trace(), Instrs: int(instrs)}, nil
 }

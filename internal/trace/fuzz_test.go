@@ -23,8 +23,9 @@ func fuzzSeedCheckpoint() *Checkpoint {
 
 // FuzzReadCheckpoint throws arbitrary bytes at the checkpoint decoder. The
 // decoder must never panic or over-allocate on corrupt input, every op it
-// accepts must have a known kind, and anything it accepts must survive a
-// write/read round trip unchanged in its header fields and op stream.
+// accepts must have a known kind and registers a trace can hold, and
+// anything it accepts must survive a write/read round trip unchanged in its
+// header fields and op stream.
 func FuzzReadCheckpoint(f *testing.F) {
 	var seed bytes.Buffer
 	if _, err := fuzzSeedCheckpoint().WriteTo(&seed); err != nil {
@@ -41,14 +42,25 @@ func FuzzReadCheckpoint(f *testing.F) {
 	huge[20] = 0xff // opCount low byte
 	huge[25] = 0x01 // opCount bit 40
 	f.Add(huge)
+	// The seed with its first op's src1 byte set to 32: neither a register
+	// nor NoReg, so the decoder must refuse it.
+	badReg := bytes.Clone(seed.Bytes())
+	badReg[4+4+4+len("fuzz-seed")+8+8+9] = 32
+	f.Add(badReg)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := ReadCheckpoint(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		for i, op := range ck.Trace.Ops {
+		for i := range ck.Trace.Len() {
+			op := ck.Trace.At(i)
 			if op.Kind > KBranch {
 				t.Fatalf("accepted op %d with unknown kind %d", i, op.Kind)
+			}
+			for _, r := range []uint8{op.Src1, op.Src2, op.Dst} {
+				if r >= NumRegs && r != NoReg {
+					t.Fatalf("accepted op %d with register %d", i, r)
+				}
 			}
 		}
 		var out bytes.Buffer
@@ -62,12 +74,12 @@ func FuzzReadCheckpoint(f *testing.F) {
 		if ck2.Name != ck.Name || ck2.Instrs != ck.Instrs {
 			t.Fatalf("round trip changed header: %q/%d vs %q/%d", ck.Name, ck.Instrs, ck2.Name, ck2.Instrs)
 		}
-		if len(ck2.Trace.Ops) != len(ck.Trace.Ops) {
-			t.Fatalf("round trip changed op count: %d vs %d", len(ck.Trace.Ops), len(ck2.Trace.Ops))
+		if ck2.Trace.Len() != ck.Trace.Len() {
+			t.Fatalf("round trip changed op count: %d vs %d", ck.Trace.Len(), ck2.Trace.Len())
 		}
-		for i := range ck.Trace.Ops {
-			if ck.Trace.Ops[i] != ck2.Trace.Ops[i] {
-				t.Fatalf("round trip changed op %d: %+v vs %+v", i, ck.Trace.Ops[i], ck2.Trace.Ops[i])
+		for i := range ck.Trace.Len() {
+			if ck.Trace.At(i) != ck2.Trace.At(i) {
+				t.Fatalf("round trip changed op %d: %+v vs %+v", i, ck.Trace.At(i), ck2.Trace.At(i))
 			}
 		}
 	})

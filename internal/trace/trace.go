@@ -49,7 +49,8 @@ const NumRegs = 16
 // NoReg marks an unused register operand.
 const NoReg uint8 = 0xFF
 
-// Op is one µop. 20 bytes; traces of a few million µops stay cheap.
+// Op is one µop in decoded form, 16 bytes. A Trace stores µops as Packed,
+// 8 bytes each; Op is what Builder.Emit takes and Trace.At returns.
 type Op struct {
 	PC    uint32
 	Addr  uint32 // effective virtual address for loads/stores
@@ -60,26 +61,159 @@ type Op struct {
 	Taken bool  // branches only
 }
 
-// Trace is an in-memory µop sequence.
+// Packed is one µop in the 8 bytes a Trace stores it in. The low word is
+// the effective address. The high word holds, from bit 32 up, the kind
+// (3 bits), the taken flag (1 bit), Src1, Src2 and Dst (5 bits each,
+// PackedNoReg when unused) and a 13-bit index into the trace's PC table.
+// The core reads the fields in place instead of decoding an Op per µop.
+type Packed uint64
+
+const (
+	kindShift  = 32
+	takenShift = 35
+	src1Shift  = 36
+	src2Shift  = 41
+	dstShift   = 46
+	pcShift    = 51
+	regMask    = 1<<5 - 1
+
+	// PackedNoReg is NoReg in a packed register field. It is at least
+	// NumRegs, so a reader that treats a register >= NumRegs as absent
+	// needs no decode step.
+	PackedNoReg = regMask
+	// MaxPCs is how many distinct PCs one trace can hold.
+	MaxPCs = 1 << (64 - pcShift)
+)
+
+// Addr returns the µop's effective virtual address.
+func (p Packed) Addr() uint32 { return uint32(p) }
+
+// Kind returns the µop's kind.
+func (p Packed) Kind() Kind { return Kind(p >> kindShift & 7) }
+
+// Taken returns a branch's correct-path outcome.
+func (p Packed) Taken() bool { return p>>takenShift&1 != 0 }
+
+// Src1 returns the first source register, PackedNoReg if unused.
+func (p Packed) Src1() uint8 { return uint8(p>>src1Shift) & regMask }
+
+// Src2 returns the second source register, PackedNoReg if unused.
+func (p Packed) Src2() uint8 { return uint8(p>>src2Shift) & regMask }
+
+// Dst returns the destination register, PackedNoReg if none.
+func (p Packed) Dst() uint8 { return uint8(p>>dstShift) & regMask }
+
+// pcIndex returns the µop's index into its trace's PC table.
+func (p Packed) pcIndex() int { return int(p >> pcShift) }
+
+// Trace is an in-memory µop sequence: the packed µops and the table of the
+// distinct PCs they index.
 type Trace struct {
-	Ops []Op
+	ops []Packed
+	pcs []uint32
 }
 
 // Len returns the number of µops.
-func (t *Trace) Len() int { return len(t.Ops) }
+func (t *Trace) Len() int { return len(t.ops) }
+
+// Packed returns the stored µops, which the caller must not modify.
+func (t *Trace) Packed() []Packed { return t.ops }
+
+// PC returns the PC of p, one of t's µops.
+func (t *Trace) PC(p Packed) uint32 { return t.pcs[p.pcIndex()] }
+
+// At decodes µop i.
+func (t *Trace) At(i int) Op {
+	p := t.ops[i]
+	return Op{
+		PC:    t.PC(p),
+		Addr:  p.Addr(),
+		Kind:  p.Kind(),
+		Src1:  unpackReg(p.Src1()),
+		Src2:  unpackReg(p.Src2()),
+		Dst:   unpackReg(p.Dst()),
+		Taken: p.Taken(),
+	}
+}
+
+func unpackReg(r uint8) uint8 {
+	if r == PackedNoReg {
+		return NoReg
+	}
+	return r
+}
+
+// packReg returns r's packed form, or false for a register that is neither
+// architectural nor NoReg.
+func packReg(r uint8) (Packed, bool) {
+	switch {
+	case r < NumRegs:
+		return Packed(r), true
+	case r == NoReg:
+		return PackedNoReg, true
+	}
+	return 0, false
+}
 
 // Builder accumulates a trace with convenience emitters. PCs are synthetic:
 // callers pin a PC per static emission site so the stride prefetcher and
 // gshare see stable instruction identities.
 type Builder struct {
-	t Trace
+	ops []Packed
+	pcs []uint32
+	// pcIdx maps each PC emitted so far to its index in pcs. Only the
+	// builder needs it; the finished trace keeps pcs alone.
+	pcIdx map[uint32]Packed
 }
 
 // NewBuilder returns an empty trace builder.
 func NewBuilder() *Builder { return &Builder{} }
 
-// Emit appends a raw µop.
-func (b *Builder) Emit(op Op) { b.t.Ops = append(b.t.Ops, op) }
+// Emit appends a raw µop. It panics on a µop a trace cannot hold: an
+// unknown kind, a register outside [0,NumRegs) that is not NoReg, or a PC
+// beyond the trace's MaxPCs distinct ones.
+func (b *Builder) Emit(op Op) {
+	if err := b.add(op); err != nil {
+		panic(fmt.Sprintf("trace: emitting %+v: %v", op, err))
+	}
+}
+
+// add packs and appends op, or reports why it cannot.
+func (b *Builder) add(op Op) error {
+	if op.Kind > KBranch {
+		return fmt.Errorf("unknown kind %d", op.Kind)
+	}
+	src1, ok1 := packReg(op.Src1)
+	src2, ok2 := packReg(op.Src2)
+	dst, ok3 := packReg(op.Dst)
+	switch {
+	case !ok1:
+		return fmt.Errorf("src1 register %d out of range", op.Src1)
+	case !ok2:
+		return fmt.Errorf("src2 register %d out of range", op.Src2)
+	case !ok3:
+		return fmt.Errorf("dst register %d out of range", op.Dst)
+	}
+	pc, ok := b.pcIdx[op.PC]
+	if !ok {
+		if len(b.pcs) == MaxPCs {
+			return fmt.Errorf("more than %d distinct PCs", MaxPCs)
+		}
+		if b.pcIdx == nil {
+			b.pcIdx = make(map[uint32]Packed)
+		}
+		pc = Packed(len(b.pcs))
+		b.pcIdx[op.PC] = pc
+		b.pcs = append(b.pcs, op.PC)
+	}
+	p := Packed(op.Addr) | Packed(op.Kind)<<kindShift |
+		src1<<src1Shift | src2<<src2Shift | dst<<dstShift | pc<<pcShift
+	if op.Taken {
+		p |= 1 << takenShift
+	}
+	b.ops = append(b.ops, p)
+	return nil
+}
 
 // Int appends an integer ALU µop dst = f(src1, src2).
 func (b *Builder) Int(pc uint32, dst, src1, src2 uint8) {
@@ -108,11 +242,19 @@ func (b *Builder) Branch(pc uint32, condSrc uint8, taken bool) {
 }
 
 // Len returns the number of µops emitted so far.
-func (b *Builder) Len() int { return len(b.t.Ops) }
+func (b *Builder) Len() int { return len(b.ops) }
 
-// Trace finalises and returns the built trace. The builder remains usable;
-// further emissions extend the same trace.
-func (b *Builder) Trace() *Trace { return &b.t }
+// Trace returns the µops emitted so far as a trace whose µop array is
+// exactly Len() long, leaving no spare capacity behind. The builder
+// remains usable, but later emissions do not change the returned trace.
+func (b *Builder) Trace() *Trace {
+	if cap(b.ops) != len(b.ops) {
+		ops := make([]Packed, len(b.ops))
+		copy(ops, b.ops)
+		b.ops = ops
+	}
+	return &Trace{ops: b.ops, pcs: b.pcs}
+}
 
 // Mix summarises the µop composition of a trace.
 type Mix struct {
@@ -124,22 +266,11 @@ func (m Mix) Total() int { return m.Int + m.FP + m.Load + m.Store + m.Branch }
 
 // MixOf tallies the composition of t.
 func MixOf(t *Trace) Mix {
-	var m Mix
-	for i := range t.Ops {
-		switch t.Ops[i].Kind {
-		case KInt:
-			m.Int++
-		case KFP:
-			m.FP++
-		case KLoad:
-			m.Load++
-		case KStore:
-			m.Store++
-		case KBranch:
-			m.Branch++
-		}
+	var n [8]int
+	for _, p := range t.ops {
+		n[p.Kind()]++
 	}
-	return m
+	return Mix{Int: n[KInt], FP: n[KFP], Load: n[KLoad], Store: n[KStore], Branch: n[KBranch]}
 }
 
 func (m Mix) String() string {

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/mem"
@@ -73,7 +74,8 @@ func validateCheckpoint(t *testing.T, s Spec, ck *trace.Checkpoint, budget int) 
 	}
 	// Every load/store address must be mapped, and loads of chase
 	// registers must read real pointers.
-	for i, op := range ck.Trace.Ops {
+	for i := range n {
+		op := ck.Trace.At(i)
 		if op.Kind != trace.KLoad && op.Kind != trace.KStore {
 			continue
 		}
@@ -98,10 +100,25 @@ func TestGenerationDeterministic(t *testing.T) {
 	if a.Trace.Len() != b.Trace.Len() {
 		t.Fatalf("lengths differ: %d vs %d", a.Trace.Len(), b.Trace.Len())
 	}
-	for i := range a.Trace.Ops {
-		if a.Trace.Ops[i] != b.Trace.Ops[i] {
+	for i := range a.Trace.Len() {
+		if a.Trace.At(i) != b.Trace.At(i) {
 			t.Fatalf("op %d differs", i)
 		}
+	}
+}
+
+// A generated trace holds each µop in 8 bytes and keeps no spare capacity:
+// at the paper's 30 M µops that is 240 MB a trace, where 16-byte µops and
+// append's slack came to over 480 MB.
+func TestGeneratedTraceIsPacked(t *testing.T) {
+	s, _ := ByName("b2b")
+	tr := s.Generate(GenConfig{Ops: 50_000, Seed: 5}).Trace
+	ops := tr.Packed()
+	if size := unsafe.Sizeof(ops[0]); size != 8 {
+		t.Fatalf("a stored µop is %d bytes, want 8", size)
+	}
+	if cap(ops) != tr.Len() {
+		t.Fatalf("trace of %d µops has capacity %d", tr.Len(), cap(ops))
 	}
 }
 
@@ -128,7 +145,8 @@ func TestPointerBenchmarksAreScannable(t *testing.T) {
 		ck := s.Generate(GenConfig{Ops: 60_000, Seed: 3})
 		candidates := 0
 		scanned := 0
-		for _, op := range ck.Trace.Ops {
+		for i := range ck.Trace.Len() {
+			op := ck.Trace.At(i)
 			if op.Kind != trace.KLoad || op.Addr < heapBase || op.Addr >= heapLimit {
 				continue
 			}
