@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -55,6 +56,19 @@ const (
 // the coordinator cannot drift.
 const RetryBudgetHeader = "X-Cdpd-Retry-Budget"
 
+// Router places one resolved simulation on another process and returns its
+// result bytes and whether they were served from a cache there. id and key
+// are the content-keyed job ID and cache key the request resolved to, ops
+// its resolved µop budget, and budget caps the placement attempts (one more
+// than the client's RetryBudgetHeader, or math.MaxInt without one; the
+// router applies its own ceiling). The cluster coordinator supplies one
+// through NewRouted.
+type Router func(ctx context.Context, id string, key simcache.Key, ops int, req SimRequest, budget int) ([]byte, bool, error)
+
+// ErrNoWorkers is what a Router returns, wrapped, when it has nowhere to
+// place a job; a waiting client is answered 503 rather than 500.
+var ErrNoWorkers = errors.New("no live workers")
+
 // ResultCache is the slice of the result cache the handlers use. Both the
 // plain in-memory simcache.Cache and the cluster's simcache.TieredCache
 // (mem → disk spill → peer fetch) satisfy it, which is how a worker joins
@@ -66,8 +80,10 @@ type ResultCache interface {
 	Stats() simcache.Stats
 }
 
-// Server wires the handlers to a queue and a cache. Construct with New or
-// NewWithOptions.
+// Server wires the handlers to a queue, a cache and an executor. Construct
+// with New or NewWithOptions for the local executor, which simulates in
+// this process, or with NewRouted for the routed one, which places every
+// simulation through a Router.
 type Server struct {
 	queue    *jobq.Queue
 	cache    ResultCache
@@ -76,6 +92,11 @@ type Server struct {
 	opts     Options
 	store    *ckptStore // nil unless Options.CheckpointDir is set
 	counters
+
+	// route is nil for the local executor. routeCtx bounds the placements
+	// the routed executor runs in the background.
+	route    Router
+	routeCtx context.Context
 
 	logger *slog.Logger
 	traces *traceStore
@@ -141,6 +162,19 @@ func NewWithOptions(q *jobq.Queue, c ResultCache, opts Options) (*Server, error)
 	return s, nil
 }
 
+// NewRouted builds a server whose executor places every simulation through
+// route: a POST /v1/sim becomes a slotless external job in q whose
+// placement runs in the background under ctx, and an arena keeps up to
+// arenaFanout cells in flight. c then holds only assembled reports.
+func NewRouted(ctx context.Context, q *jobq.Queue, c ResultCache, opts Options, route Router) (*Server, error) {
+	s, err := NewWithOptions(q, c, opts)
+	if err != nil {
+		return nil, err
+	}
+	s.route, s.routeCtx = route, ctx
+	return s, nil
+}
+
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
@@ -148,24 +182,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // so load balancers stop routing to it while in-flight jobs finish.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
-// jobPayload is what sim/experiment jobs store as their jobq value.
+// jobPayload is what sim, arena and experiment jobs store as their jobq
+// value, routed ones included, so every polling and streaming client sees
+// one shape.
 type jobPayload struct {
 	data   []byte
 	cached bool // true when served from a resident simcache entry
-}
-
-// JobResult packs a terminal job value in the shape the job handlers
-// (GET /v1/jobs/{id} and friends) decode. The cluster coordinator stores a
-// remote worker's answer through this, so a proxied job is
-// indistinguishable from a local one to every polling and streaming
-// client.
-func JobResult(data []byte, cached bool) any { return jobPayload{data: data, cached: cached} }
-
-// JobResultBytes unpacks a value packed by JobResult (or produced by a
-// local sim/arena job).
-func JobResultBytes(v any) (data []byte, cached bool, ok bool) {
-	p, ok := v.(jobPayload)
-	return p.data, p.cached, ok
 }
 
 // envelope is the terminal response shape for results.
@@ -205,8 +227,9 @@ func (s *Server) writeBackpressure(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusTooManyRequests, "queue full, retry in ~%ds", retry)
 }
 
-// handleSubmitSim is POST /v1/sim: validate, consult the cache, and only
-// then spend a queue slot.
+// handleSubmitSim is POST /v1/sim: validate, then hand the request to the
+// executor. The local one consults the cache, and sheds low priorities,
+// before it spends a queue slot.
 func (s *Server) handleSubmitSim(w http.ResponseWriter, r *http.Request) {
 	var req SimRequest
 	dec := json.NewDecoder(r.Body)
@@ -215,49 +238,32 @@ func (s *Server) handleSubmitSim(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if req.CheckpointEveryOps == 0 {
-		req.CheckpointEveryOps = s.opts.CheckpointEveryOps
-	}
-	spec, cfg, ops, err := buildSim(req)
+	c, err := resolve(s.stamp(req))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	key := simcache.KeyFor(spec, cfg, ops)
-	lookupStart := time.Now()
-	data, hit := s.cache.Get(key)
-	s.cacheLookup.Observe(time.Since(lookupStart))
-	if hit {
-		s.logger.Info("sim served from cache",
-			"content_key", key.String(), "benchmark", req.Benchmark)
-		injectRespondFaults(w, r)
-		writeJSON(w, http.StatusOK, envelope{Cached: true, Result: data})
-		return
+	if s.route == nil {
+		lookupStart := time.Now()
+		data, hit := s.cache.Get(c.key)
+		s.cacheLookup.Observe(time.Since(lookupStart))
+		if hit {
+			s.logger.Info("sim served from cache",
+				"content_key", c.key.String(), "benchmark", req.Benchmark)
+			injectRespondFaults(w, r)
+			writeJSON(w, http.StatusOK, envelope{Cached: true, Result: data})
+			return
+		}
+		if s.shedLowPriority(req.Priority) {
+			s.writeShed(w)
+			return
+		}
 	}
-	if s.shedLowPriority(req.Priority) {
-		s.writeShed(w)
-		return
-	}
-
-	id := SimJobID(key)
-	var resume *sim.Snapshot
-	if s.store != nil && cfg.CheckpointEveryOps > 0 {
-		// A snapshot persisted under this content-keyed ID — by a previous
-		// process, or by a dead cluster peer when the checkpoint dir is
-		// shared — lets the run pick up from its last boundary instead of
-		// µop zero. This is the work-stealing resume path: the coordinator
-		// resubmits a stolen job to a new worker, and the new worker finds
-		// the victim's snapshot right here.
-		resume = s.store.loadSnapshot(id)
-	}
-	traced := req.Trace && resume == nil
-	persisted := make(chan struct{}) // closed once the request file below is written
-	job, err := s.queue.SubmitTimeout(id, req.Priority, s.adaptiveTimeout(ops),
-		s.simJob(id, spec, cfg, ops, key, resume, time.Now(), traced, persisted))
+	job, err := s.submit(c, retryBudget(r))
 	if errors.Is(err, jobq.ErrDuplicateID) {
 		// The same request is already queued or running; attach to it
 		// instead of spending another slot.
-		if j, ok := s.queue.Get(id); ok {
+		if j, ok := s.queue.Get(c.id); ok {
 			s.respondJob(w, r, req.Wait, j)
 			return
 		}
@@ -266,66 +272,105 @@ func (s *Server) handleSubmitSim(w http.ResponseWriter, r *http.Request) {
 		s.writeBackpressure(w, err)
 		return
 	}
+	s.respondJob(w, r, req.Wait, job)
+}
+
+// retryBudget is the placement-attempt budget a submission grants a
+// Router: one more than the client's remaining retries when it sends
+// RetryBudgetHeader, so that client retries and placements cannot
+// multiply unboundedly; without one, math.MaxInt leaves the Router's own
+// ceiling.
+func retryBudget(r *http.Request) int {
+	if n, err := strconv.Atoi(r.Header.Get(RetryBudgetHeader)); err == nil && n >= 0 && n < math.MaxInt {
+		return n + 1
+	}
+	return math.MaxInt
+}
+
+// Resubmit registers a request an earlier process recorded, such as a
+// placement journaled by a coordinator that died, through the same
+// executor as POST /v1/sim. No client waits on it, and no default is
+// stamped over what was recorded. It returns the job ID; a request that no
+// longer resolves is an error, and so is one whose job is already live
+// (jobq.ErrDuplicateID).
+func (s *Server) Resubmit(req SimRequest) (string, error) {
+	c, err := resolve(req)
+	if err != nil {
+		return "", err
+	}
+	_, err = s.submit(c, math.MaxInt)
+	return c.id, err
+}
+
+// submit registers c on the executor: a queued local simulation, or a
+// slotless external job whose placement runs in the background.
+func (s *Server) submit(c simCall, budget int) (*jobq.Job, error) {
+	if s.route != nil {
+		job, err := s.queue.SubmitExternal(c.id, c.req.Priority)
+		if err == nil {
+			go s.forward(job, c, budget)
+		}
+		return job, err
+	}
+	persisted := make(chan struct{}) // closed once the request file below is written
+	job, err := s.queue.SubmitTimeout(c.id, c.req.Priority, s.adaptiveTimeout(c.ops),
+		s.simJob(c, time.Now(), c.req.Trace, persisted))
+	if err != nil {
+		return nil, err
+	}
 	if s.store != nil {
 		// Persist the defaulted request so a restarted daemon can rebuild
 		// this exact job (same content key, same ID) and resume it.
-		if err := s.store.saveRequest(id, req); err != nil {
+		if err := s.store.saveRequest(c.id, c.req); err != nil {
 			s.ckptWriteErrs.Add(1)
 		}
 	}
 	close(persisted)
-	s.respondJob(w, r, req.Wait, job)
+	return job, nil
 }
 
-// simJob builds the job function for one simulation request. The cache
-// fill happens inside the job so the queue, not the HTTP handler, pays for
-// the simulation, and GetOrCompute collapses concurrent identical keys
-// into one run. With a positive checkpoint interval the simulation runs
-// segmented, persisting each boundary snapshot (when a store is
-// configured); resume picks the run up from a snapshot recovered at
-// startup instead of µop zero.
+// forward drives one routed job to its terminal state. Canceling the job,
+// or the server's routing context, abandons the placement.
+func (s *Server) forward(job *jobq.Job, c simCall, budget int) {
+	ctx, cancel := context.WithCancel(s.routeCtx)
+	defer cancel()
+	go func() {
+		select {
+		case <-job.Done():
+			cancel()
+		case <-ctx.Done():
+		}
+	}()
+	data, cached, err := s.route(ctx, c.id, c.key, c.ops, c.req, budget)
+	if err != nil {
+		s.queue.CompleteExternal(c.id, nil, err)
+		return
+	}
+	s.queue.CompleteExternal(c.id, jobPayload{data: data, cached: cached}, nil)
+}
+
+// simJob builds the job function for one local simulation. The cache fill
+// happens inside the job so the queue, not the HTTP handler, pays for the
+// simulation, and GetOrCompute collapses concurrent identical keys into
+// one run.
 //
 // submitted is when the request was accepted; the gap to the job function
-// starting is the queue wait. With traced set, the run carries a simtrace
-// ring and the rendered Chrome trace is retained for GET
-// /v1/jobs/{id}/trace — only when this job actually computes: a cache hit
-// or collapsed computation runs no simulation, so there is nothing to
-// trace.
+// starting is the queue wait. traced asks for a simtrace ring (see
+// compute).
 //
-// A successful job clears its persisted files, but the submit handler
-// writes the request file only after the job exists, so the job waits for
+// A successful job clears its persisted files, but the submit path writes
+// the request file only after the job exists, so the job waits for
 // persisted to close first; otherwise a job that beat the handler would
 // leave the request behind to rerun at the next restart. A nil persisted
 // means the request is already on disk.
-func (s *Server) simJob(id string, spec workloads.Spec, cfg sim.Config, ops int, key simcache.Key, resume *sim.Snapshot, submitted time.Time, traced bool, persisted <-chan struct{}) jobq.Func {
+func (s *Server) simJob(c simCall, submitted time.Time, traced bool, persisted <-chan struct{}) jobq.Func {
 	return func(ctx context.Context, j *jobq.Job) (any, error) {
 		wait := time.Since(submitted)
 		s.queueWait.Observe(wait)
-		log := s.logger.With("job_id", id, "content_key", key.String(), "benchmark", spec.Name)
-		log.Info("job started", "queue_wait", wait, "ops", ops, "traced", traced)
-		data, hit, err := s.cache.GetOrCompute(key, func() ([]byte, error) {
-			j.SetProgress("generating checkpoint", 0, 2)
-			ck := workloads.Checkpoint(spec, ops)
-			j.SetProgress("simulating", 1, 2)
-			var tr *simtrace.Tracer
-			if traced {
-				tr = simtrace.New(traceRingCap)
-			}
-			start := time.Now()
-			res, err := s.runSim(ctx, j, id, ck, cfg, resume, tr)
-			dur := time.Since(start)
-			if err != nil {
-				log.Warn("simulation failed", "sim_duration", dur, "error", err)
-				return nil, err
-			}
-			s.runDur.Observe(dur)
-			s.observeSimRate(dur, ops)
-			log.Info("simulation finished", "sim_duration", dur,
-				"cycles", res.Core.Cycles, "ipc", res.IPC())
-			if tr != nil {
-				s.storeTrace(id, tr, log)
-			}
-			return renderResult(spec.Name, ops, res)
+		s.logger.Info("job started", "job_id", c.id, "content_key", c.key.String(),
+			"benchmark", c.spec.Name, "queue_wait", wait, "ops", c.ops, "traced", traced)
+		data, hit, err := s.cache.GetOrCompute(c.key, func() ([]byte, error) {
+			return s.compute(ctx, j, c, traced)
 		})
 		if err != nil {
 			return nil, err
@@ -337,10 +382,55 @@ func (s *Server) simJob(id string, spec workloads.Spec, cfg sim.Config, ops int,
 				case <-ctx.Done():
 				}
 			}
-			s.store.remove(id)
+			s.store.remove(c.id)
 		}
 		j.SetProgress("finished", 2, 2)
 		return jobPayload{data: data, cached: hit}, nil
+	}
+}
+
+// compute runs c's simulation in this process: the local executor's cache
+// fill, for a sim job and an arena cell alike. A snapshot persisted under
+// c's content-keyed ID, by a previous process or by a dead cluster peer
+// sharing the checkpoint dir, lets the run pick up from its last boundary
+// instead of µop zero. j, when not nil, receives progress. With traced
+// set, a run that starts from µop zero carries a simtrace ring and the
+// rendered Chrome trace is retained for GET /v1/jobs/{id}/trace.
+func (s *Server) compute(ctx context.Context, j *jobq.Job, c simCall, traced bool) ([]byte, error) {
+	log := s.logger.With("job_id", c.id, "content_key", c.key.String(), "benchmark", c.spec.Name)
+	var resume *sim.Snapshot
+	if s.store != nil && c.cfg.CheckpointEveryOps > 0 {
+		resume = s.store.loadSnapshot(c.id)
+	}
+	setProgress(j, "generating checkpoint", 0, 2)
+	ck := workloads.Checkpoint(c.spec, c.ops)
+	setProgress(j, "simulating", 1, 2)
+	var tr *simtrace.Tracer
+	if traced && resume == nil {
+		tr = simtrace.New(traceRingCap)
+	}
+	start := time.Now()
+	res, err := s.runSim(ctx, j, c.id, ck, c.cfg, resume, tr)
+	dur := time.Since(start)
+	if err != nil {
+		log.Warn("simulation failed", "sim_duration", dur, "error", err)
+		return nil, err
+	}
+	s.runDur.Observe(dur)
+	s.observeSimRate(dur, c.ops)
+	log.Info("simulation finished", "sim_duration", dur,
+		"cycles", res.Core.Cycles, "ipc", res.IPC())
+	if tr != nil {
+		s.storeTrace(c.id, tr, log)
+	}
+	return renderResult(c.spec.Name, c.ops, res)
+}
+
+// setProgress publishes progress on j; arena cells run without a job of
+// their own.
+func setProgress(j *jobq.Job, stage string, done, total int) {
+	if j != nil {
+		j.SetProgress(stage, done, total)
 	}
 }
 
@@ -364,8 +454,7 @@ func (s *Server) storeTrace(id string, tr *simtrace.Tracer, log *slog.Logger) {
 // restore is deleted and the run starts from µop zero; only a snapshot that
 // restores counts in cdpd_jobs_resumed_total. Cancellation is
 // observed at boundaries for segmented runs and continuously for plain
-// ones. A non-nil tracer records the run's event stream; resumed runs are
-// never traced (the ring would only cover the tail segment).
+// ones. A non-nil tracer records the run's event stream.
 func (s *Server) runSim(ctx context.Context, j *jobq.Job, id string, ck *trace.Checkpoint, cfg sim.Config, resume *sim.Snapshot, tr *simtrace.Tracer) (*sim.Result, error) {
 	if cfg.CheckpointEveryOps <= 0 {
 		if err := ctx.Err(); err != nil {
@@ -380,7 +469,7 @@ func (s *Server) runSim(ctx context.Context, j *jobq.Job, id string, ck *trace.C
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		j.SetProgress("simulating", 1+snap.OpsFetched/cfg.CheckpointEveryOps, 0)
+		setProgress(j, "simulating", 1+snap.OpsFetched/cfg.CheckpointEveryOps, 0)
 		if s.store != nil {
 			if err := s.store.saveSnapshot(id, snap); err != nil {
 				s.ckptWriteErrs.Add(1)
@@ -426,8 +515,11 @@ func (s *Server) respondJob(w http.ResponseWriter, r *http.Request, wait bool, j
 	v, err := job.Result()
 	if err != nil {
 		code := http.StatusInternalServerError
-		if errors.Is(err, jobq.ErrCanceled) {
+		switch {
+		case errors.Is(err, jobq.ErrCanceled):
 			code = http.StatusConflict
+		case errors.Is(err, ErrNoWorkers):
+			code = http.StatusServiceUnavailable
 		}
 		writeError(w, code, "%v", err)
 		return
@@ -435,6 +527,34 @@ func (s *Server) respondJob(w http.ResponseWriter, r *http.Request, wait bool, j
 	p := v.(jobPayload)
 	injectRespondFaults(w, r)
 	writeJSON(w, http.StatusOK, envelope{Cached: p.cached, Result: p.data})
+}
+
+// serveReport answers a request for a cacheable report (an arena sweep, an
+// experiment): the resident bytes on a hit, else a queued job that fn
+// computes them in, or the live job of the same ID, under the 202/?wait=1
+// contract.
+func (s *Server) serveReport(w http.ResponseWriter, r *http.Request, key simcache.Key, jobID string, priority int, fn jobq.Func) {
+	if data, ok := s.cache.Get(key); ok {
+		injectRespondFaults(w, r)
+		writeJSON(w, http.StatusOK, envelope{Cached: true, Result: data})
+		return
+	}
+	if s.shedLowPriority(priority) {
+		s.writeShed(w)
+		return
+	}
+	job, err := s.queue.Submit(jobID, priority, fn)
+	if errors.Is(err, jobq.ErrDuplicateID) {
+		if j, ok := s.queue.Get(jobID); ok {
+			s.respondJob(w, r, false, j)
+			return
+		}
+	}
+	if err != nil {
+		s.writeBackpressure(w, err)
+		return
+	}
+	s.respondJob(w, r, false, job)
 }
 
 // jobView is the GET /v1/jobs/{id} response.

@@ -3,16 +3,17 @@ package api
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/jobq"
 	"repro/internal/prefetch/registry"
 	"repro/internal/report"
-	"repro/internal/sim"
 	"repro/internal/simcache"
 	"repro/internal/workloads"
 )
@@ -46,15 +47,20 @@ func (s *Server) handleEngines(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"engines": out})
 }
 
+// arenaFanout bounds the cells a routed arena keeps in flight, so one sweep
+// cannot flood a small fleet's queues into backpressure. A local arena
+// computes its cells one at a time on the job's own worker.
+const arenaFanout = 8
+
 // handleArena is GET /v1/arena: run every requested engine over every
 // requested benchmark and rank the cells against the stride baseline.
 // Query parameters: ops (µop budget per cell), benchmarks and engines
 // (comma lists; default the suite representatives × the whole registry),
 // priority, wait=1.
 //
-// Each cell is cached under the same content key POST /v1/sim uses, so an
-// arena never re-simulates a configuration the daemon has already served —
-// and later single-sim requests hit the cells the arena filled.
+// Each cell is the POST /v1/sim of its arenaCellRequest on this server, so
+// an arena never re-simulates a configuration the server has already
+// served, and later single-sim requests hit the cells the arena filled.
 func (s *Server) handleArena(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	ops := 0
@@ -100,48 +106,25 @@ func (s *Server) handleArena(w http.ResponseWriter, r *http.Request) {
 		engines = strings.Split(v, ",")
 	}
 	for _, e := range engines {
-		if _, _, err := arenaCellSim(benchmarks[0], e, ops); err != nil {
+		if _, err := s.arenaCell(benchmarks[0], e, ops); err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	}
 
-	key := simcache.KeyForArena(benchmarks, engines, ops)
-	if data, ok := s.cache.Get(key); ok {
-		injectRespondFaults(w, r)
-		writeJSON(w, http.StatusOK, envelope{Cached: true, Result: data})
-		return
-	}
-	if s.shedLowPriority(priority) {
-		s.writeShed(w)
-		return
-	}
-
-	jobID := "arena-" + key.String()
-	job, err := s.queue.Submit(jobID, priority, s.arenaJob(benchmarks, engines, ops, key))
-	if errors.Is(err, jobq.ErrDuplicateID) {
-		if j, ok := s.queue.Get(jobID); ok {
-			s.respondJob(w, r, false, j)
-			return
-		}
-	}
-	if err != nil {
-		s.writeBackpressure(w, err)
-		return
-	}
-	s.respondJob(w, r, false, job)
+	key := simcache.KeyForArena(benchmarks, engines, ops, s.opts.CheckpointEveryOps)
+	s.serveReport(w, r, key, "arena-"+key.String(), priority, s.arenaJob(benchmarks, engines, ops, key))
 }
 
-// ArenaCellRequest maps one arena cell onto its POST /v1/sim request. It is
-// the only spelling of a cell: the standalone arena resolves it through
-// buildSim and the cluster coordinator's fan-out submits it, so a cell
-// computed anywhere fills the exact cache entry every worker's /v1/sim and
-// /v1/arena paths read. The three engines with their own request knobs
-// (stride is the always-on baseline, cdp and markov_kb enable theirs) run
-// their canonical configurations; interface-native entrants ride the
-// request's engine field and accept the registry's spec grammar. The
-// stride baseline each benchmark is ranked against is the "stride" cell.
-func ArenaCellRequest(bench, engineSpec string, ops int) (SimRequest, error) {
+// arenaCellRequest maps one arena cell onto its POST /v1/sim request. It
+// is the only spelling of a cell, so a cell computed anywhere fills the
+// exact cache entry every server's /v1/sim and /v1/arena paths read. The
+// three engines with their own request knobs (stride is the always-on
+// baseline, cdp and markov_kb enable theirs) run their canonical
+// configurations; interface-native entrants ride the request's engine
+// field and accept the registry's spec grammar. The stride baseline each
+// benchmark is ranked against is the "stride" cell.
+func arenaCellRequest(bench, engineSpec string, ops int) (SimRequest, error) {
 	name, params, err := registry.ParseSpec(engineSpec)
 	if err != nil {
 		return SimRequest{}, fmt.Errorf("arena: %w", err)
@@ -167,35 +150,19 @@ func ArenaCellRequest(bench, engineSpec string, ops int) (SimRequest, error) {
 	return req, nil
 }
 
-// arenaCellSim resolves one arena cell into its simulation inputs exactly
-// as a POST /v1/sim of ArenaCellRequest would.
-func arenaCellSim(bench, engineSpec string, ops int) (workloads.Spec, sim.Config, error) {
-	req, err := ArenaCellRequest(bench, engineSpec, ops)
+// arenaCell resolves one cell exactly as this server resolves the POST
+// /v1/sim of its arenaCellRequest, default checkpoint interval included.
+func (s *Server) arenaCell(bench, engineSpec string, ops int) (simCall, error) {
+	req, err := arenaCellRequest(bench, engineSpec, ops)
 	if err != nil {
-		return workloads.Spec{}, sim.Config{}, err
+		return simCall{}, err
 	}
-	spec, cfg, _, err := buildSim(req)
-	return spec, cfg, err
+	return resolve(s.stamp(req))
 }
 
-// MarshalArenaReport renders the cacheable arena payload. Exported so the
-// coordinator's distributed fan-out and the local arenaJob produce the
-// same bytes for the same cells.
-func MarshalArenaReport(ops int, benchmarks, engines []string, cells []report.ArenaCell) ([]byte, error) {
-	return json.Marshal(arenaReport{
-		Ops:         ops,
-		Benchmarks:  benchmarks,
-		Engines:     engines,
-		Cells:       cells,
-		Leaderboard: report.ArenaLeaderboard(cells),
-	})
-}
-
-// MakeArenaCell assembles one leaderboard cell from a benchmark's stride
-// baseline result and the engine under test's. Exported so the
-// coordinator's distributed fan-out attributes and ranks cells exactly as
-// the local arenaJob does.
-func MakeArenaCell(engine, bench string, base, res *SimResult) report.ArenaCell {
+// makeArenaCell assembles one leaderboard cell from a benchmark's stride
+// baseline result and the engine under test's.
+func makeArenaCell(engine, bench string, base, res *SimResult) report.ArenaCell {
 	cell := report.ArenaCell{
 		Engine:    engine,
 		Benchmark: bench,
@@ -217,40 +184,16 @@ func MakeArenaCell(engine, bench string, base, res *SimResult) report.ArenaCell 
 	return cell
 }
 
-// arenaJob sweeps the benchmark × engine matrix. Every cell — and the
-// stride baseline each benchmark is ranked against — flows through
-// GetOrCompute under the /v1/sim content key, so concurrent arenas and
-// single-sim requests all collapse onto one simulation per configuration.
+// arenaJob sweeps the benchmark × engine matrix. Every cell, and the stride
+// baseline each benchmark is ranked against, runs through the executor
+// under its /v1/sim content key, so concurrent arenas and single-sim
+// requests all collapse onto one simulation per configuration. The report
+// is assembled in benchmark-outer, engine-inner order whatever order the
+// cells finish in.
 func (s *Server) arenaJob(benchmarks, engines []string, ops int, key simcache.Key) jobq.Func {
 	return func(ctx context.Context, j *jobq.Job) (any, error) {
 		data, hit, err := s.cache.GetOrCompute(key, func() ([]byte, error) {
-			total := len(benchmarks) * (len(engines) + 1)
-			done := 0
-			cells := make([]report.ArenaCell, 0, len(benchmarks)*len(engines))
-			for _, bench := range benchmarks {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				baseRes, err := s.arenaCell(ctx, bench, "stride", ops)
-				done++
-				j.SetProgress("simulating", done, total)
-				if err != nil {
-					return nil, err
-				}
-				for _, eng := range engines {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-					res, err := s.arenaCell(ctx, bench, eng, ops)
-					done++
-					j.SetProgress("simulating", done, total)
-					if err != nil {
-						return nil, err
-					}
-					cells = append(cells, MakeArenaCell(eng, bench, baseRes, res))
-				}
-			}
-			return MarshalArenaReport(ops, benchmarks, engines, cells)
+			return s.runArena(ctx, j, benchmarks, engines, ops)
 		})
 		if err != nil {
 			return nil, err
@@ -259,27 +202,89 @@ func (s *Server) arenaJob(benchmarks, engines []string, ops int, key simcache.Ke
 	}
 }
 
-// arenaCell computes (or fetches) one cell under the /v1/sim content key and
-// decodes the stable SimResult the cache stores.
-func (s *Server) arenaCell(ctx context.Context, bench, engineSpec string, ops int) (*SimResult, error) {
-	spec, cfg, err := arenaCellSim(bench, engineSpec, ops)
+// runArena computes every cell, arenaFanout at a time on a routed server
+// and one at a time on a local one, and renders the report. The first
+// failing cell stops the sweep and fails it.
+func (s *Server) runArena(ctx context.Context, j *jobq.Job, benchmarks, engines []string, ops int) ([]byte, error) {
+	type cell struct {
+		bench, engine string
+		baseline      bool // the stride run the bench's other cells are ranked against
+	}
+	var cells []cell
+	for _, bench := range benchmarks {
+		cells = append(cells, cell{bench, "stride", true})
+		for _, eng := range engines {
+			cells = append(cells, cell{bench, eng, false})
+		}
+	}
+	results := make([]*SimResult, len(cells))
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	var next, done atomic.Int64
+	var wg sync.WaitGroup
+	workers := 1
+	if s.route != nil {
+		workers = arenaFanout
+	}
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(cells) && ctx.Err() == nil; i = int(next.Add(1) - 1) {
+				res, err := s.runCell(ctx, cells[i].bench, cells[i].engine, ops)
+				if err != nil {
+					cancel(err)
+					return
+				}
+				results[i] = res
+				j.SetProgress("simulating", int(done.Add(1)), len(cells))
+			}
+		}()
+	}
+	wg.Wait()
+	if err := context.Cause(ctx); err != nil {
+		return nil, err
+	}
+
+	out := arenaReport{Ops: ops, Benchmarks: benchmarks, Engines: engines}
+	var base *SimResult
+	for i, c := range cells {
+		if c.baseline {
+			base = results[i]
+			continue
+		}
+		out.Cells = append(out.Cells, makeArenaCell(c.engine, c.bench, base, results[i]))
+	}
+	out.Leaderboard = report.ArenaLeaderboard(out.Cells)
+	return json.Marshal(out)
+}
+
+// runCell computes (or fetches) one cell through the executor and decodes
+// the stable SimResult the cache stores.
+func (s *Server) runCell(ctx context.Context, bench, engineSpec string, ops int) (*SimResult, error) {
+	c, err := s.arenaCell(bench, engineSpec, ops)
 	if err != nil {
 		return nil, err
 	}
-	key := simcache.KeyFor(spec, cfg, ops)
-	data, _, err := s.cache.GetOrCompute(key, func() ([]byte, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	var data []byte
+	if s.route != nil {
+		data, _, err = s.route(ctx, c.id, c.key, c.ops, c.req, math.MaxInt)
+	} else {
+		data, _, err = s.cache.GetOrCompute(c.key, func() ([]byte, error) {
+			return s.compute(ctx, nil, c, false)
+		})
+		if err == nil && s.store != nil {
+			// A cell has no job of its own to clear the snapshots its run
+			// persisted.
+			s.store.removeSnapshot(c.id)
 		}
-		ck := workloads.Checkpoint(spec, ops)
-		return renderResult(spec.Name, ops, sim.Run(ck, cfg))
-	})
+	}
 	if err != nil {
 		return nil, err
 	}
 	var res SimResult
 	if err := json.Unmarshal(data, &res); err != nil {
-		return nil, fmt.Errorf("arena: corrupt cached cell for %s: %w", spec.Name, err)
+		return nil, fmt.Errorf("arena: corrupt cell result for %s: %w", bench, err)
 	}
 	return &res, nil
 }

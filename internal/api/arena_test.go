@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -147,5 +148,38 @@ func TestArenaBadRequests(t *testing.T) {
 		if !strings.Contains(w.Body.String(), tc.wantErr) {
 			t.Errorf("%s: body %s missing %q", tc.query, w.Body, tc.wantErr)
 		}
+	}
+}
+
+// TestArenaCellRequestRejectsParameterisedEngine: the engines with their
+// own request knobs run only their canonical configuration in an arena
+// cell, so a parameterised spelling must be refused rather than silently
+// dropping its parameters.
+func TestArenaCellRequestRejectsParameterisedEngine(t *testing.T) {
+	const ops = 20_000
+	for _, engine := range []string{"markov(budget_kb=64)", "markov:entries=64", "cdp:depth=2"} {
+		if _, err := arenaCellRequest("quake", engine, ops); err == nil {
+			t.Errorf("parameterised %q accepted by arenaCellRequest", engine)
+		}
+	}
+}
+
+// TestArenaCellsRunAsSubmitted: a cell is the POST /v1/sim of its cell
+// request on this server, so the server's default checkpoint interval
+// segments it and its snapshots reach the store, which holds nothing once
+// the sweep has finished.
+func TestArenaCellsRunAsSubmitted(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := newResilientServer(t, jobq.Config{Workers: 1, Capacity: 4},
+		Options{CheckpointDir: dir, CheckpointEveryOps: 4000})
+	if w := getArena(t, s, "?ops=10000&benchmarks=b2c&engines=cdp&wait=1"); w.Code != http.StatusOK {
+		t.Fatalf("arena: %d %s", w.Code, w.Body)
+	}
+	if got := s.ckptWrites.Load(); got == 0 {
+		t.Fatal("arena cells ran unsegmented despite the server's default interval")
+	}
+	left, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil || len(left) != 0 {
+		t.Fatalf("checkpoint files left after the sweep: %v (%v)", left, err)
 	}
 }

@@ -8,9 +8,9 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/faultinject"
 	"repro/internal/sim"
-	"repro/internal/simcache"
 )
 
 // ckptStore persists, per running simulation job, the request that started
@@ -21,8 +21,9 @@ import (
 //	<job-id>.req.json  the defaulted SimRequest, for resubmission
 //	<job-id>.snap      the latest sim.Snapshot (absent until the first boundary)
 //
-// Writes are atomic (temp file + rename) so a crash mid-write leaves the
-// previous snapshot intact, never a torn one.
+// Writes go through atomicfile, so a crash mid-write leaves the previous
+// snapshot intact, never a torn one, and two workers sharing the directory
+// cannot rename each other's half-written file into place.
 type ckptStore struct {
 	dir string
 }
@@ -39,26 +40,13 @@ const (
 	snapSuffix = ".snap"
 )
 
-// writeAtomic lands data at path via a temp file and rename.
-func (st *ckptStore) writeAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		_ = os.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
 // saveRequest records the (already defaulted) request for id.
 func (st *ckptStore) saveRequest(id string, req SimRequest) error {
 	data, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
-	return st.writeAtomic(filepath.Join(st.dir, id+reqSuffix), data)
+	return atomicfile.Write(filepath.Join(st.dir, id+reqSuffix), data)
 }
 
 // saveSnapshot replaces id's resume point with snap. The ckpt.write.error
@@ -73,14 +61,14 @@ func (st *ckptStore) saveSnapshot(id string, snap *sim.Snapshot) error {
 	if err != nil {
 		return err
 	}
-	return st.writeAtomic(filepath.Join(st.dir, id+snapSuffix), blob)
+	return atomicfile.Write(filepath.Join(st.dir, id+snapSuffix), blob)
 }
 
 // loadSnapshot returns id's persisted boundary snapshot, or nil when none
 // exists or it fails to decode (a torn file degrades to a from-scratch
-// run, exactly like load's recovery path). The submit path uses it to
-// resume a job a dead cluster peer had in flight when the checkpoint
-// directory is shared.
+// run). Every local run consults it, so a job recovered at startup, or one
+// a dead cluster peer had in flight when the checkpoint directory is
+// shared, resumes from its last boundary.
 func (st *ckptStore) loadSnapshot(id string) *sim.Snapshot {
 	blob, err := os.ReadFile(filepath.Join(st.dir, id+snapSuffix))
 	if err != nil {
@@ -107,15 +95,13 @@ func (st *ckptStore) removeSnapshot(id string) {
 
 // pendingJob is one persisted, unfinished simulation found at startup.
 type pendingJob struct {
-	id   string
-	req  SimRequest
-	snap *sim.Snapshot // nil when the job died before its first boundary
+	id  string
+	req SimRequest
 }
 
-// load scans the directory for persisted requests and pairs each with its
-// snapshot when one decodes cleanly. Unreadable or torn files are skipped
-// (a corrupt snapshot degrades to a from-scratch rerun, a corrupt request
-// to nothing), never fatal: recovery must not be able to wedge startup.
+// load scans the directory for persisted requests. Unreadable or torn
+// files are skipped (a corrupt request degrades to nothing), never fatal:
+// recovery must not be able to wedge startup.
 func (st *ckptStore) load() ([]pendingJob, error) {
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {
@@ -137,19 +123,13 @@ func (st *ckptStore) load() ([]pendingJob, error) {
 			st.remove(id)
 			continue
 		}
-		p := pendingJob{id: id, req: req}
-		if blob, err := os.ReadFile(filepath.Join(st.dir, id+snapSuffix)); err == nil {
-			if snap, err := sim.DecodeSnapshot(blob); err == nil {
-				p.snap = snap
-			}
-		}
-		out = append(out, p)
+		out = append(out, pendingJob{id: id, req: req})
 	}
 	return out, nil
 }
 
-// RecoverJobs resubmits every simulation persisted by a previous process,
-// resuming each from its latest boundary snapshot when one survived. Job
+// RecoverJobs resubmits every simulation persisted by a previous process;
+// each resumes from its latest boundary snapshot when one survived. Job
 // IDs are content-keyed ("sim-<hash>"), so clients polling an ID from
 // before the restart find the recovered job under the same handle. It
 // returns the number of jobs resubmitted and is a no-op without a
@@ -164,31 +144,26 @@ func (s *Server) RecoverJobs() (int, error) {
 	}
 	n := 0
 	for _, p := range pending {
-		spec, cfg, ops, err := buildSim(p.req)
+		c, err := resolve(p.req)
 		if err != nil {
 			// The request predates a validation change; nothing to resume.
 			s.store.remove(p.id)
 			continue
 		}
-		key := simcache.KeyFor(spec, cfg, ops)
-		if id := SimJobID(key); id != p.id {
+		if c.id != p.id {
 			// Hash scheme changed across the restart; the snapshot would
 			// land under a different job anyway.
 			s.store.remove(p.id)
 			continue
 		}
-		if _, ok := s.cache.Get(key); ok {
+		if _, ok := s.cache.Get(c.key); ok {
 			s.store.remove(p.id)
 			continue
 		}
-		snap := p.snap
-		if snap != nil && cfg.CheckpointEveryOps <= 0 {
-			snap = nil
-		}
 		// Recovered jobs are never traced: a resume would only cover the
 		// tail segment, and the submitter who wanted the trace is gone.
-		_, err = s.queue.SubmitTimeout(p.id, p.req.Priority, s.adaptiveTimeout(ops),
-			s.simJob(p.id, spec, cfg, ops, key, snap, time.Now(), false, nil))
+		_, err = s.queue.SubmitTimeout(p.id, p.req.Priority, s.adaptiveTimeout(c.ops),
+			s.simJob(c, time.Now(), false, nil))
 		if err != nil {
 			// Queue full or shutting down: leave the files for next time.
 			continue

@@ -3,7 +3,6 @@ package api
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"strconv"
 
@@ -56,30 +55,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 
 	key := simcache.KeyForExperiment(id, ops, reps)
-	if data, ok := s.cache.Get(key); ok {
-		injectRespondFaults(w, r)
-		writeJSON(w, http.StatusOK, envelope{Cached: true, Result: data})
-		return
-	}
-
-	if s.shedLowPriority(priority) {
-		s.writeShed(w)
-		return
-	}
-
-	jobID := "exp-" + key.String()
-	job, err := s.queue.Submit(jobID, priority, s.experimentJob(runner, ops, reps, key))
-	if errors.Is(err, jobq.ErrDuplicateID) {
-		if j, ok := s.queue.Get(jobID); ok {
-			s.respondJob(w, r, false, j)
-			return
-		}
-	}
-	if err != nil {
-		s.writeBackpressure(w, err)
-		return
-	}
-	s.respondJob(w, r, false, job)
+	s.serveReport(w, r, key, "exp-"+key.String(), priority, s.experimentJob(runner, ops, reps, key))
 }
 
 // experimentJob runs one experiment under the job's context, forwarding

@@ -40,8 +40,7 @@ type SimRequest struct {
 	// (stride is the always-on baseline, markov_kb sizes the STAB), so
 	// naming any of the three here is rejected and every configuration has
 	// exactly one request spelling — and therefore exactly one content key.
-	// The arena's cells, standalone or fanned out by the coordinator, are
-	// built from this request (ArenaCellRequest).
+	// The arena's cells are built from this request (arenaCellRequest).
 	Engine string `json:"engine,omitempty"`
 
 	L2KB       int  `json:"l2_kb,omitempty"`       // 0 = 1024
@@ -156,11 +155,10 @@ func buildSim(req SimRequest) (workloads.Spec, sim.Config, int, error) {
 	return spec, cfg, ops, nil
 }
 
-// ResolveSim resolves a request exactly as the submit handler does, for
-// callers that must agree with this server about content keys — the
-// cluster coordinator routes by simcache.KeyFor over these outputs, and
-// where its routing disagreed with the workers' own resolution the
-// "same key, same owner, computed once" guarantee would silently rot.
+// ResolveSim resolves a request exactly as the submit handler does once
+// the server's default checkpoint interval is stamped on, for callers that
+// must agree with this server about content keys, such as a benchmark
+// naming the job a request will get.
 func ResolveSim(req SimRequest) (workloads.Spec, sim.Config, int, error) {
 	return buildSim(req)
 }
@@ -170,6 +168,40 @@ func ResolveSim(req SimRequest) (workloads.Spec, sim.Config, int, error) {
 // submissions, daemon restarts, and cluster work stealing all converge on
 // one job handle.
 func SimJobID(key simcache.Key) string { return "sim-" + key.String() }
+
+// simCall is one resolved simulation request: the request as submitted
+// (defaults stamped), its simulation inputs, and the content key and job
+// ID they hash to. Both executors take it.
+type simCall struct {
+	req  SimRequest
+	spec workloads.Spec
+	cfg  sim.Config
+	ops  int
+	key  simcache.Key
+	id   string
+}
+
+// stamp writes the server's default checkpoint interval onto a request
+// that names none, before it is keyed. The interval is then explicit in
+// the request, so a coordinator and the worker it places the request on
+// resolve the same configuration, and the same content key, whatever the
+// worker's own default.
+func (s *Server) stamp(req SimRequest) SimRequest {
+	if req.CheckpointEveryOps == 0 {
+		req.CheckpointEveryOps = s.opts.CheckpointEveryOps
+	}
+	return req
+}
+
+// resolve validates req and derives its content key and job ID.
+func resolve(req SimRequest) (simCall, error) {
+	spec, cfg, ops, err := buildSim(req)
+	if err != nil {
+		return simCall{}, err
+	}
+	key := simcache.KeyFor(spec, cfg, ops)
+	return simCall{req: req, spec: spec, cfg: cfg, ops: ops, key: key, id: SimJobID(key)}, nil
+}
 
 func benchmarkNames() []string {
 	specs := workloads.All()

@@ -22,13 +22,7 @@ var KillCoordinatorMidArena = Scenario{
 	Name:        "kill-coordinator",
 	Description: "SIGKILL coordinator mid-arena, restart over the journal, kill a worker owning in-flight cells",
 	Run: func(r *Run) {
-		// Arena cells run unsegmented on both sides: the standalone arena
-		// resolves cells without the server's default checkpoint interval,
-		// so the coordinator must not stamp one either or the cell configs
-		// (and their measured counters) would differ by construction.
-		r.StartCoordinator(func(o *cluster.CoordinatorOptions) {
-			o.CheckpointEveryOps = 0
-		})
+		r.StartCoordinator(nil)
 		for _, name := range []string{"w1", "w2", "w3"} {
 			r.StartWorker(name)
 		}

@@ -11,7 +11,6 @@ import (
 	"math"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,10 +19,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/faultinject"
 	"repro/internal/jobq"
-	"repro/internal/prefetch/registry"
-	"repro/internal/report"
 	"repro/internal/simcache"
-	"repro/internal/workloads"
 )
 
 const (
@@ -43,11 +39,6 @@ const (
 	// redirect accuracy for old jobs, never correctness.
 	maxPlacedEntries = 4096
 
-	// arenaFanout bounds concurrently in-flight cells during a distributed
-	// arena sweep, so one sweep cannot flood a small fleet's queues into
-	// backpressure.
-	arenaFanout = 8
-
 	// hedgeHeadroom scales the placement-rate EWMA into the hedge delay: a
 	// placement this many times slower than the running mean is treated as
 	// a likely straggler and a second placement races it. The multiplier
@@ -66,8 +57,9 @@ const (
 	routeRateAlpha = 0.3
 )
 
-// errNoWorkers fails jobs routed while the ring is empty.
-var errNoWorkers = errors.New("cluster: no live workers")
+// errNoWorkers fails jobs routed while the ring is empty; the submit path
+// answers it 503.
+var errNoWorkers = fmt.Errorf("cluster: %w", api.ErrNoWorkers)
 
 // joinRequest is the register/heartbeat/leave body a worker posts.
 type joinRequest struct {
@@ -90,12 +82,6 @@ type joinReply struct {
 	TTLMillis  int64        `json:"ttl_ms"`
 	Generation uint64       `json:"generation"`
 	Members    []memberInfo `json:"members"`
-}
-
-// envelope mirrors the worker's terminal response shape.
-type envelope struct {
-	Cached bool            `json:"cached"`
-	Result json.RawMessage `json:"result"`
 }
 
 // member is one registered worker. Fields are guarded by Coordinator.mu;
@@ -121,16 +107,16 @@ type CoordinatorOptions struct {
 	// LeaseTTL is the heartbeat lease (0 = DefaultLeaseTTL). Tests shrink
 	// it to make lease-lapse stealing fast.
 	LeaseTTL time.Duration
-	// CheckpointEveryOps is the default segmentation interval stamped onto
-	// requests that do not choose their own — mirrored onto the forwarded
-	// request explicitly, so every worker computes the same content key the
-	// coordinator routed by.
+	// CheckpointEveryOps is the default segmentation interval the front end
+	// stamps onto requests and arena cells that do not choose their own,
+	// explicitly in the placed request, so every worker computes the same
+	// content key the coordinator routed by.
 	CheckpointEveryOps int
 	// CacheBytes bounds the coordinator's local cache (assembled arena
 	// reports; 0 = 64 MiB). Simulation results live on the workers.
 	CacheBytes int64
 	// Queue sizes the coordinator's local job pool (arena assembly jobs and
-	// the external handles of proxied sims).
+	// the external handles of routed sims).
 	Queue jobq.Config
 	// StateDir persists the membership/placement write-ahead journal so a
 	// restarted coordinator re-adopts its generation, re-leases surviving
@@ -161,13 +147,13 @@ func (o CoordinatorOptions) cacheBytes() int64 {
 }
 
 // Coordinator owns cluster membership and routes content-keyed jobs to
-// their ring owners. It embeds a full api.Server — job polling, streaming,
-// cancellation, metrics and health all behave exactly as on a standalone
-// daemon — and overrides the submit paths with routed versions.
+// their ring owners. It embeds a full api.Server built with routeSim as its
+// executor, so every client-facing route, /v1/sim and /v1/arena included,
+// is the standalone daemon's own handler; the coordinator adds only the
+// membership routes, readiness, the trace redirect and its metrics block.
 type Coordinator struct {
 	opts   CoordinatorOptions
 	queue  *jobq.Queue
-	cache  *simcache.Cache
 	api    *api.Server
 	mux    *http.ServeMux
 	httpc  *http.Client
@@ -205,7 +191,7 @@ type Coordinator struct {
 
 // NewCoordinator builds and starts a coordinator: its local queue, the
 // embedded API server, and the lease sweeper. The coordinator is the
-// cluster's lifecycle root — forwards and sweeps must outlive any single
+// cluster's lifecycle root — placements and sweeps must outlive any single
 // client request, and only Close stops them.
 //
 // simlint:rootctx
@@ -214,7 +200,6 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	c := &Coordinator{
 		opts:       opts,
 		queue:      jobq.New(opts.Queue),
-		cache:      simcache.New(opts.cacheBytes()),
 		mux:        http.NewServeMux(),
 		httpc:      &http.Client{},
 		logger:     opts.Logger,
@@ -229,7 +214,8 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	if c.logger == nil {
 		c.logger = slog.New(slog.DiscardHandler)
 	}
-	srv, err := api.NewWithOptions(c.queue, c.cache, api.Options{Logger: opts.Logger})
+	srv, err := api.NewRouted(ctx, c.queue, simcache.New(opts.cacheBytes()),
+		api.Options{CheckpointEveryOps: opts.CheckpointEveryOps, Logger: opts.Logger}, c.routeSim)
 	if err != nil {
 		cancel()
 		return nil, err
@@ -250,12 +236,10 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 		c.adoptJournal(state)
 	}
 
-	// Every endpoint the coordinator does not reroute falls through to the
-	// embedded API server, so jobs, streams, cancellation, experiments and
-	// engine listings behave exactly as standalone.
+	// Every client-facing endpoint but the trace redirect is the embedded
+	// API server's, so submissions, arenas, jobs, streams, cancellation,
+	// experiments and engine listings behave exactly as standalone.
 	c.mux.Handle("/", srv)
-	c.mux.HandleFunc("POST /v1/sim", c.handleSubmitSim)
-	c.mux.HandleFunc("GET /v1/arena", c.handleArena)
 	c.mux.HandleFunc("GET /v1/jobs/{id}/trace", c.handleTrace)
 	c.mux.HandleFunc("POST /v1/cluster/register", c.handleRegister)
 	c.mux.HandleFunc("POST /v1/cluster/heartbeat", c.handleHeartbeat)
@@ -301,35 +285,30 @@ func (c *Coordinator) adoptJournal(state JournalState) {
 		"torn_records", state.TornRecords)
 }
 
-// readoptPlacement re-submits one orphaned placement from the journal and
-// forwards it to the content key's current owner, where the submit-path
-// checkpoint probe resumes the victim's snapshot if one exists. The job ID
-// is recomputed from the request, so a corrupted record that no longer
-// resolves is journaled done and dropped rather than re-routed blind.
+// readoptPlacement resubmits one orphaned placement from the journal
+// through the front end's routed submit path, which places it on the
+// content key's current owner, where the submit-path checkpoint probe
+// resumes the victim's snapshot if one exists. A record that no longer
+// decodes or resolves is journaled done and dropped rather than re-routed
+// blind.
 func (c *Coordinator) readoptPlacement(pl Placement) {
 	var req api.SimRequest
-	if err := json.Unmarshal(pl.Req, &req); err != nil {
+	err := json.Unmarshal(pl.Req, &req)
+	id := pl.Job
+	if err == nil {
+		id, err = c.api.Resubmit(req)
+	}
+	switch {
+	case err == nil:
+		c.readopted.Add(1)
+		c.logger.Info("placement re-adopted from journal", "job_id", id, "last_worker", pl.Worker)
+	case errors.Is(err, jobq.ErrDuplicateID), errors.Is(err, jobq.ErrShuttingDown):
+		// A live placement already owns it, or the queue is closing:
+		// nothing to adopt.
+	default:
 		c.logger.Warn("dropping unresolvable journaled placement", "job_id", pl.Job, "err", err)
 		c.journal.append(journalRecord{T: "done", Job: pl.Job})
-		return
 	}
-	spec, cfg, ops, err := api.ResolveSim(req)
-	if err != nil {
-		c.logger.Warn("dropping unresolvable journaled placement", "job_id", pl.Job, "err", err)
-		c.journal.append(journalRecord{T: "done", Job: pl.Job})
-		return
-	}
-	key := simcache.KeyFor(spec, cfg, ops)
-	id := api.SimJobID(key)
-	job, err := c.queue.SubmitExternal(id, req.Priority)
-	if err != nil {
-		// Duplicate means a live forward already owns it; anything else
-		// means the queue is closing. Either way there is nothing to adopt.
-		return
-	}
-	c.readopted.Add(1)
-	c.logger.Info("placement re-adopted from journal", "job_id", id, "last_worker", pl.Worker)
-	go c.forward(job, id, key, ops, req, maxRouteAttempts)
 }
 
 // ServeHTTP implements http.Handler.
@@ -338,9 +317,9 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.mux.
 // API exposes the embedded server (drain flips, tests).
 func (c *Coordinator) API() *api.Server { return c.api }
 
-// Close stops the sweeper, cancels in-flight forwards, and drains the
+// Close stops the sweeper, cancels in-flight placements, and drains the
 // local queue within ctx's deadline. The journal stays open until the
-// forwards have settled, so their terminal records land.
+// placements have settled, so their terminal records land.
 func (c *Coordinator) Close(ctx context.Context) error {
 	c.rootCancel()
 	c.sweeperWG.Wait()
@@ -853,7 +832,10 @@ func (c *Coordinator) postSim(ctx context.Context, owner memberInfo, id string, 
 		}
 		return nil, false, true, fmt.Errorf("worker %s answered %d: %s", owner.Name, resp.StatusCode, msg)
 	}
-	var env envelope
+	var env struct {
+		Cached bool            `json:"cached"`
+		Result json.RawMessage `json:"result"`
+	}
 	if err := json.Unmarshal(payload, &env); err != nil {
 		// A torn 200 body: the worker died mid-response. Steal.
 		return nil, false, false, fmt.Errorf("torn worker response: %w", err)
@@ -861,118 +843,7 @@ func (c *Coordinator) postSim(ctx context.Context, owner memberInfo, id string, 
 	return env.Result, env.Cached, true, nil
 }
 
-// ---- proxied submission ----
-
-// handleSubmitSim is the coordinator's POST /v1/sim: resolve and validate
-// exactly as a worker would, derive the content key, and hand the job to
-// its ring owner. The job is registered locally as an external job, so
-// /v1/jobs/{id}, streams, and DELETE all work against the coordinator.
-func (c *Coordinator) handleSubmitSim(w http.ResponseWriter, r *http.Request) {
-	var req api.SimRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if req.CheckpointEveryOps == 0 {
-		// Stamp the default explicitly before forwarding so every worker
-		// resolves the same configuration — and the same content key —
-		// regardless of its own flags.
-		req.CheckpointEveryOps = c.opts.CheckpointEveryOps
-	}
-	spec, cfg, ops, err := api.ResolveSim(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	key := simcache.KeyFor(spec, cfg, ops)
-	id := api.SimJobID(key)
-
-	// A client that has already burned retries hands us a smaller budget:
-	// the header caps primaries + steals + hedges for this placement, so
-	// client retries × coordinator attempts cannot multiply unboundedly.
-	budget := maxRouteAttempts
-	if v := r.Header.Get(api.RetryBudgetHeader); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n >= 0 {
-			budget = min(n+1, maxRouteAttempts)
-		}
-	}
-
-	wait := req.Wait || r.URL.Query().Get("wait") == "1"
-	job, err := c.queue.SubmitExternal(id, req.Priority)
-	if errors.Is(err, jobq.ErrDuplicateID) {
-		// Same content key already in flight: attach to it.
-		if j, ok := c.queue.Get(id); ok {
-			c.respondJob(w, r, wait, j)
-			return
-		}
-	}
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	go c.forward(job, id, key, ops, req, budget)
-	c.respondJob(w, r, wait, job)
-}
-
-// forward drives one external job to its terminal state in the
-// background: route (with stealing and hedging), then publish the result.
-// Canceling the job cancels the placement.
-func (c *Coordinator) forward(job *jobq.Job, id string, key simcache.Key, ops int, req api.SimRequest, budget int) {
-	ctx, cancel := context.WithCancel(c.rootCtx)
-	defer cancel()
-	go func() {
-		select {
-		case <-job.Done():
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-	data, cached, err := c.routeSim(ctx, id, key, ops, req, budget)
-	if err != nil {
-		c.queue.CompleteExternal(id, nil, err)
-		return
-	}
-	c.queue.CompleteExternal(id, api.JobResult(data, cached), nil)
-}
-
-// respondJob mirrors the api server's submit response contract: 202 with
-// job links, or block for the terminal result when wait is requested.
-func (c *Coordinator) respondJob(w http.ResponseWriter, r *http.Request, wait bool, job *jobq.Job) {
-	if !wait {
-		writeJSON(w, http.StatusAccepted, map[string]string{
-			"job_id": job.ID(),
-			"status": "/v1/jobs/" + job.ID(),
-			"stream": "/v1/jobs/" + job.ID() + "/stream",
-		})
-		return
-	}
-	select {
-	case <-job.Done():
-	case <-r.Context().Done():
-		// Client gave up; the forward keeps running for the next caller.
-		return
-	}
-	v, err := job.Result()
-	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, jobq.ErrCanceled) {
-			code = http.StatusConflict
-		}
-		if errors.Is(err, errNoWorkers) {
-			code = http.StatusServiceUnavailable
-		}
-		writeError(w, code, "%v", err)
-		return
-	}
-	data, cached, ok := api.JobResultBytes(v)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "job %s finished with an unexpected value", job.ID())
-		return
-	}
-	writeJSON(w, http.StatusOK, envelope{Cached: cached, Result: data})
-}
+// ---- trace redirect ----
 
 // handleTrace redirects a trace request to the worker that ran the job —
 // traces are captured where the simulation ran and never cross the wire.
@@ -987,201 +858,6 @@ func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	http.Redirect(w, r, workerURL+"/v1/jobs/"+id+"/trace", http.StatusTemporaryRedirect)
-}
-
-// ---- distributed arena ----
-
-// handleArena fans an arena sweep's cells out across the fleet: every
-// (benchmark, engine) cell becomes a /v1/sim placement routed by its own
-// content key, so cells land on their owners, dedupe against every other
-// request in the cluster, and fill the shared tiers. The assembled report
-// is cached locally under the same arena key a standalone daemon uses.
-func (c *Coordinator) handleArena(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	ops := 0
-	if v := q.Get("ops"); v != "" {
-		var err error
-		ops, err = strconv.Atoi(v)
-		if err != nil || ops < 0 {
-			writeError(w, http.StatusBadRequest, "bad ops %q", v)
-			return
-		}
-	}
-	if ops == 0 {
-		ops = workloads.DefaultOps
-	}
-	priority := 0
-	if v := q.Get("priority"); v != "" {
-		var err error
-		priority, err = strconv.Atoi(v)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad priority %q", v)
-			return
-		}
-	}
-	var benchmarks []string
-	if v := q.Get("benchmarks"); v != "" {
-		benchmarks = strings.Split(v, ",")
-	} else {
-		for _, spec := range workloads.SuiteRepresentatives() {
-			benchmarks = append(benchmarks, spec.Name)
-		}
-	}
-	engines := registry.Names()
-	if v := q.Get("engines"); v != "" {
-		engines = strings.Split(v, ",")
-	}
-	// Validate every cell up front (unknown benchmark, bad engine spec)
-	// so errors are a 400 here, not a failed job later.
-	for _, bench := range benchmarks {
-		for _, eng := range append([]string{"stride"}, engines...) {
-			cellReq, err := api.ArenaCellRequest(bench, eng, ops)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-			if _, _, _, err := api.ResolveSim(cellReq); err != nil {
-				writeError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-		}
-	}
-
-	key := simcache.KeyForArena(benchmarks, engines, ops)
-	if data, ok := c.cache.Get(key); ok {
-		writeJSON(w, http.StatusOK, envelope{Cached: true, Result: data})
-		return
-	}
-	jobID := "arena-" + key.String()
-	job, err := c.queue.Submit(jobID, priority, c.arenaJob(benchmarks, engines, ops, key))
-	if errors.Is(err, jobq.ErrDuplicateID) {
-		if j, ok := c.queue.Get(jobID); ok {
-			c.respondJob(w, r, q.Get("wait") == "1", j)
-			return
-		}
-	}
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	c.respondJob(w, r, q.Get("wait") == "1", job)
-}
-
-// arenaJob assembles one distributed sweep. Cells are dispatched
-// concurrently (bounded by arenaFanout) and the report is assembled in the
-// same benchmark-outer, engine-inner order as a standalone arena, so the
-// rendered bytes agree with a single daemon sweeping the same matrix.
-func (c *Coordinator) arenaJob(benchmarks, engines []string, ops int, key simcache.Key) jobq.Func {
-	return func(ctx context.Context, j *jobq.Job) (any, error) {
-		data, hit, err := c.cache.GetOrCompute(key, func() ([]byte, error) {
-			return c.runArena(ctx, j, benchmarks, engines, ops)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return api.JobResult(data, hit), nil
-	}
-}
-
-// arenaCellResult is one dispatched cell's decoded outcome.
-type arenaCellResult struct {
-	bench, engine string // engine "" = the stride baseline
-	res           *api.SimResult
-	err           error
-}
-
-// runArena dispatches every cell (plus each benchmark's stride baseline)
-// across the fleet and assembles the report.
-func (c *Coordinator) runArena(ctx context.Context, j *jobq.Job, benchmarks, engines []string, ops int) ([]byte, error) {
-	type cellSpec struct{ bench, engine string }
-	var specs []cellSpec
-	for _, bench := range benchmarks {
-		specs = append(specs, cellSpec{bench, ""})
-		for _, eng := range engines {
-			specs = append(specs, cellSpec{bench, eng})
-		}
-	}
-
-	var (
-		done    atomic.Int64
-		total   = len(specs)
-		sem     = make(chan struct{}, arenaFanout)
-		results = make([]arenaCellResult, total)
-		wg      sync.WaitGroup
-	)
-	for i, spec := range specs {
-		wg.Add(1)
-		go func(i int, spec cellSpec) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			engineSpec := spec.engine
-			if engineSpec == "" {
-				engineSpec = "stride"
-			}
-			res, err := c.dispatchCell(ctx, spec.bench, engineSpec, ops)
-			results[i] = arenaCellResult{bench: spec.bench, engine: spec.engine, res: res, err: err}
-			j.SetProgress("simulating", int(done.Add(1)), total)
-		}(i, spec)
-	}
-	wg.Wait()
-
-	baselines := map[string]*api.SimResult{}
-	cellRes := map[cellSpec]*api.SimResult{}
-	for i, spec := range specs {
-		r := results[i]
-		if r.err != nil {
-			return nil, fmt.Errorf("cell %s/%s: %w", spec.bench, orStride(spec.engine), r.err)
-		}
-		if spec.engine == "" {
-			baselines[spec.bench] = r.res
-		} else {
-			cellRes[spec] = r.res
-		}
-	}
-
-	var cells []report.ArenaCell
-	for _, bench := range benchmarks {
-		base := baselines[bench]
-		for _, eng := range engines {
-			res := cellRes[cellSpec{bench, eng}]
-			cells = append(cells, api.MakeArenaCell(eng, bench, base, res))
-		}
-	}
-	return api.MarshalArenaReport(ops, benchmarks, engines, cells)
-}
-
-// dispatchCell routes one arena cell through the cluster under its /v1/sim
-// content key.
-func (c *Coordinator) dispatchCell(ctx context.Context, bench, engineSpec string, ops int) (*api.SimResult, error) {
-	cellReq, err := api.ArenaCellRequest(bench, engineSpec, ops)
-	if err != nil {
-		return nil, err
-	}
-	if c.opts.CheckpointEveryOps != 0 && cellReq.CheckpointEveryOps == 0 {
-		cellReq.CheckpointEveryOps = c.opts.CheckpointEveryOps
-	}
-	spec, cfg, resolvedOps, err := api.ResolveSim(cellReq)
-	if err != nil {
-		return nil, err
-	}
-	key := simcache.KeyFor(spec, cfg, resolvedOps)
-	data, _, err := c.routeSim(ctx, api.SimJobID(key), key, resolvedOps, cellReq, maxRouteAttempts)
-	if err != nil {
-		return nil, err
-	}
-	var res api.SimResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		return nil, fmt.Errorf("corrupt cell result: %w", err)
-	}
-	return &res, nil
-}
-
-func orStride(engine string) string {
-	if engine == "" {
-		return "stride(baseline)"
-	}
-	return engine
 }
 
 // ---- cluster telemetry ----

@@ -3,12 +3,12 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/atomicfile"
 	"repro/internal/faultinject"
 )
 
@@ -171,12 +171,7 @@ func openJournal(dir string) (*journal, JournalState, error) {
 			}
 		}
 	}
-	tmp := fmt.Sprintf("%s.tmp%d", path, os.Getpid())
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		return nil, state, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		_ = os.Remove(tmp)
+	if err := atomicfile.Write(path, buf.Bytes()); err != nil {
 		return nil, state, err
 	}
 

@@ -490,6 +490,10 @@ func (q *Queue) Cancel(id string) bool {
 	case StateQueued:
 		if j.index >= 0 {
 			heap.Remove(&q.pq, j.index)
+		} else {
+			// A worker popped it but has not started it: take it off
+			// running here, with the count that says it was canceled.
+			q.running--
 		}
 		j.canceled = true
 		j.finishLocked(StateCanceled, nil, ErrCanceled)
@@ -624,22 +628,24 @@ func (q *Queue) runGuarded(j *Job) {
 		}
 		r := recover()
 		q.mu.Lock()
-		if r != nil {
-			j.mu.Lock()
-			already := j.state.Terminal() // finishLocked is a no-op then, and whoever finished it counted it
+		j.mu.Lock()
+		// Only Cancel can finish a popped job before run does, and it
+		// counted the job and took it off running.
+		canceled := j.state.Terminal()
+		if r != nil && !canceled {
 			j.finishLocked(StateFailed, nil, &PanicError{JobID: j.id, Value: r, Stack: debug.Stack()})
-			j.mu.Unlock()
-			if !already {
-				q.failed++
-			}
+			q.failed++
 		}
-		q.running--
+		j.mu.Unlock()
+		if !canceled {
+			q.running--
+		}
 		q.mu.Unlock()
 	}()
-	// Fault points: a worker that crashes after popping a job, and a
-	// worker that stalls before starting it (queue-stall drill).
-	faultinject.MaybePanic("jobq.worker.crash")
+	// Fault points: a worker that stalls before starting a popped job
+	// (queue-stall drill), and one that then crashes.
 	faultinject.Sleep(q.baseCtx, "jobq.worker.stall")
+	faultinject.MaybePanic("jobq.worker.crash")
 	q.run(j)
 	ran = true
 }
@@ -649,11 +655,9 @@ func (q *Queue) runGuarded(j *Job) {
 func (q *Queue) run(j *Job) {
 	j.mu.Lock()
 	if j.state.Terminal() {
-		// Canceled between pop and here; Cancel counted it.
+		// Canceled between pop and here; Cancel counted it and took it
+		// off running.
 		j.mu.Unlock()
-		q.mu.Lock()
-		q.running--
-		q.mu.Unlock()
 		return
 	}
 	timeout := q.cfg.JobTimeout

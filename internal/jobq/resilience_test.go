@@ -207,3 +207,56 @@ func TestWorkerStallFaultDelaysButCompletes(t *testing.T) {
 		t.Fatal("stall fault did not delay the job")
 	}
 }
+
+// TestCancelPoppedJob: a job a worker has popped but not started is still
+// queued, so Cancel finishes it there. By the time Done closes it must be
+// off the running count, and the worker, whether it then reaches run or
+// crashes first, must not take it off a second time.
+func TestCancelPoppedJob(t *testing.T) {
+	for _, plan := range []string{
+		"jobq.worker.stall:times=1:delay=200ms",
+		"jobq.worker.stall:times=1:delay=200ms,jobq.worker.crash:times=1",
+	} {
+		t.Run(plan, func(t *testing.T) {
+			prev := faultinject.Enable(faultinject.MustParse(5, plan))
+			defer faultinject.Enable(prev)
+
+			q := New(Config{Workers: 1})
+			defer q.Shutdown(context.Background())
+
+			j, err := q.Submit("popped", 0, func(context.Context, *Job) (any, error) { return "ran", nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for st := q.Stats(); st.Depth != 0 || st.Running != 1; st = q.Stats() {
+				if time.Now().After(deadline) {
+					t.Fatalf("worker never popped the job: %+v", st)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if !q.Cancel("popped") {
+				t.Fatal("Cancel of a popped job had no effect")
+			}
+			<-j.Done()
+			if st := q.Stats(); st.Running != 0 || st.Canceled != 1 {
+				t.Fatalf("once Done closed: %+v, want Running 0 and Canceled 1", st)
+			}
+
+			// The next job runs only after the worker is done with the
+			// canceled one.
+			next, err := q.Submit("next", 0, func(context.Context, *Job) (any, error) { return "ok", nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-next.Done()
+			st := q.Stats()
+			if st.Running != 0 || st.Canceled != 1 || st.Failed != 0 || st.Completed != 1 {
+				t.Fatalf("after the worker moved on: %+v, want Running 0, Canceled 1, Failed 0, Completed 1", st)
+			}
+			if _, err := j.Result(); !errors.Is(err, ErrCanceled) {
+				t.Fatalf("canceled job's result: %v, want ErrCanceled", err)
+			}
+		})
+	}
+}

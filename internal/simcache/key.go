@@ -83,12 +83,18 @@ func KeyForExperiment(id string, ops int, reps bool) Key {
 
 // KeyForArena hashes one arena-sweep request. The engine and benchmark
 // lists are length-prefixed so no concatenation of two lists collides with
-// a different split of the same names.
-func KeyForArena(benchmarks, engines []string, ops int) Key {
+// a different split of the same names. checkpointEvery is the interval the
+// server stamps onto the cells: it perturbs their timing, so a report
+// computed under one interval must not answer a sweep under another. It is
+// hashed only when set, so unsegmented sweeps keep their keys.
+func KeyForArena(benchmarks, engines []string, ops, checkpointEvery int) Key {
 	h := sha256.New()
 	e := encoder{h: h}
 	e.str("arena")
 	e.i64(int64(ops))
+	if checkpointEvery != 0 {
+		e.i64(int64(checkpointEvery))
+	}
 	e.u64(uint64(len(benchmarks)))
 	for _, b := range benchmarks {
 		e.str(b)

@@ -155,3 +155,17 @@ func perturbLeaves(v reflect.Value, path string, check func(path string)) {
 		panic(fmt.Sprintf("perturbLeaves: unhandled kind %s at %s", v.Kind(), path))
 	}
 }
+
+// TestKeyForArenaSeparatesInterval: a sweep's cells run under the server's
+// default checkpoint interval, which perturbs their timing, so a report
+// cached under one interval must not answer a sweep under another.
+func TestKeyForArenaSeparatesInterval(t *testing.T) {
+	benchmarks, engines := []string{"b2c"}, []string{"cdp"}
+	keys := map[Key]int{}
+	for _, every := range []int{0, 25_000, 50_000} {
+		keys[KeyForArena(benchmarks, engines, 60_000, every)] = every
+	}
+	if len(keys) != 3 {
+		t.Fatalf("intervals 0, 25000 and 50000 share arena keys: %v", keys)
+	}
+}

@@ -3,7 +3,6 @@ package simcache
 import (
 	"context"
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"io"
 	"net/http"
@@ -12,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/faultinject"
 )
 
@@ -241,14 +241,7 @@ func (t *TieredCache) spill(k Key, data []byte) {
 	if faultinject.Should("disk.cache.torn-write") {
 		framed = framed[:len(framed)/2]
 	}
-	path := t.diskPath(k)
-	tmp := fmt.Sprintf("%s.tmp%d", path, os.Getpid())
-	if err := os.WriteFile(tmp, framed, 0o644); err != nil {
-		t.spillErrors.Add(1)
-		return
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		_ = os.Remove(tmp)
+	if err := atomicfile.Write(t.diskPath(k), framed); err != nil {
 		t.spillErrors.Add(1)
 		return
 	}
