@@ -136,6 +136,8 @@ func info(args []string) {
 	fmt.Printf("memory        %d pages backed (%d KiB), %d pages mapped\n",
 		ck.Space.Img.PageCount(), ck.Space.Img.PageCount()*mem.PageSize/1024,
 		ck.Space.MappedPages())
+	fmt.Printf("coded trace   %d templates, %.2f bytes a µop in memory\n",
+		ck.Trace.Templates(), float64(ck.Trace.Bytes())/float64(max(ck.Trace.Len(), 1)))
 }
 
 func fatal(err error) {

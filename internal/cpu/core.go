@@ -97,12 +97,13 @@ func (r Result) IPC() float64 {
 	return float64(r.Retired) / float64(r.Cycles)
 }
 
-// robEntry is one reorder-buffer slot. It holds the µop packed as the
-// trace stores it, and no pointers: the µops waiting on its result are
-// linked through Core.depHead and Core.depNext, beside rob, so an entry is
-// 24 bytes that the garbage collector never scans. An unfinished µop needs
-// no state field: it waits while pendingSrcs > 0, then sits in the ready
-// list, then in the wheel or the heap until complete sets done.
+// robEntry is one reorder-buffer slot. It holds the µop in the Packed
+// form fetch rebuilds from the trace, and no pointers: the µops waiting on
+// its result are linked through Core.depHead and Core.depNext, beside rob,
+// so an entry is 24 bytes that the garbage collector never scans. An
+// unfinished µop needs no state field: it waits while pendingSrcs > 0,
+// then sits in the ready list, then in the wheel or the heap until
+// complete sets done.
 type robEntry struct {
 	op          trace.Packed
 	seq         uint64
@@ -180,9 +181,11 @@ type Core struct {
 	bp  *Gshare
 	st  *stats.Counters
 
-	// trace is the trace being run. The core reads its µops in place and
-	// looks PCs up in it only for branches, loads and stores.
+	// trace is the trace being run, and src reads its µops from fetchIdx
+	// on. The core looks PCs up in the trace only for branches, loads and
+	// stores.
 	trace *trace.Trace
+	src   trace.Iter
 
 	rob []robEntry
 	// The µops waiting on rob[p]'s result form a list of operand edges:
@@ -302,33 +305,34 @@ func New(cfg Config, st *stats.Counters) *Core {
 
 // Run executes up to maxOps µops of tr (0 = all) and returns timing.
 func (c *Core) Run(tr *trace.Trace, mp MemPort, maxOps int) Result {
-	c.trace = tr
-	c.run(opsUpTo(tr, maxOps), mp, nil)
+	c.run(c.start(tr, maxOps), mp, nil)
 	c.res.Cycles = c.cycle
 	c.st.Cycles = c.cycle
 	return c.res
 }
 
-// opsUpTo returns the first maxOps µops of tr (all of them when maxOps is
-// 0 or exceeds the trace).
-func opsUpTo(tr *trace.Trace, maxOps int) []trace.Packed {
-	ops := tr.Packed()
-	if maxOps > 0 && maxOps < len(ops) {
-		return ops[:maxOps]
+// start points the core at tr, seeking its reader to fetchIdx, and returns
+// how many µops of tr to run: maxOps, or all of them when maxOps is 0 or
+// exceeds the trace.
+func (c *Core) start(tr *trace.Trace, maxOps int) int {
+	c.trace = tr
+	c.src = tr.IterFrom(min(c.fetchIdx, tr.Len()))
+	if maxOps > 0 && maxOps < tr.Len() {
+		return maxOps
 	}
-	return ops
+	return tr.Len()
 }
 
 // run is the cycle loop behind Run and RunSegmented: it steps the machine
-// until every op in ops has been fetched and retired, skipping idle
+// until every µop below end has been fetched and retired, skipping idle
 // stretches. A non-nil quiesced makes it a segment drain: it also waits for
 // the store buffer to empty and the memory system to quiesce, and a store
 // drained by the memory system counts as progress.
-func (c *Core) run(ops []trace.Packed, mp MemPort, quiesced func() bool) {
+func (c *Core) run(end int, mp MemPort, quiesced func() bool) {
 	drain := quiesced != nil
 	lastProgress := c.cycle
-	for c.fetchIdx < len(ops) || c.count > 0 || drain && (c.outstandingStores > 0 || !quiesced()) {
-		if c.step(ops, mp, drain) {
+	for c.fetchIdx < end || c.count > 0 || drain && (c.outstandingStores > 0 || !quiesced()) {
+		if c.step(end, mp, drain) {
 			lastProgress = c.cycle
 			continue
 		}
@@ -339,7 +343,7 @@ func (c *Core) run(ops []trace.Packed, mp MemPort, quiesced func() bool) {
 				state = fmt.Sprintf(", quiesced %v", quiesced())
 			}
 			panic(fmt.Sprintf("cpu: no progress since cycle %d (rob %d, ready %d, loads %d, stores %d, fetch %d/%d%s)",
-				lastProgress, c.count, len(c.ready)+len(c.readyLoads), c.outstandingLoads, c.outstandingStores, c.fetchIdx, len(ops), state))
+				lastProgress, c.count, len(c.ready)+len(c.readyLoads), c.outstandingLoads, c.outstandingStores, c.fetchIdx, end, state))
 		}
 	}
 }
@@ -349,7 +353,7 @@ func (c *Core) run(ops []trace.Packed, mp MemPort, quiesced func() bool) {
 // cycle's Tick also counts.
 //
 // simlint:hotpath
-func (c *Core) step(ops []trace.Packed, mp MemPort, drains bool) bool {
+func (c *Core) step(end int, mp MemPort, drains bool) bool {
 	stores := c.outstandingStores
 	c.cycle++
 	mp.Tick(c.cycle)
@@ -363,7 +367,7 @@ func (c *Core) step(ops []trace.Packed, mp MemPort, drains bool) bool {
 	if c.issue(mp) {
 		progress = true
 	}
-	if c.fetch(ops) {
+	if c.fetch(end) {
 		progress = true
 	}
 	return progress
@@ -687,12 +691,12 @@ func (c *Core) dependOn(src uint8, edge int32) int32 {
 	return 1
 }
 
-// fetch brings µops into the ROB, predicting branches and halting at a
-// mispredicted one until it resolves.
+// fetch brings µops below end into the ROB, predicting branches and
+// halting at a mispredicted one until it resolves.
 //
 // simlint:hotpath
-func (c *Core) fetch(ops []trace.Packed) bool {
-	if c.tr.Enabled() && c.fetchIdx < len(ops) {
+func (c *Core) fetch(end int) bool {
+	if c.tr.Enabled() && c.fetchIdx < end {
 		// Edge-triggered ROB-stall tracking: record when fetch first finds
 		// the ROB full, emit one event with the stall length once a slot
 		// frees up.
@@ -710,11 +714,11 @@ func (c *Core) fetch(ops []trace.Packed) bool {
 	}
 	any := false
 	for n := 0; n < c.cfg.FetchWidth; n++ {
-		if c.fetchIdx >= len(ops) || c.count >= c.cfg.ROBSize ||
+		if c.fetchIdx >= end || c.count >= c.cfg.ROBSize ||
 			c.haltFetch || c.cycle < c.fetchBlockedUntil {
 			break
 		}
-		op := ops[c.fetchIdx]
+		op := c.src.Next()
 		kind := op.Kind()
 		c.fetchIdx++
 		slot := c.head + int32(c.count)

@@ -35,18 +35,17 @@ func (c *Core) RunSegmented(tr *trace.Trace, mp MemPort, maxOps int, plan Segmen
 	if plan.Every <= 0 || plan.Quiesced == nil || plan.OnBoundary == nil {
 		return Result{}, fmt.Errorf("cpu: segment plan needs Every > 0, Quiesced and OnBoundary")
 	}
-	c.trace = tr
-	ops := opsUpTo(tr, maxOps)
-	for c.fetchIdx < len(ops) || c.count > 0 || c.outstandingStores > 0 {
+	end := c.start(tr, maxOps)
+	for c.fetchIdx < end || c.count > 0 || c.outstandingStores > 0 {
 		// This segment's fetch ceiling: the next absolute multiple of
 		// Every (so a resumed core, whose fetchIdx starts exactly on a
 		// boundary, recomputes the same ceilings as the original run).
 		fetchLimit := (c.fetchIdx/plan.Every + 1) * plan.Every
-		if fetchLimit > len(ops) {
-			fetchLimit = len(ops)
+		if fetchLimit > end {
+			fetchLimit = end
 		}
-		c.run(ops[:fetchLimit], mp, plan.Quiesced)
-		if c.fetchIdx < len(ops) {
+		c.run(fetchLimit, mp, plan.Quiesced)
+		if c.fetchIdx < end {
 			if err := plan.OnBoundary(c.fetchIdx); err != nil {
 				c.res.Cycles = c.cycle
 				c.st.Cycles = c.cycle

@@ -72,8 +72,7 @@ func (c *Checkpoint) WriteTo(w io.Writer) (int64, error) {
 		return n, err
 	}
 	var rec [opRecSize]byte
-	for i := range tr.Len() {
-		op := tr.At(i)
+	for _, op := range tr.All() {
 		binary.LittleEndian.PutUint32(rec[0:], op.PC)
 		binary.LittleEndian.PutUint32(rec[4:], op.Addr)
 		rec[8] = uint8(op.Kind)
@@ -162,8 +161,10 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	// header's count: a corrupt (or hostile) opCount would otherwise demand
 	// an arbitrarily large upfront allocation before the first read fails.
 	// It refuses what a trace cannot hold (an unknown kind, a register
-	// outside [0,NumRegs) that is not NoReg, more than MaxPCs distinct
-	// PCs), so every accepted op is one the core can run.
+	// outside [0,NumRegs) that is not NoReg, an address on a µop that is
+	// neither a load nor a store, more than MaxPCs distinct PCs or
+	// MaxTemplates templates), so every accepted op is one the core can
+	// run.
 	b := NewBuilder()
 	var rec [opRecSize]byte
 	for i := uint64(0); i < opCount; i++ {

@@ -52,8 +52,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for i := range ck.Trace.Len() {
-			op := ck.Trace.At(i)
+		for i, op := range ck.Trace.All() {
 			if op.Kind > KBranch {
 				t.Fatalf("accepted op %d with unknown kind %d", i, op.Kind)
 			}
@@ -77,9 +76,10 @@ func FuzzReadCheckpoint(f *testing.F) {
 		if ck2.Trace.Len() != ck.Trace.Len() {
 			t.Fatalf("round trip changed op count: %d vs %d", ck.Trace.Len(), ck2.Trace.Len())
 		}
-		for i := range ck.Trace.Len() {
-			if ck.Trace.At(i) != ck2.Trace.At(i) {
-				t.Fatalf("round trip changed op %d: %+v vs %+v", i, ck.Trace.At(i), ck2.Trace.At(i))
+		want := opsOf(ck.Trace)
+		for i, op := range ck2.Trace.All() {
+			if op != want[i] {
+				t.Fatalf("round trip changed op %d: %+v vs %+v", i, want[i], op)
 			}
 		}
 	})

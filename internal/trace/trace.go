@@ -7,7 +7,10 @@
 // producing loads).
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Kind classifies a µop.
 type Kind uint8
@@ -49,11 +52,11 @@ const NumRegs = 16
 // NoReg marks an unused register operand.
 const NoReg uint8 = 0xFF
 
-// Op is one µop in decoded form, 16 bytes. A Trace stores µops as Packed,
-// 8 bytes each; Op is what Builder.Emit takes and Trace.At returns.
+// Op is one µop in decoded form, 16 bytes. Op is what Builder.Emit takes
+// and Trace.At and Trace.All return; a Trace stores µops template-coded.
 type Op struct {
 	PC    uint32
-	Addr  uint32 // effective virtual address for loads/stores
+	Addr  uint32 // effective virtual address; loads and stores only
 	Kind  Kind
 	Src1  uint8 // NoReg if unused
 	Src2  uint8 // NoReg if unused
@@ -61,9 +64,9 @@ type Op struct {
 	Taken bool  // branches only
 }
 
-// Packed is one µop in the 8 bytes a Trace stores it in. The low word is
-// the effective address. The high word holds, from bit 32 up, the kind
-// (3 bits), the taken flag (1 bit), Src1, Src2 and Dst (5 bits each,
+// Packed is one µop in the 8 bytes the core's ROB holds it in. The low
+// word is the effective address. The high word holds, from bit 32 up, the
+// kind (3 bits), the taken flag (1 bit), Src1, Src2 and Dst (5 bits each,
 // PackedNoReg when unused) and a 13-bit index into the trace's PC table.
 // The core reads the fields in place instead of decoding an Op per µop.
 type Packed uint64
@@ -83,6 +86,12 @@ const (
 	PackedNoReg = regMask
 	// MaxPCs is how many distinct PCs one trace can hold.
 	MaxPCs = 1 << (64 - pcShift)
+	// MaxTemplates is how many distinct templates (Packed high words) one
+	// trace can hold: a µop's code is 2 bytes.
+	MaxTemplates = 1 << 16
+	// seekStride is the µop distance between the entries of a trace's
+	// address index, so a seek scans fewer than seekStride codes.
+	seekStride = 4096
 )
 
 // Addr returns the µop's effective virtual address.
@@ -106,25 +115,60 @@ func (p Packed) Dst() uint8 { return uint8(p>>dstShift) & regMask }
 // pcIndex returns the µop's index into its trace's PC table.
 func (p Packed) pcIndex() int { return int(p >> pcShift) }
 
-// Trace is an in-memory µop sequence: the packed µops and the table of the
-// distinct PCs they index.
+// hasAddr reports whether p is a load (kind 2) or a store (kind 3), the
+// only µops whose address a trace stores.
+func (p Packed) hasAddr() bool { return p>>kindShift&6 == 2 }
+
+// Trace is an in-memory µop sequence, template-coded: each µop is a 2-byte
+// code into a table of the distinct templates (Packed high words) it uses,
+// and each load's and store's address sits, in trace order, in a side
+// array. A sparse index of the address count before every seekStride-th
+// µop lets a reader start anywhere.
 type Trace struct {
-	ops []Packed
-	pcs []uint32
+	codes []uint16
+	tmpls []Packed
+	addrs []uint32
+	// index[k] is the number of addresses before µop (k+1)*seekStride.
+	index []uint32
+	pcs   []uint32
 }
 
 // Len returns the number of µops.
-func (t *Trace) Len() int { return len(t.ops) }
+func (t *Trace) Len() int { return len(t.codes) }
 
-// Packed returns the stored µops, which the caller must not modify.
-func (t *Trace) Packed() []Packed { return t.ops }
+// Templates returns the number of distinct templates the trace uses.
+func (t *Trace) Templates() int { return len(t.tmpls) }
+
+// Bytes returns the memory the trace holds: its codes, addresses, index,
+// template table and PC table.
+func (t *Trace) Bytes() int {
+	return 2*cap(t.codes) + 8*cap(t.tmpls) + 4*cap(t.addrs) + 4*cap(t.index) + 4*cap(t.pcs)
+}
 
 // PC returns the PC of p, one of t's µops.
 func (t *Trace) PC(p Packed) uint32 { return t.pcs[p.pcIndex()] }
 
-// At decodes µop i.
+// At decodes µop i. It seeks from the address index, scanning up to
+// seekStride-1 codes: walk a whole trace with All or IterFrom instead.
 func (t *Trace) At(i int) Op {
-	p := t.ops[i]
+	it := t.IterFrom(i)
+	return t.decode(it.Next())
+}
+
+// All yields every µop in order with its index.
+func (t *Trace) All() iter.Seq2[int, Op] {
+	return func(yield func(int, Op) bool) {
+		it := t.IterFrom(0)
+		for i := range t.Len() {
+			if !yield(i, t.decode(it.Next())) {
+				return
+			}
+		}
+	}
+}
+
+// decode unpacks p, one of t's µops.
+func (t *Trace) decode(p Packed) Op {
 	return Op{
 		PC:    t.PC(p),
 		Addr:  p.Addr(),
@@ -134,6 +178,46 @@ func (t *Trace) At(i int) Op {
 		Dst:   unpackReg(p.Dst()),
 		Taken: p.Taken(),
 	}
+}
+
+// Iter reads a trace's µops in order, rebuilding each one's Packed form:
+// its template, ORed with the next address for a load or store.
+type Iter struct {
+	codes []uint16
+	tmpls []Packed
+	addrs []uint32
+	i, a  int // the next µop, and the next load's or store's address in addrs
+}
+
+// IterFrom returns an iterator whose first Next is µop i, for i in
+// [0, Len()]. It finds i's address cursor from the address index and a
+// scan of fewer than seekStride codes.
+func (t *Trace) IterFrom(i int) Iter {
+	if i < 0 || i > len(t.codes) {
+		panic(fmt.Sprintf("trace: iterator start %d outside [0,%d]", i, len(t.codes)))
+	}
+	it := Iter{codes: t.codes, tmpls: t.tmpls, addrs: t.addrs, i: i}
+	k := i / seekStride
+	if k > 0 {
+		it.a = int(t.index[k-1])
+	}
+	for _, c := range t.codes[k*seekStride : i] {
+		if t.tmpls[c].hasAddr() {
+			it.a++
+		}
+	}
+	return it
+}
+
+// Next returns the next µop. Calling it past the trace's end panics.
+func (it *Iter) Next() Packed {
+	p := it.tmpls[it.codes[it.i]]
+	it.i++
+	if p.hasAddr() {
+		p |= Packed(it.addrs[it.a])
+		it.a++
+	}
+	return p
 }
 
 func unpackReg(r uint8) uint8 {
@@ -159,26 +243,35 @@ func packReg(r uint8) (Packed, bool) {
 // callers pin a PC per static emission site so the stride prefetcher and
 // gshare see stable instruction identities.
 type Builder struct {
-	ops []Packed
-	pcs []uint32
-	// pcIdx maps each PC emitted so far to its index in pcs. Only the
-	// builder needs it; the finished trace keeps pcs alone.
-	pcIdx map[uint32]Packed
+	codes []uint16
+	tmpls []Packed
+	addrs []uint32
+	index []uint32
+	pcs   []uint32
+	// pcIdx maps each PC emitted so far to its index in pcs, and tmplIdx
+	// each template to its code. Only the builder needs them; the finished
+	// trace keeps pcs and tmpls alone.
+	pcIdx   map[uint32]Packed
+	tmplIdx map[Packed]uint16
 }
 
 // NewBuilder returns an empty trace builder.
-func NewBuilder() *Builder { return &Builder{} }
+func NewBuilder() *Builder {
+	return &Builder{pcIdx: map[uint32]Packed{}, tmplIdx: map[Packed]uint16{}}
+}
 
 // Emit appends a raw µop. It panics on a µop a trace cannot hold: an
-// unknown kind, a register outside [0,NumRegs) that is not NoReg, or a PC
-// beyond the trace's MaxPCs distinct ones.
+// unknown kind, a register outside [0,NumRegs) that is not NoReg, an
+// address on a µop that is neither a load nor a store, a PC beyond the
+// trace's MaxPCs distinct ones, or a template beyond its MaxTemplates.
 func (b *Builder) Emit(op Op) {
 	if err := b.add(op); err != nil {
 		panic(fmt.Sprintf("trace: emitting %+v: %v", op, err))
 	}
 }
 
-// add packs and appends op, or reports why it cannot.
+// add codes and appends op, or reports why it cannot, leaving the builder
+// as it was.
 func (b *Builder) add(op Op) error {
 	if op.Kind > KBranch {
 		return fmt.Errorf("unknown kind %d", op.Kind)
@@ -194,24 +287,41 @@ func (b *Builder) add(op Op) error {
 	case !ok3:
 		return fmt.Errorf("dst register %d out of range", op.Dst)
 	}
-	pc, ok := b.pcIdx[op.PC]
-	if !ok {
+	tmpl := Packed(op.Kind)<<kindShift | src1<<src1Shift | src2<<src2Shift | dst<<dstShift
+	if op.Taken {
+		tmpl |= 1 << takenShift
+	}
+	if op.Addr != 0 && !tmpl.hasAddr() {
+		return fmt.Errorf("address %#x on a %v µop", op.Addr, op.Kind)
+	}
+	pc, knownPC := b.pcIdx[op.PC]
+	if !knownPC {
 		if len(b.pcs) == MaxPCs {
 			return fmt.Errorf("more than %d distinct PCs", MaxPCs)
 		}
-		if b.pcIdx == nil {
-			b.pcIdx = make(map[uint32]Packed)
-		}
 		pc = Packed(len(b.pcs))
+	}
+	tmpl |= pc << pcShift
+	code, known := b.tmplIdx[tmpl]
+	if !known {
+		if len(b.tmpls) == MaxTemplates {
+			return fmt.Errorf("more than %d templates", MaxTemplates)
+		}
+		code = uint16(len(b.tmpls))
+		b.tmplIdx[tmpl] = code
+		b.tmpls = append(b.tmpls, tmpl)
+	}
+	if !knownPC {
 		b.pcIdx[op.PC] = pc
 		b.pcs = append(b.pcs, op.PC)
 	}
-	p := Packed(op.Addr) | Packed(op.Kind)<<kindShift |
-		src1<<src1Shift | src2<<src2Shift | dst<<dstShift | pc<<pcShift
-	if op.Taken {
-		p |= 1 << takenShift
+	b.codes = append(b.codes, code)
+	if tmpl.hasAddr() {
+		b.addrs = append(b.addrs, op.Addr)
 	}
-	b.ops = append(b.ops, p)
+	if len(b.codes)%seekStride == 0 {
+		b.index = append(b.index, uint32(len(b.addrs)))
+	}
 	return nil
 }
 
@@ -242,18 +352,25 @@ func (b *Builder) Branch(pc uint32, condSrc uint8, taken bool) {
 }
 
 // Len returns the number of µops emitted so far.
-func (b *Builder) Len() int { return len(b.ops) }
+func (b *Builder) Len() int { return len(b.codes) }
 
-// Trace returns the µops emitted so far as a trace whose µop array is
-// exactly Len() long, leaving no spare capacity behind. The builder
-// remains usable, but later emissions do not change the returned trace.
+// Trace returns the µops emitted so far as a trace whose arrays are
+// exactly as long as their contents, leaving no spare capacity behind.
+// The builder remains usable, but later emissions do not change the
+// returned trace.
 func (b *Builder) Trace() *Trace {
-	if cap(b.ops) != len(b.ops) {
-		ops := make([]Packed, len(b.ops))
-		copy(ops, b.ops)
-		b.ops = ops
+	b.codes, b.tmpls, b.addrs = clip(b.codes), clip(b.tmpls), clip(b.addrs)
+	b.index, b.pcs = clip(b.index), clip(b.pcs)
+	return &Trace{codes: b.codes, tmpls: b.tmpls, addrs: b.addrs, index: b.index, pcs: b.pcs}
+}
+
+// clip returns s, copied into an array of exactly its length when s has
+// spare capacity. A later append to either copy then reallocates.
+func clip[T any](s []T) []T {
+	if cap(s) == len(s) {
+		return s
 	}
-	return &Trace{ops: b.ops, pcs: b.pcs}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // Mix summarises the µop composition of a trace.
@@ -267,8 +384,8 @@ func (m Mix) Total() int { return m.Int + m.FP + m.Load + m.Store + m.Branch }
 // MixOf tallies the composition of t.
 func MixOf(t *Trace) Mix {
 	var n [8]int
-	for _, p := range t.ops {
-		n[p.Kind()]++
+	for _, c := range t.codes {
+		n[t.tmpls[c].Kind()]++
 	}
 	return Mix{Int: n[KInt], FP: n[KFP], Load: n[KLoad], Store: n[KStore], Branch: n[KBranch]}
 }

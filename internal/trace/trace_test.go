@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -54,7 +55,8 @@ func regOf(r uint8) uint8 {
 }
 
 // randomOps draws n µops of all five kinds with random registers, PCs drawn
-// from pcs (any PC when pcs is nil), addresses and taken bits.
+// from pcs (any PC when pcs is nil) and taken bits, and random addresses on
+// the loads and stores.
 func randomOps(rng *rand.Rand, n int, pcs []uint32) []Op {
 	ops := make([]Op, n)
 	for i := range ops {
@@ -64,18 +66,20 @@ func randomOps(rng *rand.Rand, n int, pcs []uint32) []Op {
 		}
 		ops[i] = Op{
 			PC:    pc,
-			Addr:  rng.Uint32(),
 			Kind:  Kind(rng.Intn(5)),
 			Src1:  regOf(uint8(rng.Intn(256))),
 			Src2:  regOf(uint8(rng.Intn(256))),
 			Dst:   regOf(uint8(rng.Intn(256))),
 			Taken: rng.Intn(2) == 1,
 		}
+		if k := ops[i].Kind; k == KLoad || k == KStore {
+			ops[i].Addr = rng.Uint32()
+		}
 	}
 	return ops
 }
 
-// traceOf packs ops into a trace.
+// traceOf codes ops into a trace.
 func traceOf(ops []Op) *Trace {
 	b := NewBuilder()
 	for _, op := range ops {
@@ -84,9 +88,18 @@ func traceOf(ops []Op) *Trace {
 	return b.Trace()
 }
 
-// Every µop a trace can hold comes back from At unchanged, the in-place
-// field readers agree with it, and the finished trace keeps no spare
-// capacity.
+// opsOf decodes every µop of t in one sequential walk.
+func opsOf(t *Trace) []Op {
+	ops := make([]Op, 0, t.Len())
+	for _, op := range t.All() {
+		ops = append(ops, op)
+	}
+	return ops
+}
+
+// Every µop a trace can hold comes back from the iterator unchanged, the
+// in-place field readers agree with it, and the finished trace keeps no
+// spare capacity in any of its arrays.
 func TestBuilderPacksEveryOp(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	pcs := make([]uint32, 300)
@@ -96,14 +109,30 @@ func TestBuilderPacksEveryOp(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 1000, 30_001} {
 		ops := randomOps(rng, n, pcs)
 		tr := traceOf(ops)
-		if tr.Len() != n || cap(tr.Packed()) != n {
-			t.Fatalf("%d µops: Len %d, cap %d", n, tr.Len(), cap(tr.Packed()))
+		if tr.Len() != n {
+			t.Fatalf("%d µops: Len %d", n, tr.Len())
 		}
-		for i, op := range ops {
-			if got := tr.At(i); got != op {
-				t.Fatalf("µop %d of %d: At = %+v, emitted %+v", i, n, got, op)
+		for name, spare := range map[string]int{
+			"codes": cap(tr.codes) - len(tr.codes), "templates": cap(tr.tmpls) - len(tr.tmpls),
+			"addresses": cap(tr.addrs) - len(tr.addrs), "index": cap(tr.index) - len(tr.index),
+			"PCs": cap(tr.pcs) - len(tr.pcs),
+		} {
+			if spare != 0 {
+				t.Fatalf("%d µops: %s array keeps %d spare entries", n, name, spare)
 			}
-			p := tr.Packed()[i]
+		}
+		if want := 2*n + 8*len(tr.tmpls) + 4*len(tr.addrs) + 4*(n/seekStride) + 4*len(tr.pcs); tr.Bytes() != want {
+			t.Fatalf("%d µops: Bytes %d, want %d", n, tr.Bytes(), want)
+		}
+		if !slices.Equal(opsOf(tr), ops) {
+			t.Fatalf("%d µops: All disagrees with the emitted µops", n)
+		}
+		it := tr.IterFrom(0)
+		for i, op := range ops {
+			p := it.Next()
+			if got := tr.decode(p); got != op {
+				t.Fatalf("µop %d of %d: Next = %+v, emitted %+v", i, n, got, op)
+			}
 			if p.Kind() != op.Kind || p.Addr() != op.Addr || p.Taken() != op.Taken || tr.PC(p) != op.PC {
 				t.Fatalf("µop %d: packed fields %v %#x %v %#x, emitted %+v", i, p.Kind(), p.Addr(), p.Taken(), tr.PC(p), op)
 			}
@@ -116,22 +145,25 @@ func TestBuilderPacksEveryOp(t *testing.T) {
 	}
 }
 
+// panics runs f and returns what it panicked with, "" if it did not.
+func panics(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
 // Emit refuses what a trace cannot hold.
 func TestEmitPanicsOnUnrepresentableOp(t *testing.T) {
-	panics := func(f func()) (msg string) {
-		defer func() {
-			if r := recover(); r != nil {
-				msg = fmt.Sprint(r)
-			}
-		}()
-		f()
-		return ""
-	}
 	for _, op := range []Op{
 		{Kind: KBranch + 1, Src1: NoReg, Src2: NoReg, Dst: NoReg},
 		{Kind: KInt, Src1: NumRegs, Src2: NoReg, Dst: NoReg},
 		{Kind: KInt, Src1: NoReg, Src2: PackedNoReg, Dst: NoReg},
 		{Kind: KInt, Src1: NoReg, Src2: NoReg, Dst: 0xFE},
+		{Kind: KBranch, Src1: NoReg, Src2: NoReg, Dst: NoReg, Addr: 4},
 	} {
 		if msg := panics(func() { NewBuilder().Emit(op) }); msg == "" {
 			t.Fatalf("Emit(%+v) did not panic", op)
@@ -176,9 +208,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if got.Trace.Len() != 1000 {
 		t.Fatalf("ops = %d", got.Trace.Len())
 	}
-	for i := range ck.Trace.Len() {
-		if got.Trace.At(i) != ck.Trace.At(i) {
-			t.Fatalf("op %d differs: %+v vs %+v", i, got.Trace.At(i), ck.Trace.At(i))
+	want := opsOf(ck.Trace)
+	for i, op := range got.Trace.All() {
+		if op != want[i] {
+			t.Fatalf("op %d differs: %+v vs %+v", i, op, want[i])
 		}
 	}
 	if v := got.Space.Img.Read32(0x1000_0010); v != 0xCAFE_BABE {
@@ -285,6 +318,26 @@ func TestCheckpointRejectsBadRegister(t *testing.T) {
 	}
 }
 
+// A checkpoint giving an address to a µop that is neither a load nor a
+// store is refused with an error naming the op: a trace stores addresses
+// for loads and stores alone, so it could not give that address back.
+func TestCheckpointRejectsAddressOnNonMemoryOp(t *testing.T) {
+	ck := fuzzSeedCheckpoint()
+	var buf bytes.Buffer
+	if _, err := ck.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// Op 1 is an integer µop; its record's address is at offset 4.
+	const op = 1
+	off := 4 + 4 + 4 + len(ck.Name) + 8 + 8 + op*opRecSize + 4
+	data := buf.Bytes()
+	binary.LittleEndian.PutUint32(data[off:], 0x1000_0040)
+	_, err := ReadCheckpoint(bytes.NewReader(data))
+	if want := "trace: op 1: address 0x10000040 on a int µop"; err == nil || err.Error() != want {
+		t.Fatalf("address on an int µop: err %v, want %q", err, want)
+	}
+}
+
 // A checkpoint with more distinct PCs than a trace's PC table holds is
 // refused with an error, not a panic.
 func TestCheckpointRejectsTooManyPCs(t *testing.T) {
@@ -321,9 +374,102 @@ func TestCheckpointRejectsTooManyPCs(t *testing.T) {
 	}
 }
 
+// A checkpoint needing more templates than a 2-byte code can name is
+// refused with an error naming the op; one needing exactly MaxTemplates
+// loads. Each op of the file has its own template: 8,192 PCs, each with
+// eight first source registers.
+func TestCheckpointRejectsTooManyTemplates(t *testing.T) {
+	const perPC = MaxTemplates / MaxPCs
+	write := func(n int) []byte {
+		t.Helper()
+		ops := make([]Op, n)
+		for i := range ops {
+			ops[i] = Op{PC: uint32(4 * (i % MaxPCs)), Kind: KInt, Src1: uint8(i / MaxPCs), Src2: NoReg, Dst: NoReg}
+		}
+		var buf bytes.Buffer
+		ck := &Checkpoint{Name: "tmpl", Space: mem.NewAddressSpace(), Trace: traceOf(ops[:min(n, MaxTemplates)])}
+		if _, err := ck.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if n <= MaxTemplates {
+			return buf.Bytes()
+		}
+		// A trace cannot hold the last op, so splice its record into the
+		// file by hand: raise the count and append a record whose first
+		// source register no other op at its PC uses.
+		data := buf.Bytes()
+		opsOff := 4 + 4 + 4 + len("tmpl") + 8
+		end := opsOff + 8 + MaxTemplates*opRecSize
+		var grown []byte
+		grown = append(grown, data[:opsOff]...)
+		grown = binary.LittleEndian.AppendUint64(grown, uint64(n))
+		grown = append(grown, data[opsOff+8:end]...)
+		extra := bytes.Clone(data[opsOff+8 : opsOff+8+opRecSize])
+		extra[9] = perPC
+		grown = append(grown, extra...)
+		return append(grown, data[end:]...)
+	}
+	got, err := ReadCheckpoint(bytes.NewReader(write(MaxTemplates)))
+	if err != nil {
+		t.Fatalf("%d templates: %v", MaxTemplates, err)
+	}
+	if got.Trace.Templates() != MaxTemplates {
+		t.Fatalf("read back %d templates, want %d", got.Trace.Templates(), MaxTemplates)
+	}
+	_, err = ReadCheckpoint(bytes.NewReader(write(MaxTemplates + 1)))
+	if want := "trace: op 65536: more than 65536 templates"; err == nil || err.Error() != want {
+		t.Fatalf("%d templates: err %v, want %q", MaxTemplates+1, err, want)
+	}
+	b := NewBuilder()
+	for _, op := range got.Trace.All() {
+		b.Emit(op)
+	}
+	if msg := panics(func() { b.Int(0, 1, perPC, NoReg) }); !strings.Contains(msg, "more than 65536 templates") {
+		t.Fatalf("template %d: Emit panic %q", MaxTemplates+1, msg)
+	}
+	if b.Len() != MaxTemplates || len(b.pcs) != MaxPCs {
+		t.Fatalf("refused µop was kept: Len %d, %d PCs", b.Len(), len(b.pcs))
+	}
+}
+
+// A seek agrees with a sequential walk: for every start i, At(i) is the
+// walk's µop i and an iterator started at i holds the walk's address
+// cursor, on traces ending just before, at and after an index entry.
+func TestSeekAgreesWithWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(4096))
+	pcs := []uint32{0x100, 0x104, 0x108, 0x10c, 0x110, 0x114, 0x118}
+	for _, n := range []int{0, 1, seekStride - 1, seekStride, seekStride + 1, 3*seekStride + 7} {
+		ops := randomOps(rng, n, pcs)
+		tr := traceOf(ops)
+		walk := tr.IterFrom(0)
+		for i := range n + 1 {
+			it := tr.IterFrom(i)
+			if it.i != walk.i || it.a != walk.a {
+				t.Fatalf("%d µops: iterator from %d at (µop %d, address %d), walk at (%d, %d)", n, i, it.i, it.a, walk.i, walk.a)
+			}
+			if i == n {
+				break
+			}
+			p := walk.Next()
+			if got := it.Next(); got != p {
+				t.Fatalf("%d µops: iterator from %d reads %#x, walk %#x", n, i, got, p)
+			}
+			if op := tr.At(i); op != tr.decode(p) || op != ops[i] {
+				t.Fatalf("%d µops: At(%d) = %+v, walk %+v, emitted %+v", n, i, op, tr.decode(p), ops[i])
+			}
+		}
+		if walk.a != len(tr.addrs) {
+			t.Fatalf("%d µops: walk used %d of %d addresses", n, walk.a, len(tr.addrs))
+		}
+	}
+}
+
 func TestOpEncodeQuick(t *testing.T) {
 	f := func(pc, addr uint32, kind uint8, s1, s2, d uint8, taken bool) bool {
-		op := Op{PC: pc, Addr: addr, Kind: Kind(kind % 5), Src1: regOf(s1), Src2: regOf(s2), Dst: regOf(d), Taken: taken}
+		op := Op{PC: pc, Kind: Kind(kind % 5), Src1: regOf(s1), Src2: regOf(s2), Dst: regOf(d), Taken: taken}
+		if op.Kind == KLoad || op.Kind == KStore {
+			op.Addr = addr
+		}
 		ck := &Checkpoint{Name: "q", Space: mem.NewAddressSpace(), Trace: traceOf([]Op{op})}
 		var buf bytes.Buffer
 		if _, err := ck.WriteTo(&buf); err != nil {

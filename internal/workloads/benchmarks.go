@@ -1,10 +1,12 @@
 package workloads
 
 import (
+	"container/list"
 	"fmt"
 	"sync"
 
 	"repro/internal/heap"
+	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
@@ -81,12 +83,15 @@ func SuiteRepresentatives() []Spec {
 	return out
 }
 
-// cachedCheckpoint memoises generation: experiments run many configurations
-// over the same checkpoint, and the simulator never mutates it.
-var (
-	ckMu    sync.Mutex
-	ckCache = map[string]*trace.Checkpoint{}
-)
+// checkpoints memoises generation: experiments run many configurations over
+// the same checkpoint, and the simulator never mutates it.
+var checkpoints = newCheckpointCache(checkpointCacheBytes, generate)
+
+// checkpointCacheBytes bounds the bytes the checkpoint cache accounts for.
+// The 15 benchmarks' images take about 90 MB at any budget, and their
+// traces 38 MB at the default budget, so every budget the experiments
+// and the benchmark harness run fits with room to spare.
+const checkpointCacheBytes = 512 << 20
 
 // Checkpoint returns a (possibly cached) checkpoint for the benchmark at
 // the given budget.
@@ -94,14 +99,84 @@ func Checkpoint(s Spec, ops int) *trace.Checkpoint {
 	if ops <= 0 {
 		ops = DefaultOps
 	}
+	return checkpoints.get(s, ops)
+}
+
+// generate builds the checkpoint Checkpoint returns for s at ops µops.
+func generate(s Spec, ops int) *trace.Checkpoint {
+	return s.Generate(GenConfig{Ops: ops, Seed: int64(len(s.Name))*7919 + 13})
+}
+
+// checkpointCache holds generated checkpoints up to a byte budget,
+// evicting the least recently used beyond it (a checkpoint larger than the
+// whole budget is returned but not kept). Each key is generated once
+// at a time, outside the lock, so concurrent callers of one key share one
+// generation while other keys proceed. A checkpoint is accounted as its
+// image pages plus its coded trace.
+type checkpointCache struct {
+	budget   int64
+	generate func(Spec, int) *trace.Checkpoint
+
+	mu      sync.Mutex
+	entries map[string]*ckEntry
+	lru     list.List // of *ckEntry once generated, most recent at the front
+	bytes   int64     // accounted bytes of the entries in lru
+}
+
+// ckEntry is one key's checkpoint. ready closes once ck is set, or with ck
+// nil if generation panicked.
+type ckEntry struct {
+	key   string
+	ready chan struct{}
+	ck    *trace.Checkpoint
+	bytes int64
+	elem  *list.Element
+}
+
+func newCheckpointCache(budget int64, generate func(Spec, int) *trace.Checkpoint) *checkpointCache {
+	return &checkpointCache{budget: budget, generate: generate, entries: map[string]*ckEntry{}}
+}
+
+func (c *checkpointCache) get(s Spec, ops int) *trace.Checkpoint {
 	key := fmt.Sprintf("%s/%d", s.Name, ops)
-	ckMu.Lock()
-	defer ckMu.Unlock()
-	if ck, ok := ckCache[key]; ok {
-		return ck
+	c.mu.Lock()
+	if e, ok := c.entries[key]; ok {
+		if e.elem != nil {
+			c.lru.MoveToFront(e.elem)
+		}
+		c.mu.Unlock()
+		<-e.ready
+		if e.ck == nil { // its generation panicked: generate afresh
+			return c.get(s, ops)
+		}
+		return e.ck
 	}
-	ck := s.Generate(GenConfig{Ops: ops, Seed: int64(len(s.Name))*7919 + 13})
-	ckCache[key] = ck
+	e := &ckEntry{key: key, ready: make(chan struct{})}
+	c.entries[key] = e
+	c.mu.Unlock()
+
+	defer func() {
+		if e.ck == nil {
+			c.mu.Lock()
+			delete(c.entries, key)
+			c.mu.Unlock()
+			close(e.ready)
+		}
+	}()
+	ck := c.generate(s, ops)
+	e.bytes = int64(ck.Space.Img.PageCount())*mem.PageSize + int64(ck.Trace.Bytes())
+
+	c.mu.Lock()
+	e.ck = ck
+	close(e.ready)
+	e.elem = c.lru.PushFront(e)
+	c.bytes += e.bytes
+	for c.bytes > c.budget {
+		old := c.lru.Remove(c.lru.Back()).(*ckEntry)
+		delete(c.entries, old.key)
+		c.bytes -= old.bytes
+	}
+	c.mu.Unlock()
 	return ck
 }
 

@@ -1,8 +1,12 @@
 package workloads
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"sync"
 	"testing"
-	"unsafe"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/mem"
@@ -74,8 +78,7 @@ func validateCheckpoint(t *testing.T, s Spec, ck *trace.Checkpoint, budget int) 
 	}
 	// Every load/store address must be mapped, and loads of chase
 	// registers must read real pointers.
-	for i := range n {
-		op := ck.Trace.At(i)
+	for i, op := range ck.Trace.All() {
 		if op.Kind != trace.KLoad && op.Kind != trace.KStore {
 			continue
 		}
@@ -100,25 +103,51 @@ func TestGenerationDeterministic(t *testing.T) {
 	if a.Trace.Len() != b.Trace.Len() {
 		t.Fatalf("lengths differ: %d vs %d", a.Trace.Len(), b.Trace.Len())
 	}
-	for i := range a.Trace.Len() {
-		if a.Trace.At(i) != b.Trace.At(i) {
-			t.Fatalf("op %d differs", i)
-		}
+	if !bytes.Equal(serialised(t, a), serialised(t, b)) {
+		t.Fatal("two generations with one seed serialise differently")
 	}
 }
 
-// A generated trace holds each µop in 8 bytes and keeps no spare capacity:
-// at the paper's 30 M µops that is 240 MB a trace, where 16-byte µops and
-// append's slack came to over 480 MB.
-func TestGeneratedTraceIsPacked(t *testing.T) {
-	s, _ := ByName("b2b")
-	tr := s.Generate(GenConfig{Ops: 50_000, Seed: 5}).Trace
-	ops := tr.Packed()
-	if size := unsafe.Sizeof(ops[0]); size != 8 {
-		t.Fatalf("a stored µop is %d bytes, want 8", size)
+// Every benchmark's generated trace holds at most 2.5 bytes a µop in
+// memory (2-byte codes, the load and store addresses, the seek index and
+// the template and PC tables) and keeps no spare capacity. At the paper's
+// 30 M µops that is at most 75 MB a trace, where the 8-byte packed µops
+// took 240 MB.
+func TestTraceBytesPerOp(t *testing.T) {
+	const budget = 300_000
+	for _, s := range All() {
+		tr := s.Generate(GenConfig{Ops: budget, Seed: 11}).Trace
+		n := tr.Len()
+		mix := trace.MixOf(tr)
+		pcs := map[uint32]bool{}
+		for _, op := range tr.All() {
+			pcs[op.PC] = true
+		}
+		exact := 2*n + 4*(mix.Load+mix.Store) + 4*(n/4096) + 8*tr.Templates() + 4*len(pcs)
+		if tr.Bytes() != exact {
+			t.Errorf("%s: %d bytes in memory, %d without spare capacity", s.Name, tr.Bytes(), exact)
+		}
+		perOp := float64(tr.Bytes()) / float64(n)
+		if perOp > 2.5 {
+			t.Errorf("%s: %.3f bytes a µop, want at most 2.5", s.Name, perOp)
+		}
+		t.Logf("%s: %d µops, %d templates, %.3f bytes a µop", s.Name, n, tr.Templates(), perOp)
 	}
-	if cap(ops) != tr.Len() {
-		t.Fatalf("trace of %d µops has capacity %d", tr.Len(), cap(ops))
+}
+
+// WriteTo of a generated checkpoint is byte-stable: these are the bytes
+// of `tracegen gen -ops 20000 b2b`, which every change to the in-memory
+// trace or the generators must keep.
+func TestCheckpointBytesPinned(t *testing.T) {
+	s, _ := ByName("b2b")
+	h := sha256.New()
+	n, err := Checkpoint(s, 20_000).WriteTo(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "835dbd4bc76f3b95f743e2aa68a0ae5dc3fe6278ed53adfe747dbff5b14ace39"
+	if got := hex.EncodeToString(h.Sum(nil)); n != 3_989_059 || got != want {
+		t.Fatalf("b2b at 20,000 µops: %d bytes, sha256 %s; want 3,989,059 bytes, sha256 %s", n, got, want)
 	}
 }
 
@@ -135,6 +164,104 @@ func TestCheckpointCache(t *testing.T) {
 	}
 }
 
+// serialised returns ck's checkpoint file bytes.
+func serialised(t *testing.T, ck *trace.Checkpoint) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := ck.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// A sweep of distinct budgets keeps the cache within its byte bound, every
+// byte accounted to an entry it holds, and a budget asked for again after
+// its eviction comes back generated afresh and equal.
+func TestCheckpointCacheBound(t *testing.T) {
+	s, _ := ByName("b2c")
+	probe := generate(s, 1_000)
+	one := int64(probe.Space.Img.PageCount())*mem.PageSize + int64(probe.Trace.Bytes())
+	c := newCheckpointCache(3*one, generate)
+	first := c.get(s, 1_000)
+	for ops := 2_000; ops <= 12_000; ops += 1_000 {
+		c.get(s, ops)
+		c.mu.Lock()
+		var sum int64
+		for el := c.lru.Front(); el != nil; el = el.Next() {
+			sum += el.Value.(*ckEntry).bytes
+		}
+		held, accounted, keys := c.lru.Len(), c.bytes, len(c.entries)
+		c.mu.Unlock()
+		if accounted > c.budget || sum != accounted || held != keys {
+			t.Fatalf("after %d µops: %d bytes accounted (bound %d), %d in %d entries, %d keys", ops, accounted, c.budget, sum, held, keys)
+		}
+	}
+	if len(c.entries) >= 12 {
+		t.Fatalf("a sweep of 12 budgets over a bound of about 3 evicted nothing: %d entries", len(c.entries))
+	}
+	again := c.get(s, 1_000)
+	if again == first {
+		t.Fatal("the first budget was never evicted")
+	}
+	if !bytes.Equal(serialised(t, again), serialised(t, first)) {
+		t.Fatal("a checkpoint generated again after eviction differs from the first")
+	}
+}
+
+// Concurrent callers of one key share one generation, and a caller of
+// another key is not held up by it.
+func TestCheckpointCacheGeneratesOncePerKey(t *testing.T) {
+	slow, _ := ByName("b2c")
+	other, _ := ByName("quake")
+	started, release := make(chan struct{}), make(chan struct{})
+	var mu sync.Mutex
+	runs := map[string]int{}
+	c := newCheckpointCache(checkpointCacheBytes, func(s Spec, ops int) *trace.Checkpoint {
+		mu.Lock()
+		runs[s.Name]++
+		first := runs[s.Name] == 1
+		mu.Unlock()
+		if s.Name == slow.Name && first {
+			close(started)
+			<-release
+		}
+		return generate(s, ops)
+	})
+	const callers = 8
+	got := make([]*trace.Checkpoint, callers)
+	var wg sync.WaitGroup
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = c.get(slow, 2_000)
+		}()
+	}
+	// quake generates while b2c's generation is held; with one lock
+	// around generation it would wait for the release that follows it.
+	<-started
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.get(other, 2_000)
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("a second key waited for the first key's generation")
+	}
+	close(release)
+	wg.Wait()
+	for i, ck := range got {
+		if ck == nil || ck != got[0] {
+			t.Fatalf("caller %d got a different checkpoint", i)
+		}
+	}
+	if runs[slow.Name] != 1 || runs[other.Name] != 1 {
+		t.Fatalf("generations per key: %v, want one each", runs)
+	}
+}
+
 // The pointer-bearing benchmarks must put scannable pointers where the
 // content prefetcher will find them: scanning the lines the trace actually
 // demand-loads must yield candidates.
@@ -145,8 +272,7 @@ func TestPointerBenchmarksAreScannable(t *testing.T) {
 		ck := s.Generate(GenConfig{Ops: 60_000, Seed: 3})
 		candidates := 0
 		scanned := 0
-		for i := range ck.Trace.Len() {
-			op := ck.Trace.At(i)
+		for _, op := range ck.Trace.All() {
 			if op.Kind != trace.KLoad || op.Addr < heapBase || op.Addr >= heapLimit {
 				continue
 			}
@@ -192,5 +318,30 @@ func TestWorkingSetContrast(t *testing.T) {
 	}
 	if wsB < 4*1024*1024 {
 		t.Fatalf("verilog-gate heap working set %d KiB under 4 MiB", wsB/1024)
+	}
+}
+
+// A generation that panics leaves no entry behind: jobq recovers a job's
+// panic, so a stuck in-flight entry would hang every later caller of the
+// key. The next call generates afresh.
+func TestCheckpointCacheForgetsPanickedGeneration(t *testing.T) {
+	s, _ := ByName("b2c")
+	calls := 0
+	c := newCheckpointCache(checkpointCacheBytes, func(s Spec, ops int) *trace.Checkpoint {
+		if calls++; calls == 1 {
+			panic("generator fault")
+		}
+		return generate(s, ops)
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "generator fault" {
+				t.Fatalf("first call: recovered %v, want the generator's panic", r)
+			}
+		}()
+		c.get(s, 2_000)
+	}()
+	if ck := c.get(s, 2_000); ck == nil || calls != 2 {
+		t.Fatalf("after a panicked generation: checkpoint %v after %d generations, want one after 2", ck, calls)
 	}
 }
