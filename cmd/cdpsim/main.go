@@ -41,7 +41,7 @@ func main() {
 	l2ways := flag.Int("l2ways", 8, "UL2 associativity")
 	tlbEntries := flag.Int("tlb", 64, "DTLB entries")
 	inject := flag.Bool("inject", false, "inject bad prefetches on idle bus cycles")
-	baseline := flag.Bool("baseline", false, "also run the stride baseline and report speedup")
+	baseline := flag.Bool("baseline", false, "also run the stride baseline on the same machine and report speedup")
 	tracePath := flag.String("trace", "", "write a Perfetto-loadable Chrome trace_event JSON here")
 	traceCap := flag.Int("trace-cap", 1<<20, "trace ring capacity in events (oldest overwritten)")
 	flag.Parse()
@@ -126,13 +126,23 @@ func main() {
 	}
 
 	if *baseline {
-		base := sim.Default()
-		base.WarmupOps = cfg.WarmupOps
-		base.MPTUBucketOps = cfg.MPTUBucketOps
-		b := sim.Run(ck, base)
+		b := sim.Run(ck, strideBaseline(cfg))
 		fmt.Printf("\nStride-baseline cycles: %d\nSpeedup over baseline:  %.4f\n",
 			b.MeasuredCycles, res.SpeedupOver(b))
 	}
+}
+
+// strideBaseline is the machine cfg describes with the stride baseline as
+// its only prefetcher: the same core, caches, TLB and warm-up, without the
+// content prefetcher, the other engines or injected prefetches. The speedup
+// -baseline reports then measures the prefetchers alone, not a change of
+// geometry as well.
+func strideBaseline(cfg sim.Config) sim.Config {
+	def := sim.Default()
+	cfg.Name, cfg.Engines = def.Name, def.Engines
+	cfg.Content = nil
+	cfg.InjectBadPrefetches = false
+	return cfg
 }
 
 func writeTrace(path string, tr *simtrace.Tracer) error {

@@ -180,6 +180,49 @@ func TestBackpressure429(t *testing.T) {
 	}
 }
 
+// TestResubmitAttachesWhileQueueFull: re-POSTing a request whose job is
+// queued answers 202 with that job's ID although the queue is full, while a
+// distinct request still gets 429.
+func TestResubmitAttachesWhileQueueFull(t *testing.T) {
+	s, q := newTestServer(t, jobq.Config{Workers: 1, Capacity: 1})
+	started := make(chan struct{})
+	release := make(chan struct{})
+	defer close(release)
+	if _, err := q.Submit("pin", 0, func(ctx context.Context, j *jobq.Job) (any, error) {
+		close(started)
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+
+	const body = `{"benchmark": "b2c", "ops": 10000}`
+	var ids [2]string
+	for i := range ids {
+		w := postSim(t, s, body)
+		if w.Code != http.StatusAccepted {
+			t.Fatalf("submission %d: %d %s, want 202", i+1, w.Code, w.Body)
+		}
+		var ack struct {
+			JobID string `json:"job_id"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &ack); err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = ack.JobID
+	}
+	if ids[0] == "" || ids[1] != ids[0] {
+		t.Fatalf("resubmission answered job %q, want the queued %q", ids[1], ids[0])
+	}
+	if w := postSim(t, s, `{"benchmark": "b2c", "ops": 12000}`); w.Code != http.StatusTooManyRequests {
+		t.Fatalf("distinct request to a full queue: %d %s, want 429", w.Code, w.Body)
+	}
+}
+
 // TestBadRequests pins the 400 contract: unknown benchmarks list the valid
 // names, and configurations the simulator would reject never reach the
 // queue.

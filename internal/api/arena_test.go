@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/jobq"
 	"repro/internal/prefetch/registry"
 	"repro/internal/report"
@@ -51,6 +52,32 @@ func TestEnginesEndpoint(t *testing.T) {
 		if e.Doc == "" {
 			t.Errorf("engine %q has no doc line", e.Name)
 		}
+	}
+}
+
+// TestRegistryCDPIsTheSimulatorsCDP: the registry's cdp engine is the
+// simulator's own core.Prefetcher, and a spec builds the policy the
+// matching /v1/sim knobs build, so conformance, the roster and the arena
+// all see the type MemSystem runs.
+func TestRegistryCDPIsTheSimulatorsCDP(t *testing.T) {
+	eng, err := registry.Build("cdp:depth=2,next=1,prev=1,reinforce=false")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, ok := eng.(*core.Prefetcher)
+	if !ok {
+		t.Fatalf("cdp spec built a %T, want *core.Prefetcher", eng)
+	}
+	var req SimRequest
+	if err := json.Unmarshal([]byte(`{"benchmark":"b2c","cdp":true,"depth":2,"next_lines":1,"prev_lines":1,"reinforce":false}`), &req); err != nil {
+		t.Fatal(err)
+	}
+	_, cfg, _, err := ResolveSim(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Content == nil || p.Config() != *cfg.Content {
+		t.Fatalf("registry cdp policy %+v, /v1/sim content %+v", p.Config(), cfg.Content)
 	}
 }
 

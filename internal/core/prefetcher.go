@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 
+	"repro/internal/prefetch"
 	"repro/internal/simtrace"
 )
 
@@ -93,6 +96,13 @@ type Candidate struct {
 // titular point is that the mechanism is *stateless*: no history tables, no
 // training. The only persistent state in the whole scheme is the 2-bit
 // stored depth per L2 line, which lives in the cache, not here.
+//
+// Prefetcher is also the registry's "cdp" engine: it implements
+// prefetch.Prefetcher, so conformance, listings and the arena use the type
+// the memory system runs. The memory system itself calls the typed methods
+// (ShouldScan, OnFill, OnCacheHit, ResolvePrefetch), because a fill-stream
+// Observe cannot carry depths, widened lines, anchoring words, hit
+// reinforcement or accuracy feedback.
 type Prefetcher struct {
 	cfg      Config
 	adaptive *Adaptive
@@ -131,8 +141,30 @@ func New(cfg Config) *Prefetcher {
 	return p
 }
 
+var _ prefetch.Prefetcher = (*Prefetcher)(nil)
+
 // Config returns the active policy.
 func (p *Prefetcher) Config() Config { return p.cfg }
+
+// Name is the engine's registry name.
+func (p *Prefetcher) Name() string { return "cdp" }
+
+// Stream: the CDP is the one engine that trains on data-carrying fills —
+// the paper's whole point is that the prediction state *is* the data.
+func (p *Prefetcher) Stream() prefetch.Stream { return prefetch.StreamFill }
+
+// Translate: content candidates are virtual addresses and go through the
+// DTLB like demand references (Section 3.2).
+func (p *Prefetcher) Translate() prefetch.TranslateVia { return prefetch.TranslateTLB }
+
+// Observe scans one filled line (ev.Data, filled for a request at ev.TrigVA
+// of depth ev.Depth) and appends its candidates' line addresses to dst.
+func (p *Prefetcher) Observe(ev prefetch.Event, dst []uint32) []uint32 {
+	for _, c := range p.OnFill(ev.TrigVA, ev.Depth, ev.VA, ev.Data) {
+		dst = append(dst, c.VA)
+	}
+	return dst
+}
 
 // lineBase truncates an address to its cache-line base.
 func (p *Prefetcher) lineBase(addr uint32) uint32 {
@@ -267,8 +299,8 @@ func (p *Prefetcher) String() string {
 		p.cfg.PrevLines, p.cfg.NextLines, r)
 }
 
-// AdaptiveState is the checkpointable part of the Adaptive controller.
-type AdaptiveState struct {
+// adaptiveState is the checkpointable part of the Adaptive controller.
+type adaptiveState struct {
 	Match    MatchConfig
 	Useful   uint64
 	Total    uint64
@@ -277,16 +309,16 @@ type AdaptiveState struct {
 	Loosens  uint64
 }
 
-// State snapshots the controller.
-func (a *Adaptive) State() AdaptiveState {
-	return AdaptiveState{
+// state snapshots the controller.
+func (a *Adaptive) state() adaptiveState {
+	return adaptiveState{
 		Match: a.match, Useful: a.useful, Total: a.total,
 		Steps: a.steps, Tightens: a.tightens, Loosens: a.loosens,
 	}
 }
 
-// Restore overwrites the controller with a previously captured state.
-func (a *Adaptive) Restore(st AdaptiveState) error {
+// restore overwrites the controller with a previously captured state.
+func (a *Adaptive) restore(st adaptiveState) error {
 	if err := st.Match.Validate(); err != nil {
 		return fmt.Errorf("core: adaptive state carries invalid heuristic: %v", err)
 	}
@@ -296,39 +328,47 @@ func (a *Adaptive) Restore(st AdaptiveState) error {
 	return nil
 }
 
-// State is the checkpointable part of the prefetcher: the live heuristic
+// prefetcherState is the gob payload of MarshalState: the live heuristic
 // (which the adaptive controller may have moved off its configured start)
 // and the activity counters. The scratch buffers are per-fill and never
 // cross a checkpoint boundary.
-type State struct {
+type prefetcherState struct {
 	Match         MatchConfig
 	LinesScanned  uint64
 	WordsMatched  uint64
 	Rescans       uint64
 	ChainsStopped uint64
 	Adaptations   uint64
-	Adaptive      *AdaptiveState
+	Adaptive      *adaptiveState
 }
 
-// State snapshots the prefetcher.
-func (p *Prefetcher) State() State {
-	st := State{
+// MarshalState serialises the prefetcher for checkpointing.
+func (p *Prefetcher) MarshalState() ([]byte, error) {
+	st := prefetcherState{
 		Match:        p.cfg.Match,
 		LinesScanned: p.linesScanned, WordsMatched: p.wordsMatched,
 		Rescans: p.rescans, ChainsStopped: p.chainsStopped,
 		Adaptations: p.adaptations,
 	}
 	if p.adaptive != nil {
-		as := p.adaptive.State()
+		as := p.adaptive.state()
 		st.Adaptive = &as
 	}
-	return st
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
-// Restore overwrites the prefetcher with a previously captured state. The
-// snapshot must agree with the prefetcher's static configuration on whether
-// an adaptive controller is present.
-func (p *Prefetcher) Restore(st State) error {
+// UnmarshalState restores a MarshalState payload into a prefetcher built
+// with the same configuration. The payload must agree with it on whether an
+// adaptive controller is present.
+func (p *Prefetcher) UnmarshalState(data []byte) error {
+	var st prefetcherState
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+		return err
+	}
 	if (st.Adaptive != nil) != (p.adaptive != nil) {
 		return fmt.Errorf("core: adaptive state presence mismatch (snapshot %v, config %v)",
 			st.Adaptive != nil, p.adaptive != nil)
@@ -337,7 +377,7 @@ func (p *Prefetcher) Restore(st State) error {
 		return fmt.Errorf("core: prefetcher state carries invalid heuristic: %v", err)
 	}
 	if p.adaptive != nil {
-		if err := p.adaptive.Restore(*st.Adaptive); err != nil {
+		if err := p.adaptive.restore(*st.Adaptive); err != nil {
 			return err
 		}
 	}

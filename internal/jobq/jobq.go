@@ -340,8 +340,10 @@ func New(cfg Config) *Queue {
 }
 
 // Submit enqueues work under the given id (empty = auto-assigned) and
-// priority. It fails fast with ErrQueueFull when the queue is at capacity
-// and ErrShuttingDown once Shutdown has begun.
+// priority. It fails with ErrDuplicateID while a job of that id is live,
+// even when the queue is full, so a retried submission can attach to its
+// job; otherwise it fails fast with ErrQueueFull when the queue is at
+// capacity, and with ErrShuttingDown once Shutdown has begun.
 func (q *Queue) Submit(id string, priority int, fn Func) (*Job, error) {
 	return q.SubmitTimeout(id, priority, 0, fn)
 }
@@ -355,20 +357,21 @@ func (q *Queue) SubmitTimeout(id string, priority int, timeout time.Duration, fn
 	if q.closed {
 		return nil, ErrShuttingDown
 	}
-	if len(q.pq) >= q.cfg.capacity() {
-		return nil, ErrQueueFull
-	}
-	q.seqNext++
+	seq := q.seqNext + 1
 	if id == "" {
-		id = fmt.Sprintf("job-%d", q.seqNext)
+		id = fmt.Sprintf("job-%d", seq)
 	}
 	if prev, ok := q.jobs[id]; ok && !prev.State().Terminal() {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateID, id)
 	}
+	if len(q.pq) >= q.cfg.capacity() {
+		return nil, ErrQueueFull
+	}
+	q.seqNext = seq
 	j := &Job{
 		id:       id,
 		priority: priority,
-		seq:      q.seqNext,
+		seq:      seq,
 		timeout:  timeout,
 		fn:       fn,
 		state:    StateQueued,

@@ -83,8 +83,9 @@ func TestCountersMoveBeforeWaitersWake(t *testing.T) {
 }
 
 // TestBackpressure fills a 1-worker, 2-slot queue and requires the next
-// submission to fail fast with ErrQueueFull, then succeed again once a
-// slot frees up.
+// submission to fail fast with ErrQueueFull and a resubmitted live ID to
+// report a duplicate, then submission to succeed again once a slot frees
+// up.
 func TestBackpressure(t *testing.T) {
 	started := make(chan string, 8)
 	release := make(chan struct{})
@@ -108,6 +109,14 @@ func TestBackpressure(t *testing.T) {
 	}
 	if _, err := q.Submit("q3", 0, blockingJob(nil, release)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
+	}
+	// A full queue still reports a live job's ID as a duplicate, running
+	// or queued, so a retried submission attaches to its job instead of
+	// backing off.
+	for _, id := range []string{"running", "q1"} {
+		if _, err := q.Submit(id, 0, blockingJob(nil, release)); !errors.Is(err, ErrDuplicateID) {
+			t.Fatalf("resubmit %s to a full queue: err = %v, want ErrDuplicateID", id, err)
+		}
 	}
 	if st := q.Stats(); st.Depth != 2 || st.Running != 1 {
 		t.Fatalf("stats %+v, want depth 2 running 1", st)

@@ -65,17 +65,13 @@ var DefaultBestOffsetConfig = BestOffsetConfig{
 
 // BestOffset is the best-offset spatial prefetcher.
 type BestOffset struct {
-	cfg     BestOffsetConfig
-	rr      []uint32 // direct-mapped recent miss lines; 0 = empty
-	scores  []int32  // parallel to bestOffsetCandidates
-	enabled bool
+	cfg    BestOffsetConfig
+	rr     []uint32 // direct-mapped recent miss lines; 0 = empty
+	scores []int32  // parallel to bestOffsetCandidates
 
 	testIdx int   // next candidate to test (round-robin)
 	misses  int   // misses into the current round
 	current int32 // active offset in lines; 0 = prefetch off
-
-	observed uint64
-	issued   uint64
 }
 
 // NewBestOffset builds a best-offset learner. Panics on invalid geometry.
@@ -84,10 +80,9 @@ func NewBestOffset(cfg BestOffsetConfig) *BestOffset {
 		panic(err.Error())
 	}
 	return &BestOffset{
-		cfg:     cfg,
-		rr:      make([]uint32, cfg.RRSize),
-		scores:  make([]int32, len(bestOffsetCandidates)),
-		enabled: true,
+		cfg:    cfg,
+		rr:     make([]uint32, cfg.RRSize),
+		scores: make([]int32, len(bestOffsetCandidates)),
 	}
 }
 
@@ -104,27 +99,6 @@ func (b *BestOffset) Stream() Stream { return StreamL2 }
 
 // Translate: modelled post-translation; predictions consult the page map.
 func (b *BestOffset) Translate() TranslateVia { return TranslateDirect }
-
-// SetEnabled toggles issue; the scoring tournament continues while
-// disabled.
-func (b *BestOffset) SetEnabled(enabled bool) { b.enabled = enabled }
-
-// Counters reports the engine's lifetime counters.
-func (b *BestOffset) Counters() Counters {
-	return Counters{Observed: b.observed, Issued: b.issued}
-}
-
-// Reset reverts to the just-constructed state.
-func (b *BestOffset) Reset() {
-	for i := range b.rr {
-		b.rr[i] = 0
-	}
-	for i := range b.scores {
-		b.scores[i] = 0
-	}
-	b.testIdx, b.misses, b.current = 0, 0, 0
-	b.observed, b.issued = 0, 0
-}
 
 func (b *BestOffset) String() string {
 	return fmt.Sprintf("bestoffset{%d offsets, rr %d, round %d}",
@@ -166,7 +140,6 @@ func (b *BestOffset) endRound() {
 //
 // simlint:hotpath
 func (b *BestOffset) Observe(ev Event, dst []uint32) []uint32 {
-	b.observed++
 	line := ev.VA
 
 	// Score one candidate per miss, round-robin: if line−O was recently
@@ -188,40 +161,37 @@ func (b *BestOffset) Observe(ev Event, dst []uint32) []uint32 {
 
 	b.rr[b.rrSlot(line)] = line
 
-	if b.current == 0 || !b.enabled {
+	if b.current == 0 {
 		return dst
 	}
 	for k := 1; k <= b.cfg.Degree; k++ {
 		dst = append(dst, line+uint32(b.current*int32(k)*bestOffsetLineBytes))
-		b.issued++
 	}
 	return dst
 }
 
-// BestOffsetState is a checkpointable deep copy of the learner.
-type BestOffsetState struct {
-	RR       []uint32
-	Scores   []int32
-	TestIdx  int
-	Misses   int
-	Current  int32
-	Observed uint64
-	Issued   uint64
+// bestOffsetState is the gob payload of MarshalState: a deep copy of the
+// learner.
+type bestOffsetState struct {
+	RR      []uint32
+	Scores  []int32
+	TestIdx int
+	Misses  int
+	Current int32
 }
 
-// State snapshots the learner.
-func (b *BestOffset) State() BestOffsetState {
-	return BestOffsetState{
+// state snapshots the learner.
+func (b *BestOffset) state() bestOffsetState {
+	return bestOffsetState{
 		RR:      append([]uint32(nil), b.rr...),
 		Scores:  append([]int32(nil), b.scores...),
 		TestIdx: b.testIdx, Misses: b.misses, Current: b.current,
-		Observed: b.observed, Issued: b.issued,
 	}
 }
 
-// Restore overwrites the learner with a previously captured state. The
+// restore overwrites the learner with a previously captured state. The
 // learner must have the geometry the state was captured from.
-func (b *BestOffset) Restore(st BestOffsetState) error {
+func (b *BestOffset) restore(st bestOffsetState) error {
 	if len(st.RR) != len(b.rr) || len(st.Scores) != len(b.scores) {
 		return fmt.Errorf("prefetch: bestoffset state rr/scores %d/%d, want %d/%d (geometry mismatch)",
 			len(st.RR), len(st.Scores), len(b.rr), len(b.scores))
@@ -232,15 +202,13 @@ func (b *BestOffset) Restore(st BestOffsetState) error {
 	copy(b.rr, st.RR)
 	copy(b.scores, st.Scores)
 	b.testIdx, b.misses, b.current = st.TestIdx, st.Misses, st.Current
-	b.observed, b.issued = st.Observed, st.Issued
 	return nil
 }
 
-// MarshalState serialises the learner for checkpointing (gob of
-// BestOffsetState).
+// MarshalState serialises the learner for checkpointing.
 func (b *BestOffset) MarshalState() ([]byte, error) {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(b.State()); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(b.state()); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -249,9 +217,9 @@ func (b *BestOffset) MarshalState() ([]byte, error) {
 // UnmarshalState restores a MarshalState payload into a same-geometry
 // engine.
 func (b *BestOffset) UnmarshalState(data []byte) error {
-	var st BestOffsetState
+	var st bestOffsetState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return err
 	}
-	return b.Restore(st)
+	return b.restore(st)
 }

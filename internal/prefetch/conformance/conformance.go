@@ -1,14 +1,15 @@
 // Package conformance is the behavioural contract of the prefetcher zoo:
 // a table-driven harness every engine in internal/prefetch/registry must
 // pass. The checks encode the properties the simulator's byte-identical-
-// counters guarantee rests on — determinism, reset-to-fresh equivalence,
-// monotone counters, silence while disabled, and state round-trips — so a
+// counters guarantee rests on — determinism and state round-trips, each
+// judged on the issue trace and on the whole MarshalState payload — so a
 // new engine gets its correctness scaffolding for free the moment it
 // registers. The harness is a library (like internal/lint/linttest), not a
 // test file, so engine packages and the registry can both drive it.
 package conformance
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 
@@ -149,64 +150,9 @@ func Suite(t *testing.T, factory func() prefetch.Prefetcher) {
 		ai, ap := replay(a, evs)
 		bi, bp := replay(b, evs)
 		sameTrace(t, "twin engines", ai, bi, ap, bp)
-		if a.Counters() != b.Counters() {
-			t.Fatalf("twin engines diverge on counters: %+v vs %+v", a.Counters(), b.Counters())
-		}
+		sameState(t, "twin engines", a, b)
 		if len(ai) == 0 {
 			t.Fatalf("engine issued nothing across %d events — the conformance stream must exercise every entrant", streamLen)
-		}
-	})
-
-	t.Run("reset", func(t *testing.T) {
-		fresh := factory()
-		fi, fp := replay(fresh, evs)
-
-		e := factory()
-		replay(e, evs)
-		e.Reset()
-		if c := e.Counters(); c != (prefetch.Counters{}) {
-			t.Fatalf("counters survive Reset: %+v", c)
-		}
-		ri, rp := replay(e, evs)
-		sameTrace(t, "post-Reset replay vs fresh engine", fi, ri, fp, rp)
-		if fresh.Counters() != e.Counters() {
-			t.Fatalf("post-Reset counters diverge from fresh: %+v vs %+v", fresh.Counters(), e.Counters())
-		}
-	})
-
-	t.Run("disabled", func(t *testing.T) {
-		e := factory()
-		e.SetEnabled(false)
-		issues, _ := replay(e, evs)
-		if len(issues) != 0 {
-			t.Fatalf("disabled engine issued %d prefetches", len(issues))
-		}
-		c := e.Counters()
-		if c.Issued != 0 {
-			t.Fatalf("disabled engine counted %d issues", c.Issued)
-		}
-		if c.Observed != uint64(len(evs)) {
-			t.Fatalf("disabled engine observed %d of %d events (training must continue)", c.Observed, len(evs))
-		}
-	})
-
-	t.Run("counters-monotone", func(t *testing.T) {
-		e := factory()
-		var prev prefetch.Counters
-		var buf []uint32
-		for i, ev := range evs {
-			buf = e.Observe(ev, buf[:0])
-			c := e.Counters()
-			if c.Observed < prev.Observed || c.Issued < prev.Issued {
-				t.Fatalf("counters regressed at event %d: %+v after %+v", i, c, prev)
-			}
-			if c.Observed != prev.Observed+1 {
-				t.Fatalf("event %d advanced Observed by %d, want exactly 1", i, c.Observed-prev.Observed)
-			}
-			if c.Issued != prev.Issued+uint64(len(buf)) {
-				t.Fatalf("event %d issued %d but advanced Issued by %d", i, len(buf), c.Issued-prev.Issued)
-			}
-			prev = c
 		}
 	})
 
@@ -222,14 +168,28 @@ func Suite(t *testing.T, factory func() prefetch.Prefetcher) {
 		if err := restored.UnmarshalState(blob); err != nil {
 			t.Fatalf("UnmarshalState: %v", err)
 		}
-		if orig.Counters() != restored.Counters() {
-			t.Fatalf("restored counters diverge: %+v vs %+v", orig.Counters(), restored.Counters())
-		}
+		sameState(t, "restored engine", orig, restored)
 		oi, op := replay(orig, evs[half:])
 		ri, rp := replay(restored, evs[half:])
 		sameTrace(t, "restored engine second half", oi, ri, op, rp)
-		if orig.Counters() != restored.Counters() {
-			t.Fatalf("post-restore counters diverge: %+v vs %+v", orig.Counters(), restored.Counters())
-		}
+		sameState(t, "restored engine after the second half", orig, restored)
 	})
+}
+
+// sameState fails unless a and b marshal to identical payloads: their whole
+// mutable state, tables and tallies alike, not only what the issue trace
+// shows.
+func sameState(t *testing.T, what string, a, b prefetch.Prefetcher) {
+	t.Helper()
+	as, err := a.MarshalState()
+	if err != nil {
+		t.Fatalf("%s: MarshalState: %v", what, err)
+	}
+	bs, err := b.MarshalState()
+	if err != nil {
+		t.Fatalf("%s: MarshalState: %v", what, err)
+	}
+	if !bytes.Equal(as, bs) {
+		t.Fatalf("%s: state payloads diverge (%d vs %d bytes)", what, len(as), len(bs))
+	}
 }

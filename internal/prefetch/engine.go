@@ -2,8 +2,10 @@
 // 3): every engine — the stride baseline, the Joseph & Grunwald Markov
 // STAB, the content-directed prefetcher, and the newer entrants in this
 // package — observes miss (or fill) events and appends the virtual
-// addresses it wants prefetched. The memory system drives engines only
-// through this interface; internal/prefetch/registry names them, and
+// addresses it wants prefetched. The memory system drives the miss-stream
+// engines through this interface and the content-directed prefetcher
+// (core.Prefetcher, which implements it too) through its typed fill and
+// hit calls; internal/prefetch/registry names them, and
 // internal/prefetch/conformance holds the behavioural contract every
 // registered engine must pass.
 package prefetch
@@ -81,17 +83,6 @@ type Event struct {
 	Data []byte
 }
 
-// Counters is the uniform lifetime-counter block every engine exports.
-// Both fields are monotone; the conformance suite enforces it.
-type Counters struct {
-	// Observed is the number of events the engine has been shown (one
-	// per Observe call).
-	Observed uint64
-	// Issued is the number of prefetch addresses the engine has
-	// predicted while enabled.
-	Issued uint64
-}
-
 // Prefetcher is the engine-neutral contract. Implementations must be
 // deterministic: the same construction parameters and event sequence must
 // produce the identical issue sequence (the simulator's byte-identical-
@@ -104,20 +95,9 @@ type Prefetcher interface {
 	// Translate declares how predictions are translated before issue.
 	Translate() TranslateVia
 	// Observe trains on one event and appends the virtual addresses to
-	// prefetch to dst, returning the extended slice. A disabled engine
-	// still trains but appends nothing. Implementations must not retain
-	// dst or ev.Data.
+	// prefetch to dst, returning the extended slice. Implementations must
+	// not retain dst or ev.Data.
 	Observe(ev Event, dst []uint32) []uint32
-	// SetEnabled toggles issue (training continues while disabled). The
-	// toggle is a harness affordance — it is not part of the machine
-	// state and is not checkpointed.
-	SetEnabled(enabled bool)
-	// Reset reverts the engine to its just-constructed state: tables
-	// cleared, counters zeroed. A post-Reset replay must match a fresh
-	// engine's exactly.
-	Reset()
-	// Counters reports the engine's lifetime counters.
-	Counters() Counters
 	// MarshalState serialises the engine's mutable state for
 	// checkpointing; UnmarshalState restores it into an engine built
 	// with the same configuration. Restored engines must replay

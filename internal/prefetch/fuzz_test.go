@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"testing"
@@ -27,12 +28,12 @@ var fuzzDegree = []int{2, 3, 2, MarkovFanout}
 // on, for inputs far outside the structured conformance stream:
 //
 //   - twin determinism: two identically-configured engines fed the same
-//     stream produce identical issues and counters;
+//     stream produce identical issues and end in identical MarshalState
+//     payloads;
 //   - bounded issue: no engine returns more than its degree per event;
-//   - counter accounting: Observed advances exactly once per event and
-//     Issued by exactly the returned length;
 //   - state round-trip: an engine restored from MarshalState at an
-//     arbitrary split point replays the tail identically.
+//     arbitrary split point issues what the original does for the rest of
+//     the stream and ends in the original's payload.
 func FuzzObserveMiss(f *testing.F) {
 	// Constant stride, a tight loop, zero deltas, and a wild pointer chase.
 	f.Add([]byte("\x00\x00\x00\x00\x10\x00\x40\x00\x00\x10\x00\x80\x00\x00\x10\x00\xc0\x00\x00\x10"))
@@ -62,57 +63,62 @@ func FuzzObserveMiss(f *testing.F) {
 		for ei, e := range fuzzEngines() {
 			twin := twins[ei]
 			degree := fuzzDegree[ei]
-			var prev Counters
-			var buf, twinBuf []uint32
+			var clone Prefetcher
+			var buf, twinBuf, cloneBuf []uint32
 			for i, ev := range evs {
 				buf = e.Observe(ev, buf[:0])
 				twinBuf = twin.Observe(ev, twinBuf[:0])
-				if len(buf) != len(twinBuf) {
-					t.Fatalf("%s: twins diverge at event %d: %d vs %d issues", e.Name(), i, len(buf), len(twinBuf))
-				}
-				for k := range buf {
-					if buf[k] != twinBuf[k] {
-						t.Fatalf("%s: twins diverge at event %d issue %d: %#x vs %#x", e.Name(), i, k, buf[k], twinBuf[k])
-					}
-				}
+				sameIssues(t, e.Name()+" twins", i, buf, twinBuf)
 				if len(buf) > degree {
 					t.Fatalf("%s: event %d issued %d, degree bound %d", e.Name(), i, len(buf), degree)
 				}
-				c := e.Counters()
-				if c.Observed != prev.Observed+1 {
-					t.Fatalf("%s: event %d advanced Observed by %d", e.Name(), i, c.Observed-prev.Observed)
+				if clone != nil {
+					cloneBuf = clone.Observe(ev, cloneBuf[:0])
+					sameIssues(t, e.Name()+" restored clone", i, buf, cloneBuf)
 				}
-				if c.Issued != prev.Issued+uint64(len(buf)) {
-					t.Fatalf("%s: event %d issued %d but Issued advanced %d", e.Name(), i, len(buf), c.Issued-prev.Issued)
-				}
-				prev = c
-				// At the split point, clone via the state blob and check the
-				// clone replays the rest of the stream identically.
+				// At the split point, clone via the state blob; the clone
+				// then replays the rest of the stream beside the original.
 				if i == split {
 					blob, err := e.MarshalState()
 					if err != nil {
 						t.Fatalf("%s: MarshalState: %v", e.Name(), err)
 					}
-					clone, cloneErr := cloneOf(e)
-					if cloneErr != nil {
-						t.Fatalf("%s: %v", e.Name(), cloneErr)
+					if clone, err = cloneOf(e); err != nil {
+						t.Fatalf("%s: %v", e.Name(), err)
 					}
 					if err := clone.UnmarshalState(blob); err != nil {
 						t.Fatalf("%s: UnmarshalState: %v", e.Name(), err)
 					}
-					var cb []uint32
-					for j := i + 1; j < n; j++ {
-						cb = clone.Observe(evs[j], cb[:0])
-					}
-					defer func(name string, clone Prefetcher) {
-						if e.Counters() != clone.Counters() {
-							t.Fatalf("%s: restored clone counters %+v, original %+v", name, clone.Counters(), e.Counters())
-						}
-					}(e.Name(), clone)
 				}
 			}
+			samePayload(t, e.Name()+" twins", e, twin)
+			samePayload(t, e.Name()+" restored clone", e, clone)
 		}
 	})
+}
+
+func sameIssues(t *testing.T, what string, event int, a, b []uint32) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s diverge at event %d: %d vs %d issues", what, event, len(a), len(b))
+	}
+	for k := range a {
+		if a[k] != b[k] {
+			t.Fatalf("%s diverge at event %d issue %d: %#x vs %#x", what, event, k, a[k], b[k])
+		}
+	}
+}
+
+func samePayload(t *testing.T, what string, a, b Prefetcher) {
+	t.Helper()
+	as, aErr := a.MarshalState()
+	bs, bErr := b.MarshalState()
+	if aErr != nil || bErr != nil {
+		t.Fatalf("%s: MarshalState: %v, %v", what, aErr, bErr)
+	}
+	if !bytes.Equal(as, bs) {
+		t.Fatalf("%s end in different state payloads", what)
+	}
 }
 
 // cloneOf builds a fresh engine with the same configuration, for state

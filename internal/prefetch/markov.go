@@ -61,7 +61,6 @@ type Markov struct {
 	lru      *list.List // front = MRU entries
 	lastMiss uint32
 	haveLast bool
-	enabled  bool
 
 	observed   uint64
 	predicted  uint64
@@ -73,7 +72,7 @@ func NewMarkov(cfg MarkovConfig) *Markov {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Markov{cfg: cfg, table: make(map[uint32]*markovEntry), lru: list.New(), enabled: true}
+	return &Markov{cfg: cfg, table: make(map[uint32]*markovEntry), lru: list.New()}
 }
 
 var _ Prefetcher = (*Markov)(nil)
@@ -87,22 +86,6 @@ func (m *Markov) Stream() Stream { return StreamL2 }
 // Translate: the STAB is modelled post-translation; predictions consult
 // the page map directly.
 func (m *Markov) Translate() TranslateVia { return TranslateDirect }
-
-// SetEnabled toggles issue; transition recording continues while disabled.
-func (m *Markov) SetEnabled(enabled bool) { m.enabled = enabled }
-
-// Counters reports the engine's lifetime counters.
-func (m *Markov) Counters() Counters {
-	return Counters{Observed: m.observed, Issued: m.predicted}
-}
-
-// Reset reverts to the just-constructed state.
-func (m *Markov) Reset() {
-	m.table = make(map[uint32]*markovEntry)
-	m.lru = list.New()
-	m.lastMiss, m.haveLast = 0, false
-	m.observed, m.predicted, m.transition = 0, 0, 0
-}
 
 // Config returns the table bound.
 func (m *Markov) Config() MarkovConfig { return m.cfg }
@@ -134,18 +117,11 @@ func (m *Markov) get(line uint32, create bool) *markovEntry {
 	return e
 }
 
-// ObserveMiss trains on one L2 demand miss (line address) and returns the
-// predicted successor lines to prefetch. strideIssued blocks prediction
-// when the stride prefetcher already issued for this reference, mirroring
-// the sequential stride-then-Markov access of Section 5.
-func (m *Markov) ObserveMiss(line uint32, strideIssued bool) []uint32 {
-	return m.Observe(Event{VA: line, PriorIssued: strideIssued}, nil)
-}
-
-// Observe trains on one L2 miss event and appends the predicted successor
-// lines to dst. ev.PriorIssued carries the paper's stride-takes-precedence
-// rule: a reference the stride engine already covered records its
-// transition but predicts nothing.
+// Observe trains on one L2 demand miss event (ev.VA is the line address)
+// and appends the predicted successor lines to dst. ev.PriorIssued carries
+// the paper's stride-takes-precedence rule (the sequential stride-then-
+// Markov access of Section 5): a reference the stride engine already
+// covered records its transition but predicts nothing.
 func (m *Markov) Observe(ev Event, dst []uint32) []uint32 {
 	line := ev.VA
 	m.observed++
@@ -173,7 +149,7 @@ func (m *Markov) Observe(ev Event, dst []uint32) []uint32 {
 	m.lastMiss = line
 	m.haveLast = true
 
-	if ev.PriorIssued || !m.enabled {
+	if ev.PriorIssued {
 		return dst
 	}
 	e := m.get(line, false)

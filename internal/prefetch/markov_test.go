@@ -7,12 +7,12 @@ import (
 
 func TestMarkovLearnsTransition(t *testing.T) {
 	m := NewMarkov(MarkovConfig{})
-	if got := m.ObserveMiss(10, false); got != nil {
+	if got := m.Observe(Event{VA: 10}, nil); got != nil {
 		t.Fatalf("untrained prediction %v", got)
 	}
-	m.ObserveMiss(20, false) // records 10 -> 20
+	m.Observe(Event{VA: 20}, nil) // records 10 -> 20
 	// Second visit to 10 predicts 20.
-	got := m.ObserveMiss(10, false)
+	got := m.Observe(Event{VA: 10}, nil)
 	if len(got) != 1 || got[0] != 20 {
 		t.Fatalf("prediction = %v, want [20]", got)
 	}
@@ -22,10 +22,10 @@ func TestMarkovFanoutLRUWithinEntry(t *testing.T) {
 	m := NewMarkov(MarkovConfig{})
 	// Build transitions 1 -> 2, 1 -> 3, 1 -> 4, 1 -> 5, 1 -> 6.
 	for _, succ := range []uint32{2, 3, 4, 5, 6} {
-		m.ObserveMiss(1, false)
-		m.ObserveMiss(succ, false)
+		m.Observe(Event{VA: 1}, nil)
+		m.Observe(Event{VA: succ}, nil)
 	}
-	got := m.ObserveMiss(1, false)
+	got := m.Observe(Event{VA: 1}, nil)
 	if len(got) != MarkovFanout {
 		t.Fatalf("fanout = %d, want %d", len(got), MarkovFanout)
 	}
@@ -41,13 +41,13 @@ func TestMarkovFanoutLRUWithinEntry(t *testing.T) {
 func TestMarkovRepeatTransitionMovesToMRU(t *testing.T) {
 	m := NewMarkov(MarkovConfig{})
 	for _, succ := range []uint32{2, 3, 4} {
-		m.ObserveMiss(1, false)
-		m.ObserveMiss(succ, false)
+		m.Observe(Event{VA: 1}, nil)
+		m.Observe(Event{VA: succ}, nil)
 	}
 	// Re-observe 1 -> 2: 2 must move to MRU, not duplicate.
-	m.ObserveMiss(1, false)
-	m.ObserveMiss(2, false)
-	got := m.ObserveMiss(1, false)
+	m.Observe(Event{VA: 1}, nil)
+	m.Observe(Event{VA: 2}, nil)
+	got := m.Observe(Event{VA: 1}, nil)
 	want := []uint32{2, 4, 3}
 	if len(got) != 3 {
 		t.Fatalf("successors = %v, want %v", got, want)
@@ -61,9 +61,9 @@ func TestMarkovRepeatTransitionMovesToMRU(t *testing.T) {
 
 func TestMarkovStridePrecedenceBlocks(t *testing.T) {
 	m := NewMarkov(MarkovConfig{})
-	m.ObserveMiss(1, false)
-	m.ObserveMiss(2, false)
-	if got := m.ObserveMiss(1, true); got != nil {
+	m.Observe(Event{VA: 1}, nil)
+	m.Observe(Event{VA: 2}, nil)
+	if got := m.Observe(Event{VA: 1, PriorIssued: true}, nil); got != nil {
 		t.Fatalf("stride-blocked reference predicted %v", got)
 	}
 	// Training still happened for the blocked miss (2 -> 1 recorded).
@@ -76,27 +76,27 @@ func TestMarkovStridePrecedenceBlocks(t *testing.T) {
 func TestMarkovEntryBoundLRUEviction(t *testing.T) {
 	m := NewMarkov(MarkovConfig{MaxEntries: 2})
 	// Create entries for lines 1 and 2.
-	m.ObserveMiss(1, false)
-	m.ObserveMiss(2, false) // entry 1 created
-	m.ObserveMiss(3, false) // entry 2 created
+	m.Observe(Event{VA: 1}, nil)
+	m.Observe(Event{VA: 2}, nil) // entry 1 created
+	m.Observe(Event{VA: 3}, nil) // entry 2 created
 	if m.Entries() != 2 {
 		t.Fatalf("entries = %d", m.Entries())
 	}
-	m.ObserveMiss(4, false) // entry 3 created, entry 1 evicted (LRU)
+	m.Observe(Event{VA: 4}, nil) // entry 3 created, entry 1 evicted (LRU)
 	if m.Entries() != 2 {
 		t.Fatalf("entries = %d after eviction", m.Entries())
 	}
 	// Entry 1 must be gone: visiting 1 predicts nothing.
-	if got := m.ObserveMiss(1, false); got != nil {
+	if got := m.Observe(Event{VA: 1}, nil); got != nil {
 		t.Fatalf("evicted entry predicted %v", got)
 	}
 }
 
 func TestMarkovSelfTransitionIgnored(t *testing.T) {
 	m := NewMarkov(MarkovConfig{})
-	m.ObserveMiss(5, false)
-	m.ObserveMiss(5, false) // repeated miss to the same line
-	if got := m.ObserveMiss(5, false); got != nil {
+	m.Observe(Event{VA: 5}, nil)
+	m.Observe(Event{VA: 5}, nil) // repeated miss to the same line
+	if got := m.Observe(Event{VA: 5}, nil); got != nil {
 		t.Fatalf("self transition recorded: %v", got)
 	}
 }
@@ -119,7 +119,7 @@ func TestMarkovBoundedAndSoundQuick(t *testing.T) {
 		seen := map[uint32]bool{}
 		for _, s := range seq {
 			line := uint32(s % 32)
-			preds := m.ObserveMiss(line, false)
+			preds := m.Observe(Event{VA: line}, nil)
 			for _, p := range preds {
 				if !seen[p] {
 					return false

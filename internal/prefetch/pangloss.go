@@ -68,15 +68,11 @@ type Pangloss struct {
 	cfg      PanglossConfig
 	table    []panglossSlot // Rows × Slots, row-major
 	rowShift uint           // 32 - log2(Rows), derived from cfg
-	enabled  bool
 
 	lastVA    uint32
 	lastDelta int32
 	haveLast  bool
 	haveDelta bool
-
-	observed uint64
-	issued   uint64
 }
 
 // NewPangloss builds a delta predictor. Panics on invalid geometry.
@@ -88,7 +84,6 @@ func NewPangloss(cfg PanglossConfig) *Pangloss {
 		cfg:      cfg,
 		table:    make([]panglossSlot, cfg.Rows*cfg.Slots),
 		rowShift: uint(33 - bits.Len(uint(cfg.Rows))),
-		enabled:  true,
 	}
 }
 
@@ -106,24 +101,6 @@ func (p *Pangloss) Stream() Stream { return StreamL2 }
 
 // Translate: modelled post-translation; predictions consult the page map.
 func (p *Pangloss) Translate() TranslateVia { return TranslateDirect }
-
-// SetEnabled toggles issue; transition training continues while disabled.
-func (p *Pangloss) SetEnabled(enabled bool) { p.enabled = enabled }
-
-// Counters reports the engine's lifetime counters.
-func (p *Pangloss) Counters() Counters {
-	return Counters{Observed: p.observed, Issued: p.issued}
-}
-
-// Reset reverts to the just-constructed state.
-func (p *Pangloss) Reset() {
-	for i := range p.table {
-		p.table[i] = panglossSlot{}
-	}
-	p.lastVA, p.lastDelta = 0, 0
-	p.haveLast, p.haveDelta = false, false
-	p.observed, p.issued = 0, 0
-}
 
 func (p *Pangloss) String() string {
 	return fmt.Sprintf("pangloss{%dx%d deltas, degree %d}", p.cfg.Rows, p.cfg.Slots, p.cfg.Degree)
@@ -157,20 +134,12 @@ func (p *Pangloss) bestFrom(prev int32) (int32, bool) {
 	return bestDelta, true
 }
 
-// ObserveMiss trains on one L2 demand miss (line address) and returns the
-// predicted lines — the registry-free spelling of Observe, mirroring the
-// other engines.
-func (p *Pangloss) ObserveMiss(line uint32) []uint32 {
-	return p.Observe(Event{VA: line}, nil)
-}
-
 // Observe records the (previous delta → current delta) transition and
 // walks the confident-transition chain forward from the miss address,
 // appending up to Degree predicted line addresses to dst.
 //
 // simlint:hotpath
 func (p *Pangloss) Observe(ev Event, dst []uint32) []uint32 {
-	p.observed++
 	va := ev.VA
 	if !p.haveLast {
 		p.lastVA, p.haveLast = va, true
@@ -216,9 +185,6 @@ func (p *Pangloss) Observe(ev Event, dst []uint32) []uint32 {
 	}
 	p.lastDelta, p.haveDelta = d, true
 
-	if !p.enabled {
-		return dst
-	}
 	// Predict: follow the most-confident transitions forward. A constant
 	// stride self-loops here and issues Degree consecutive lines.
 	addr := va
@@ -230,47 +196,44 @@ func (p *Pangloss) Observe(ev Event, dst []uint32) []uint32 {
 		}
 		addr += uint32(next)
 		dst = append(dst, addr)
-		p.issued++
 		cur = next
 	}
 	return dst
 }
 
-// PanglossSlotState is one transition slot in a PanglossState, row-major.
-type PanglossSlotState struct {
+// panglossSlotState is one transition slot in a panglossState, row-major.
+type panglossSlotState struct {
 	Delta int32
 	Conf  uint8
 	Valid bool
 }
 
-// PanglossState is a checkpointable deep copy of the delta predictor.
-type PanglossState struct {
+// panglossState is the gob payload of MarshalState: a deep copy of the
+// delta predictor.
+type panglossState struct {
 	LastVA    uint32
 	LastDelta int32
 	HaveLast  bool
 	HaveDelta bool
-	Observed  uint64
-	Issued    uint64
-	Slots     []PanglossSlotState // Rows × Slots, row-major
+	Slots     []panglossSlotState // Rows × Slots, row-major
 }
 
-// State snapshots the transition table.
-func (p *Pangloss) State() PanglossState {
-	st := PanglossState{
+// state snapshots the transition table.
+func (p *Pangloss) state() panglossState {
+	st := panglossState{
 		LastVA: p.lastVA, LastDelta: p.lastDelta,
 		HaveLast: p.haveLast, HaveDelta: p.haveDelta,
-		Observed: p.observed, Issued: p.issued,
-		Slots: make([]PanglossSlotState, len(p.table)),
+		Slots: make([]panglossSlotState, len(p.table)),
 	}
 	for i, s := range p.table {
-		st.Slots[i] = PanglossSlotState{Delta: s.delta, Conf: s.conf, Valid: s.valid}
+		st.Slots[i] = panglossSlotState{Delta: s.delta, Conf: s.conf, Valid: s.valid}
 	}
 	return st
 }
 
-// Restore overwrites the table with a previously captured state. The table
+// restore overwrites the table with a previously captured state. The table
 // must have the geometry the state was captured from.
-func (p *Pangloss) Restore(st PanglossState) error {
+func (p *Pangloss) restore(st panglossState) error {
 	if len(st.Slots) != len(p.table) {
 		return fmt.Errorf("prefetch: pangloss state has %d slots, table has %d (geometry mismatch)",
 			len(st.Slots), len(p.table))
@@ -280,15 +243,13 @@ func (p *Pangloss) Restore(st PanglossState) error {
 	}
 	p.lastVA, p.lastDelta = st.LastVA, st.LastDelta
 	p.haveLast, p.haveDelta = st.HaveLast, st.HaveDelta
-	p.observed, p.issued = st.Observed, st.Issued
 	return nil
 }
 
-// MarshalState serialises the table for checkpointing (gob of
-// PanglossState).
+// MarshalState serialises the table for checkpointing.
 func (p *Pangloss) MarshalState() ([]byte, error) {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p.State()); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(p.state()); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -297,9 +258,9 @@ func (p *Pangloss) MarshalState() ([]byte, error) {
 // UnmarshalState restores a MarshalState payload into a same-geometry
 // engine.
 func (p *Pangloss) UnmarshalState(data []byte) error {
-	var st PanglossState
+	var st panglossState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return err
 	}
-	return p.Restore(st)
+	return p.restore(st)
 }

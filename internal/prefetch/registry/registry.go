@@ -125,7 +125,7 @@ var entries = []Entry{
 			if err := cfg.Validate(); err != nil {
 				return nil, err
 			}
-			return newCDPEngine(cfg), nil
+			return core.New(cfg), nil
 		},
 	},
 	{

@@ -61,9 +61,8 @@ type strideEntry struct {
 
 // Stride is the reference-prediction-table stride prefetcher.
 type Stride struct {
-	cfg     StrideConfig
-	table   []strideEntry
-	enabled bool
+	cfg   StrideConfig
+	table []strideEntry
 
 	observed  uint64
 	predicted uint64
@@ -74,7 +73,7 @@ func NewStride(cfg StrideConfig) *Stride {
 	if cfg.TableEntries <= 0 || cfg.Degree <= 0 || cfg.Distance < 0 {
 		panic(fmt.Sprintf("prefetch: bad stride config %+v", cfg))
 	}
-	return &Stride{cfg: cfg, table: make([]strideEntry, cfg.TableEntries), enabled: true}
+	return &Stride{cfg: cfg, table: make([]strideEntry, cfg.TableEntries)}
 }
 
 var _ Prefetcher = (*Stride)(nil)
@@ -91,30 +90,9 @@ func (s *Stride) Stream() Stream { return StreamL1 }
 // Translate: stride predictions consult the DTLB and drop on a TLB miss.
 func (s *Stride) Translate() TranslateVia { return TranslateTLB }
 
-// SetEnabled toggles issue; training continues while disabled.
-func (s *Stride) SetEnabled(enabled bool) { s.enabled = enabled }
-
-// Counters reports the engine's lifetime counters.
-func (s *Stride) Counters() Counters {
-	return Counters{Observed: s.observed, Issued: s.predicted}
-}
-
-// Reset reverts to the just-constructed state.
-func (s *Stride) Reset() {
-	for i := range s.table {
-		s.table[i] = strideEntry{}
-	}
-	s.observed, s.predicted = 0, 0
-}
-
-// ObserveMiss trains on one L1 miss and returns the virtual addresses to
-// prefetch (empty unless the entry is steady with a non-zero stride).
-func (s *Stride) ObserveMiss(pc, va uint32) []uint32 {
-	return s.Observe(Event{PC: pc, VA: va}, nil)
-}
-
 // Observe trains on one L1 miss event and appends the predicted virtual
-// addresses to dst.
+// addresses to dst (nothing unless the entry is steady with a non-zero
+// stride).
 //
 // simlint:hotpath
 func (s *Stride) Observe(ev Event, dst []uint32) []uint32 {
@@ -140,7 +118,7 @@ func (s *Stride) Observe(ev Event, dst []uint32) []uint32 {
 	}
 	e.lastAddr = va
 
-	if e.state != stSteady || e.stride == 0 || !s.enabled {
+	if e.state != stSteady || e.stride == 0 {
 		return dst
 	}
 	for k := 1; k <= s.cfg.Degree; k++ {

@@ -17,7 +17,6 @@ import (
 	"io"
 
 	"repro/internal/bus"
-	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/faultinject"
 	"repro/internal/simtrace"
@@ -50,13 +49,15 @@ type MemState struct {
 	// L1 and L2 are the caches' opaque MarshalState payloads. The cache
 	// package owns their binary encoding, so the thousands of resident
 	// lines a boundary carries bypass gob's per-field reflection.
-	L1, L2  []byte
-	TLB     tlb.State
-	Content *core.State
-	// Engines pins the engine list the snapshot was taken under;
-	// EngineStates holds one opaque MarshalState blob per engine, in list
-	// order. The interface owns each encoding, so new zoo entrants
+	L1, L2 []byte
+	TLB    tlb.State
+	// Content is the content prefetcher's MarshalState payload (nil when
+	// it is off). Engines pins the engine list the snapshot was taken
+	// under; EngineStates holds one MarshalState payload per engine, in
+	// list order. The engine contract owns each encoding, so every
+	// prefetcher checkpoints through one path and new zoo entrants
 	// checkpoint without touching this struct.
+	Content      []byte
 	Engines      string
 	EngineStates [][]byte
 }
@@ -79,8 +80,11 @@ func (ms *MemSystem) state() (MemState, error) {
 		Engines:    ms.cfg.Engines,
 	}
 	if ms.cdp != nil {
-		s := ms.cdp.State()
-		st.Content = &s
+		data, err := ms.cdp.MarshalState()
+		if err != nil {
+			return MemState{}, err
+		}
+		st.Content = data
 	}
 	for i := range ms.ports {
 		data, err := ms.ports[i].eng.MarshalState()
@@ -111,7 +115,7 @@ func (ms *MemSystem) restore(st MemState) error {
 		return err
 	}
 	if ms.cdp != nil {
-		if err := ms.cdp.Restore(*st.Content); err != nil {
+		if err := ms.cdp.UnmarshalState(st.Content); err != nil {
 			return err
 		}
 	}
@@ -161,7 +165,7 @@ type Snapshot struct {
 
 // snapshotMagic versions the serialized stream; bump it when Snapshot's
 // shape, or a payload a component owns, changes incompatibly.
-const snapshotMagic = "cdpsnap3"
+const snapshotMagic = "cdpsnap4"
 
 // WriteSnapshot serializes s to w behind a version header.
 func WriteSnapshot(w io.Writer, s *Snapshot) error {

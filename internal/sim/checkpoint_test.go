@@ -132,9 +132,10 @@ func TestSnapshotCodecRejectsGarbage(t *testing.T) {
 	if _, err := DecodeSnapshot([]byte(snapshotMagic + "\x01\x02garbage")); err == nil {
 		t.Fatal("garbage gob body accepted")
 	}
-	// A stream from before the caches owned their payloads carries the
-	// previous magic; it must fail the header check, so the daemon reruns
-	// that job from µop zero instead of misreading its caches.
+	// A stream from before the caches (cdpsnap2) or the content prefetcher
+	// (cdpsnap3) owned their payloads carries an older magic; it must fail
+	// the header check, so the daemon reruns that job from µop zero instead
+	// of misreading its state.
 	var blob []byte
 	if _, err := RunCheckpointed(buildChase(t, 1500, 1, 2, true), ckptConfig(), func(s *Snapshot) error {
 		var err error
@@ -145,9 +146,11 @@ func TestSnapshotCodecRejectsGarbage(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	copy(blob, "cdpsnap2")
-	if _, err := DecodeSnapshot(blob); err == nil || !strings.Contains(err.Error(), "cdpsnap2") {
-		t.Fatalf("cdpsnap2 stream: got %v, want a header error naming it", err)
+	for _, old := range []string{"cdpsnap2", "cdpsnap3"} {
+		copy(blob, old)
+		if _, err := DecodeSnapshot(blob); err == nil || !strings.Contains(err.Error(), old) {
+			t.Fatalf("%s stream: got %v, want a header error naming it", old, err)
+		}
 	}
 }
 
