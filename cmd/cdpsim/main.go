@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -96,6 +97,10 @@ func main() {
 		cfg = cfg.WithMarkov(budget, cfg.L2)
 	}
 	if *engine != "" {
+		if err := checkEngineFlag(*engine); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 		cfg = cfg.WithEngine(*engine)
 	}
 	// Validate the assembled machine so a bad flag — an engine typo (the
@@ -130,6 +135,18 @@ func main() {
 		fmt.Printf("\nStride-baseline cycles: %d\nSpeedup over baseline:  %.4f\n",
 			b.MeasuredCycles, res.SpeedupOver(b))
 	}
+}
+
+// checkEngineFlag refuses the content prefetcher in -engine. It scans
+// fills rather than the miss stream, so it is no entry of the engine list:
+// -cdp enables it, and -depth, -next, -prev and -no-reinforce tune it.
+func checkEngineFlag(list string) error {
+	for _, spec := range strings.Split(list, "+") {
+		if name, _, err := registry.ParseSpec(spec); err == nil && name == "cdp" {
+			return fmt.Errorf("cdpsim: engine %q scans fills; enable the content prefetcher with -cdp instead", name)
+		}
+	}
+	return nil
 }
 
 // strideBaseline is the machine cfg describes with the stride baseline as

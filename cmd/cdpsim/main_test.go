@@ -26,3 +26,21 @@ func TestStrideBaselineKeepsTheMachine(t *testing.T) {
 		t.Fatalf("baseline of %+v\n= %+v\nwant %+v", cfg, got, want)
 	}
 }
+
+// TestEngineFlagRefusesCDP: -engine refuses the content prefetcher, in any
+// spelling, with one line that names the -cdp flag a user can set; CI greps
+// the line's `engine "cdp" scans fills`.
+func TestEngineFlagRefusesCDP(t *testing.T) {
+	const want = `cdpsim: engine "cdp" scans fills; enable the content prefetcher with -cdp instead`
+	for _, list := range []string{"cdp", "cdp:depth=2", "pangloss+cdp"} {
+		err := checkEngineFlag(list)
+		if err == nil || err.Error() != want {
+			t.Errorf("checkEngineFlag(%q) = %v, want %q", list, err, want)
+		}
+	}
+	for _, list := range []string{"pangloss", "bestoffset:degree=2", "stride", "quake3"} {
+		if err := checkEngineFlag(list); err != nil {
+			t.Errorf("checkEngineFlag(%q) = %v, want nil (left to sim.Config.Validate)", list, err)
+		}
+	}
+}

@@ -80,10 +80,11 @@ type ResultCache interface {
 	Stats() simcache.Stats
 }
 
-// Server wires the handlers to a queue, a cache and an executor. Construct
-// with New or NewWithOptions for the local executor, which simulates in
-// this process, or with NewRouted for the routed one, which places every
-// simulation through a Router.
+// Server wires the handlers to a queue, a cache and an executor. Every
+// role probes and fills the cache the same way; the executor decides only
+// where a miss runs. Construct with New or NewWithOptions for the local
+// executor, which simulates in this process, or with NewRouted for the
+// routed one, which places every miss through a Router.
 type Server struct {
 	queue    *jobq.Queue
 	cache    ResultCache
@@ -162,10 +163,12 @@ func NewWithOptions(q *jobq.Queue, c ResultCache, opts Options) (*Server, error)
 	return s, nil
 }
 
-// NewRouted builds a server whose executor places every simulation through
-// route: a POST /v1/sim becomes a slotless external job in q whose
-// placement runs in the background under ctx, and an arena keeps up to
-// arenaFanout cells in flight. c then holds only assembled reports.
+// NewRouted builds a server whose executor places every cache miss through
+// route: a POST /v1/sim that c cannot answer becomes a slotless external
+// job in q whose placement runs in the background under ctx, and an arena
+// keeps up to arenaFanout cells in flight. c caches what the placements
+// return beside assembled reports: results are content-addressed and
+// immutable, so this copy cannot go stale.
 func NewRouted(ctx context.Context, q *jobq.Queue, c ResultCache, opts Options, route Router) (*Server, error) {
 	s, err := NewWithOptions(q, c, opts)
 	if err != nil {
@@ -227,8 +230,9 @@ func (s *Server) writeBackpressure(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusTooManyRequests, "queue full, retry in ~%ds", retry)
 }
 
-// handleSubmitSim is POST /v1/sim: validate, then hand the request to the
-// executor. The local one consults the cache, and sheds low priorities,
+// handleSubmitSim is POST /v1/sim: validate, answer from the result cache
+// on every role, and hand a miss to the executor. A hit creates no job and
+// reaches no other process. The local executor also sheds low priorities
 // before it spends a queue slot.
 func (s *Server) handleSubmitSim(w http.ResponseWriter, r *http.Request) {
 	var req SimRequest
@@ -243,21 +247,19 @@ func (s *Server) handleSubmitSim(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if s.route == nil {
-		lookupStart := time.Now()
-		data, hit := s.cache.Get(c.key)
-		s.cacheLookup.Observe(time.Since(lookupStart))
-		if hit {
-			s.logger.Info("sim served from cache",
-				"content_key", c.key.String(), "benchmark", req.Benchmark)
-			injectRespondFaults(w, r)
-			writeJSON(w, http.StatusOK, envelope{Cached: true, Result: data})
-			return
-		}
-		if s.shedLowPriority(req.Priority) {
-			s.writeShed(w)
-			return
-		}
+	lookupStart := time.Now()
+	data, hit := s.cache.Get(c.key)
+	s.cacheLookup.Observe(time.Since(lookupStart))
+	if hit {
+		s.logger.Info("sim served from cache",
+			"content_key", c.key.String(), "benchmark", req.Benchmark)
+		injectRespondFaults(w, r)
+		writeJSON(w, http.StatusOK, envelope{Cached: true, Result: data})
+		return
+	}
+	if s.route == nil && s.shedLowPriority(req.Priority) {
+		s.writeShed(w)
+		return
 	}
 	job, err := s.submit(c, retryBudget(r))
 	if errors.Is(err, jobq.ErrDuplicateID) {
@@ -329,8 +331,10 @@ func (s *Server) submit(c simCall, budget int) (*jobq.Job, error) {
 	return job, nil
 }
 
-// forward drives one routed job to its terminal state. Canceling the job,
-// or the server's routing context, abandons the placement.
+// forward drives one routed job to its terminal state. A successful
+// placement fills the result cache before the job completes, so a client
+// that sees it done and asks again is answered here. Canceling the job, or
+// the server's routing context, abandons the placement.
 func (s *Server) forward(job *jobq.Job, c simCall, budget int) {
 	ctx, cancel := context.WithCancel(s.routeCtx)
 	defer cancel()
@@ -341,7 +345,7 @@ func (s *Server) forward(job *jobq.Job, c simCall, budget int) {
 		case <-ctx.Done():
 		}
 	}()
-	data, cached, err := s.route(ctx, c.id, c.key, c.ops, c.req, budget)
+	data, cached, err := s.fill(ctx, job, c, false, budget)
 	if err != nil {
 		s.queue.CompleteExternal(c.id, nil, err)
 		return
@@ -349,10 +353,28 @@ func (s *Server) forward(job *jobq.Job, c simCall, budget int) {
 	s.queue.CompleteExternal(c.id, jobPayload{data: data, cached: cached}, nil)
 }
 
+// fill answers c from the result cache, or runs it where the executor runs
+// a miss and caches the result: the one cache path of a sim job, a routed
+// placement and an arena cell, on every role. Concurrent identical calls
+// collapse onto one miss, and a failed miss is never cached. cached reports
+// a hit here or, for a routed miss, in the tiers of the process that served
+// it.
+func (s *Server) fill(ctx context.Context, j *jobq.Job, c simCall, traced bool, budget int) ([]byte, bool, error) {
+	var remote bool
+	data, hit, err := s.cache.GetOrCompute(c.key, func() ([]byte, error) {
+		if s.route == nil {
+			return s.compute(ctx, j, c, traced)
+		}
+		data, cached, err := s.route(ctx, c.id, c.key, c.ops, c.req, budget)
+		remote = cached
+		return data, err
+	})
+	return data, hit || remote, err
+}
+
 // simJob builds the job function for one local simulation. The cache fill
 // happens inside the job so the queue, not the HTTP handler, pays for the
-// simulation, and GetOrCompute collapses concurrent identical keys into
-// one run.
+// simulation, and fill collapses concurrent identical keys into one run.
 //
 // submitted is when the request was accepted; the gap to the job function
 // starting is the queue wait. traced asks for a simtrace ring (see
@@ -369,9 +391,7 @@ func (s *Server) simJob(c simCall, submitted time.Time, traced bool, persisted <
 		s.queueWait.Observe(wait)
 		s.logger.Info("job started", "job_id", c.id, "content_key", c.key.String(),
 			"benchmark", c.spec.Name, "queue_wait", wait, "ops", c.ops, "traced", traced)
-		data, hit, err := s.cache.GetOrCompute(c.key, func() ([]byte, error) {
-			return s.compute(ctx, j, c, traced)
-		})
+		data, hit, err := s.fill(ctx, j, c, traced, math.MaxInt)
 		if err != nil {
 			return nil, err
 		}

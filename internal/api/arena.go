@@ -59,8 +59,9 @@ const arenaFanout = 8
 // priority, wait=1.
 //
 // Each cell is the POST /v1/sim of its arenaCellRequest on this server, so
-// an arena never re-simulates a configuration the server has already
-// served, and later single-sim requests hit the cells the arena filled.
+// on every role an arena never re-runs a configuration the server has
+// already served, and later single-sim requests hit the cells the arena
+// filled.
 func (s *Server) handleArena(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	ops := 0
@@ -185,9 +186,9 @@ func makeArenaCell(engine, bench string, base, res *SimResult) report.ArenaCell 
 }
 
 // arenaJob sweeps the benchmark × engine matrix. Every cell, and the stride
-// baseline each benchmark is ranked against, runs through the executor
+// baseline each benchmark is ranked against, goes through the result cache
 // under its /v1/sim content key, so concurrent arenas and single-sim
-// requests all collapse onto one simulation per configuration. The report
+// requests all collapse onto one miss per configuration. The report
 // is assembled in benchmark-outer, engine-inner order whatever order the
 // cells finish in.
 func (s *Server) arenaJob(benchmarks, engines []string, ops int, key simcache.Key) jobq.Func {
@@ -259,28 +260,22 @@ func (s *Server) runArena(ctx context.Context, j *jobq.Job, benchmarks, engines 
 	return json.Marshal(out)
 }
 
-// runCell computes (or fetches) one cell through the executor and decodes
-// the stable SimResult the cache stores.
+// runCell answers one cell from the result cache or runs it through the
+// executor, as POST /v1/sim would, and decodes the stable SimResult the
+// cache stores.
 func (s *Server) runCell(ctx context.Context, bench, engineSpec string, ops int) (*SimResult, error) {
 	c, err := s.arenaCell(bench, engineSpec, ops)
 	if err != nil {
 		return nil, err
 	}
-	var data []byte
-	if s.route != nil {
-		data, _, err = s.route(ctx, c.id, c.key, c.ops, c.req, math.MaxInt)
-	} else {
-		data, _, err = s.cache.GetOrCompute(c.key, func() ([]byte, error) {
-			return s.compute(ctx, nil, c, false)
-		})
-		if err == nil && s.store != nil {
-			// A cell has no job of its own to clear the snapshots its run
-			// persisted.
-			s.store.removeSnapshot(c.id)
-		}
-	}
+	data, _, err := s.fill(ctx, nil, c, false, math.MaxInt)
 	if err != nil {
 		return nil, err
+	}
+	if s.store != nil {
+		// A cell has no job of its own to clear the snapshots its run
+		// persisted.
+		s.store.removeSnapshot(c.id)
 	}
 	var res SimResult
 	if err := json.Unmarshal(data, &res); err != nil {

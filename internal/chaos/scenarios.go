@@ -103,11 +103,11 @@ var PartitionWorkerMidJob = Scenario{
 }
 
 // CorruptCacheTier tears disk spills mid-payload via the
-// disk.cache.torn-write fault, kills the worker that wrote them, and
-// re-routes the job to a survivor reading the shared tier cold. The CRC
-// trailer must quarantine the torn entry, the survivor must recompute, and
-// the bytes must still match standalone — corruption costs a recompute,
-// never a wrong answer.
+// disk.cache.torn-write fault, kills the worker that wrote them, restarts
+// the coordinator, and re-routes the job to a survivor reading the shared
+// tier cold. The CRC trailer must quarantine the torn entry, the survivor
+// must recompute, and the bytes must still match standalone — corruption
+// costs a recompute, never a wrong answer.
 var CorruptCacheTier = Scenario{
 	Name:        "corrupt-cache",
 	Description: "torn disk spills quarantined on cold read; recompute, never wrong bytes",
@@ -132,10 +132,13 @@ var CorruptCacheTier = Scenario{
 		faultinject.Enable(prev)
 
 		// Kill the owner: its memory tier dies with it, leaving only the
-		// torn disk entry. The re-routed job (the dead owner is dropped at
-		// the first failed placement) must hit the CRC check, not the
-		// payload.
+		// torn disk entry. Restart the coordinator too, which empties the
+		// copy of the first answer its own cache keeps. The re-routed job
+		// (the dead owner is dropped at the first failed placement) must
+		// hit the CRC check, not the payload.
 		r.KillWorker(victim)
+		r.KillCoordinator()
+		r.RestartCoordinator()
 		second := r.SubmitSim(req)
 		r.Check(bytes.Equal(second, ref), "recomputed-after-quarantine result differs from standalone")
 

@@ -215,9 +215,134 @@ func TestClusterExactlyOnceSharedTier(t *testing.T) {
 	}
 }
 
+// workerCacheStats sums the in-memory tier counters of workers: any
+// request a worker receives moves them, a hit or a miss alike.
+func workerCacheStats(workers ...*Worker) simcache.Stats {
+	var sum simcache.Stats
+	for _, w := range workers {
+		st := w.tiered.Stats()
+		sum.Hits += st.Hits
+		sum.Misses += st.Misses
+		sum.Collapsed += st.Collapsed
+	}
+	return sum
+}
+
+// TestClusterCoordinatorAnswersRepeat: a repeat of an answered request is
+// served from the coordinator's own cache, with the first answer's bytes
+// and cached true. It runs no simulation, reaches no worker, creates no
+// coordinator job and journals nothing.
+func TestClusterCoordinatorAnswersRepeat(t *testing.T) {
+	coord, coordTS := startCoordinator(t, CoordinatorOptions{StateDir: t.TempDir()})
+	w1, _ := startWorker(t, coordTS.URL, "w1", WorkerOptions{})
+	w2, _ := startWorker(t, coordTS.URL, "w2", WorkerOptions{})
+	waitForWorkers(t, coord, 2)
+
+	req := api.SimRequest{Benchmark: "quake", Ops: 17_000}
+	cached, res1 := postSimURL(t, coordTS.URL, req)
+	if cached {
+		t.Fatalf("first request reported cached")
+	}
+
+	journalWrites := func() float64 {
+		return scrape(t, coordTS.URL)["cdpd_cluster_journal_writes_total"].Value(t, 0)
+	}
+	runs, jobs, writes, workers := sim.Runs(), coord.queue.Stats(), journalWrites(), workerCacheStats(w1, w2)
+
+	cached, res2 := postSimURL(t, coordTS.URL, req)
+	if !cached {
+		t.Errorf("repeat through the coordinator answered cached false")
+	}
+	if !bytes.Equal(res2, res1) {
+		t.Errorf("repeat's result differs from the first answer:\nfirst  %s\nrepeat %s", res1, res2)
+	}
+	if delta := sim.Runs() - runs; delta != 0 {
+		t.Errorf("repeat ran %d simulations, want 0", delta)
+	}
+	if got := workerCacheStats(w1, w2); got != workers {
+		t.Errorf("repeat reached a worker: worker cache counters %+v, were %+v", got, workers)
+	}
+	if got := coord.queue.Stats(); got.Completed != jobs.Completed || got.Failed != jobs.Failed {
+		t.Errorf("repeat made a coordinator job: completed %d → %d, failed %d → %d",
+			jobs.Completed, got.Completed, jobs.Failed, got.Failed)
+	}
+	if got := journalWrites(); got != writes {
+		t.Errorf("repeat journaled %v records, want 0", got-writes)
+	}
+}
+
+// TestClusterArenaCellsCachedOnCoordinator: a coordinator arena answers
+// the cells an earlier arena filled from its own cache, so a second arena
+// that shares the stride baseline and the cdp cell places only its new
+// cell on a worker.
+func TestClusterArenaCellsCachedOnCoordinator(t *testing.T) {
+	coord, coordTS := startCoordinator(t, CoordinatorOptions{})
+	w1, _ := startWorker(t, coordTS.URL, "w1", WorkerOptions{})
+	w2, _ := startWorker(t, coordTS.URL, "w2", WorkerOptions{})
+	waitForWorkers(t, coord, 2)
+
+	arena := func(engines string) {
+		t.Helper()
+		resp, err := http.Get(coordTS.URL + "/v1/arena?ops=16000&benchmarks=quake&wait=1&engines=" + engines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("arena %s: %d %s", engines, resp.StatusCode, payload)
+		}
+	}
+	arena("cdp")
+	runs, before := sim.Runs(), workerCacheStats(w1, w2)
+	arena("cdp,pangloss")
+	after := workerCacheStats(w1, w2)
+	if hits := after.Hits - before.Hits; hits != 0 {
+		t.Errorf("second arena placed %d shared cells on workers, want 0", hits)
+	}
+	if misses := after.Misses - before.Misses; misses != 1 {
+		t.Errorf("second arena missed %d times on the workers, want 1 (the pangloss cell)", misses)
+	}
+	if delta := sim.Runs() - runs; delta != 1 {
+		t.Errorf("second arena ran %d simulations, want 1", delta)
+	}
+}
+
+// TestClusterCoordinatorAnswersWithoutWorkers: once every worker has left,
+// the coordinator still answers what it has cached, and a miss gets 503.
+func TestClusterCoordinatorAnswersWithoutWorkers(t *testing.T) {
+	coord, coordTS := startCoordinator(t, CoordinatorOptions{})
+	w1, _ := startWorker(t, coordTS.URL, "w1", WorkerOptions{})
+	waitForWorkers(t, coord, 1)
+
+	req := api.SimRequest{Benchmark: "quake", Ops: 14_000}
+	_, want := postSimURL(t, coordTS.URL, req)
+	if err := w1.Close(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	waitForWorkers(t, coord, 0)
+
+	cached, got := postSimURL(t, coordTS.URL, req)
+	if !cached || !bytes.Equal(got, want) {
+		t.Errorf("repeat with no live workers: cached %v, result equal %v; want cached and equal", cached, bytes.Equal(got, want))
+	}
+	body, _ := json.Marshal(api.SimRequest{Benchmark: "quake", Ops: 14_001})
+	resp, err := http.Post(coordTS.URL+"/v1/sim?wait=1", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("new request with no live workers: %d %s, want 503", resp.StatusCode, payload)
+	}
+}
+
 // TestClusterPeerFetch: when a join moves a key's ownership, the new owner
 // serves it by fetching from the previous owner's cache tier instead of
-// recomputing.
+// recomputing. The re-request goes to w2 itself, as a placement would:
+// through the coordinator it is answered from the coordinator's own cache
+// (TestClusterCoordinatorAnswersRepeat).
 func TestClusterPeerFetch(t *testing.T) {
 	coord, coordTS := startCoordinator(t, CoordinatorOptions{})
 	startWorker(t, coordTS.URL, "w1", WorkerOptions{})
@@ -228,11 +353,11 @@ func TestClusterPeerFetch(t *testing.T) {
 	req, _ := requestOwnedBy(t, "w2", []string{"w1", "w2"}, 20_000, 0)
 	_, res1 := postSimURL(t, coordTS.URL, req)
 
-	w2, _ := startWorker(t, coordTS.URL, "w2", WorkerOptions{})
+	w2, w2TS := startWorker(t, coordTS.URL, "w2", WorkerOptions{})
 	waitForWorkers(t, coord, 2)
 
 	runsBefore := sim.Runs()
-	_, res2 := postSimURL(t, coordTS.URL, req)
+	_, res2 := postSimURL(t, w2TS.URL, req)
 	if delta := sim.Runs() - runsBefore; delta != 0 {
 		t.Errorf("re-request after rebalance ran %d simulations, want 0 (peer fetch)", delta)
 	}

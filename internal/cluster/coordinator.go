@@ -112,8 +112,10 @@ type CoordinatorOptions struct {
 	// explicitly in the placed request, so every worker computes the same
 	// content key the coordinator routed by.
 	CheckpointEveryOps int
-	// CacheBytes bounds the coordinator's local cache (assembled arena
-	// reports; 0 = 64 MiB). Simulation results live on the workers.
+	// CacheBytes bounds the coordinator's one result cache (0 = 64 MiB):
+	// assembled arena reports, and a read-through copy of every result a
+	// placement returned, which answers repeats without a placement. The
+	// workers' tiers stay the authoritative copy.
 	CacheBytes int64
 	// Queue sizes the coordinator's local job pool (arena assembly jobs and
 	// the external handles of routed sims).
@@ -669,9 +671,11 @@ func (c *Coordinator) routeSim(ctx context.Context, id string, key simcache.Key,
 
 // journalBegin reference-counts in-flight placements per job ID and
 // journals "submit" only on the first: concurrent routes of the same
-// content key (a re-adopted placement racing a re-submitted arena cell)
-// are one logical placement, so the ledger must see exactly one open/close
-// pair for it.
+// content key are one logical placement, so the ledger must see exactly
+// one open/close pair for it. The front end's result cache already
+// collapses concurrent misses of one key (a re-adopted placement racing a
+// re-submitted arena cell) onto one route; the count keeps the ledger
+// right for any caller of the Router.
 func (c *Coordinator) journalBegin(id string, req json.RawMessage) {
 	c.mu.Lock()
 	c.placeRefs[id]++

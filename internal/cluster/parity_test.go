@@ -51,9 +51,10 @@ func ask(t *testing.T, base, method, path, body string) answer {
 // TestCoordinatorStandaloneParity sends one table of requests to a
 // standalone api.Server and to a coordinator with the same default
 // checkpoint interval. Status, body, Content-Type and Retry-After must
-// agree: validation and its order, the 202 acknowledgement, an arena
-// report whose cells run segmented, the respond fault on a cached report,
-// and a submission after shutdown.
+// agree: validation and its order, the 202 acknowledgement, the cached
+// repeat of a finished request, an arena report whose cells run segmented,
+// the respond fault on a cached report and on a cached sim, and a
+// submission after shutdown.
 func TestCoordinatorStandaloneParity(t *testing.T) {
 	const every = 50_000
 	coord, coordTS := startCoordinator(t, CoordinatorOptions{CheckpointEveryOps: every})
@@ -94,13 +95,30 @@ func TestCoordinatorStandaloneParity(t *testing.T) {
 		same(tc.name, tc.method, tc.path, tc.body)
 	}
 
-	// The cached report above, torn by the respond fault on either role.
+	// The accepted request above, once finished, is answered from the
+	// cache on either role. The first waited POST only waits it out: it
+	// attaches to the job or hits, depending on timing.
+	const accepted = `{"benchmark":"quake","ops":12000}`
 	for _, base := range []string{refTS.URL, coordTS.URL} {
-		prev := faultinject.Enable(faultinject.MustParse(3, "api.respond.partialwrite:times=1"))
-		a := ask(t, base, "GET", "/v1/arena?ops=60000&benchmarks=quake&engines=cdp", "")
-		faultinject.Enable(prev)
-		if !strings.HasSuffix(a.body, ">") {
-			t.Errorf("%s: api.respond.partialwrite did not tear the cached arena report: %+v", base, a)
+		if a := ask(t, base, "POST", "/v1/sim?wait=1", accepted); a.status != http.StatusOK {
+			t.Fatalf("%s: waiting out the accepted request: %+v", base, a)
+		}
+	}
+	same("cached repeat", "POST", "/v1/sim?wait=1", accepted)
+
+	// The cached report and the cached sim, torn by the respond fault on
+	// either role.
+	for _, base := range []string{refTS.URL, coordTS.URL} {
+		for _, tc := range []struct{ name, method, path, body string }{
+			{"arena report", "GET", "/v1/arena?ops=60000&benchmarks=quake&engines=cdp", ""},
+			{"sim", "POST", "/v1/sim", accepted},
+		} {
+			prev := faultinject.Enable(faultinject.MustParse(3, "api.respond.partialwrite:times=1"))
+			a := ask(t, base, tc.method, tc.path, tc.body)
+			faultinject.Enable(prev)
+			if !strings.HasSuffix(a.body, ">") {
+				t.Errorf("%s: api.respond.partialwrite did not tear the cached %s: %+v", base, tc.name, a)
+			}
 		}
 	}
 

@@ -192,6 +192,16 @@ func TestCoordinatorRestartReadoptsPlacement(t *testing.T) {
 		t.Errorf("simulation ran %d times across the crash, want exactly once", delta)
 	}
 
+	// Re-adoption fills the restarted coordinator's cache as any placement
+	// does, so a repeat is answered there and journals nothing.
+	writes := scrape(t, sc.ts.URL)["cdpd_cluster_journal_writes_total"].Value(t, 0)
+	if cached, again := postSimURL(t, sc.ts.URL, req); !cached || !bytes.Equal(again, ref) {
+		t.Errorf("repeat of the re-adopted job: cached %v, result equal %v; want cached and equal", cached, bytes.Equal(again, ref))
+	}
+	if got := scrape(t, sc.ts.URL)["cdpd_cluster_journal_writes_total"].Value(t, 0); got != writes {
+		t.Errorf("repeat of the re-adopted job journaled %v records, want 0", got-writes)
+	}
+
 	// The settled journal shows a closed ledger: no lost jobs, no double
 	// completions.
 	after, err := ReadJournal(stateDir)

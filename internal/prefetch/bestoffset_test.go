@@ -76,27 +76,51 @@ func TestBestOffsetNegativeOffset(t *testing.T) {
 	}
 }
 
-// Property: any learned offset projects predictions exactly current*k
-// lines ahead, and per-miss issue counts never exceed Degree.
+// Property: while an offset is active, every miss issues exactly Degree
+// predictions, Current()*k lines ahead for k = 1..Degree, and none while
+// prefetch is off. Current() is read after Observe, which can close a round
+// before it issues. The misses are strided with jitter, so offsets win
+// rounds; the test fails if no input ever predicts, so it cannot pass
+// without checking a projection.
 func TestBestOffsetProjectionQuick(t *testing.T) {
-	f := func(vas []uint32) bool {
-		cfg := BestOffsetConfig{RRSize: 32, RoundMisses: 16, ScoreMax: 8, BadScore: 1, Degree: 2}
+	cfg := BestOffsetConfig{RRSize: 32, RoundMisses: 16, ScoreMax: 8, BadScore: 1, Degree: 2}
+	predictions := 0
+	f := func(base uint32, stride int8, jitter []uint8) bool {
 		b := NewBestOffset(cfg)
-		for _, va := range vas {
-			before := b.Current()
+		step := int32(stride % 6) // lines, -5..5
+		if step == 0 {
+			step = 1
+		}
+		va := base
+		for _, j := range jitter {
+			// One miss in four skips up to three lines further.
+			lines := step
+			if j%4 == 0 {
+				lines += int32(j>>2) % 4
+			}
+			va += uint32(lines * bestOffsetLineBytes)
 			got := b.Observe(Event{VA: va}, nil)
-			if len(got) > cfg.Degree {
+			cur, want := b.Current(), 0
+			if cur != 0 {
+				want = cfg.Degree
+			}
+			if len(got) != want {
 				return false
 			}
 			for k, g := range got {
-				if g != va+uint32(before*int32(k+1)*64) {
+				if g != va+uint32(cur*int32(k+1)*bestOffsetLineBytes) {
 					return false
 				}
 			}
+			predictions += len(got)
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+	if predictions == 0 {
+		t.Fatal("no input made a prediction: the projection was never checked")
+	}
+	t.Logf("%d predictions checked", predictions)
 }
