@@ -52,8 +52,7 @@ const (
 // The cluster coordinator caps its own placement attempts (primaries +
 // steals + hedges) by it, so a client that keeps retrying and a
 // coordinator that keeps re-placing cannot multiply each other's work
-// unboundedly. Defined here, next to the API surface, so the client and
-// the coordinator cannot drift.
+// unboundedly.
 const RetryBudgetHeader = "X-Cdpd-Retry-Budget"
 
 // Router places one resolved simulation on another process and returns its
@@ -63,6 +62,11 @@ const RetryBudgetHeader = "X-Cdpd-Retry-Budget"
 // than the client's RetryBudgetHeader, or math.MaxInt without one; the
 // router applies its own ceiling). The cluster coordinator supplies one
 // through NewRouted.
+//
+// The Server calls a Router only from fill, inside the result cache's
+// GetOrCompute, so at most one call per content key (and so per job ID) is
+// in flight at a time: a Router may keep per-job state, such as a journal
+// record pair, without counting concurrent calls.
 type Router func(ctx context.Context, id string, key simcache.Key, ops int, req SimRequest, budget int) ([]byte, bool, error)
 
 // ErrNoWorkers is what a Router returns, wrapped, when it has nowhere to

@@ -79,16 +79,20 @@ func startWorker(t *testing.T, joinURL, name string, opts WorkerOptions) (*Worke
 	return w, ts
 }
 
+// liveMembers counts the members holding a live lease.
+func liveMembers(c *Coordinator) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.expireLocked(time.Now())
+	return len(c.members)
+}
+
 // waitForWorkers polls the coordinator until n workers hold live leases.
 func waitForWorkers(t *testing.T, c *Coordinator, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		c.mu.Lock()
-		c.expireLocked(time.Now())
-		live := len(c.members)
-		c.mu.Unlock()
-		if live == n {
+		if liveMembers(c) == n {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)

@@ -48,7 +48,7 @@ const (
 	// hedgeDelayMin keeps hedges from firing on normal jitter once the
 	// EWMA has converged on a fast fleet; hedgeDelayMax keeps a huge sim's
 	// hedge from waiting out most of the job; hedgeDelayDefault covers the
-	// cold start before any placement has been observed.
+	// cold start before any simulated placement has been observed.
 	hedgeDelayMin     = 250 * time.Millisecond
 	hedgeDelayMax     = 30 * time.Second
 	hedgeDelayDefault = 2 * time.Second
@@ -97,7 +97,6 @@ type member struct {
 // worker cancels the attempt's context, which unblocks the forward so it
 // can steal the job back and re-route it.
 type attempt struct {
-	jobID  string
 	worker string
 	cancel context.CancelFunc
 }
@@ -177,7 +176,6 @@ type Coordinator struct {
 	generation uint64             // simlint:guardedby mu
 	assigns    map[*attempt]bool  // simlint:guardedby mu
 	placed     map[string]string  // simlint:guardedby mu
-	placeRefs  map[string]int     // simlint:guardedby mu
 
 	steals     atomic.Uint64
 	rebalances atomic.Uint64
@@ -185,7 +183,7 @@ type Coordinator struct {
 	hedgeWins  atomic.Uint64
 	readopted  atomic.Uint64
 	// routeEwmaNs is Float64bits of the EWMA nanoseconds-per-op a
-	// successful placement costs end to end; hedgeDelay derives the
+	// placement a worker simulated costs end to end; hedgeDelay derives the
 	// straggler threshold from it (the api layer's adaptiveTimeout
 	// pattern).
 	routeEwmaNs atomic.Uint64
@@ -211,7 +209,6 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 		ring:       NewRing(DefaultVirtualNodes),
 		assigns:    map[*attempt]bool{},
 		placed:     map[string]string{},
-		placeRefs:  map[string]int{},
 	}
 	if c.logger == nil {
 		c.logger = slog.New(slog.DiscardHandler)
@@ -533,16 +530,20 @@ func (c *Coordinator) sweepLeases(ctx context.Context) {
 
 // ---- routing ----
 
-// pickOwner lazily expires lapsed leases and returns key's ring owner.
-func (c *Coordinator) pickOwner(key simcache.Key) (memberInfo, bool) {
+// successor lazily expires lapsed leases and returns the first member of
+// key's ring successors that is not skip: the ring owner for a primary
+// (skip ""), and for a hedge of the primary skip the key's next successor,
+// where a replica of the result would land anyway.
+func (c *Coordinator) successor(key simcache.Key, skip string) (memberInfo, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expireLocked(time.Now())
-	name, ok := c.ring.Owner(key)
-	if !ok {
-		return memberInfo{}, false
+	for _, name := range c.ring.Successors(key, 2) {
+		if name != skip {
+			return c.members[name].info, true
+		}
 	}
-	return c.members[name].info, true
+	return memberInfo{}, false
 }
 
 // trackAttempt registers an in-flight placement (and the owner's inflight
@@ -575,7 +576,7 @@ func (c *Coordinator) notePlaced(id, workerURL string) {
 	c.mu.Unlock()
 }
 
-// observeRouteRate folds one successful placement's end-to-end cost into
+// observeRouteRate folds one simulated placement's end-to-end cost into
 // the EWMA hedgeDelay derives straggler thresholds from (the api layer's
 // observeSimRate pattern: lock-free CAS over Float64bits).
 func (c *Coordinator) observeRouteRate(elapsed time.Duration, ops int) {
@@ -610,33 +611,25 @@ func (c *Coordinator) hedgeDelay(ops int) time.Duration {
 	return min(max(d, hedgeDelayMin), hedgeDelayMax)
 }
 
-// pickHedge returns a live member for a second placement of key that is
-// not the primary: the key's next ring successor, where a replica of the
-// result would land anyway.
-func (c *Coordinator) pickHedge(key simcache.Key, primary string) (memberInfo, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, name := range c.ring.Successors(key, 2) {
-		if name == primary {
-			continue
-		}
-		if m, ok := c.members[name]; ok {
-			return m.info, true
-		}
-	}
-	return memberInfo{}, false
-}
-
-// routeSim places one simulation on its ring owner and returns the
-// worker's terminal answer, journaling the placement lifecycle so a
-// coordinator crash can re-adopt it. A transport-level failure is treated
-// as a dead worker: drop it from the ring (stealing its other in-flight
-// jobs too) and re-route to the new owner, who resumes from the latest
-// shared checkpoint snapshot when there is one. An HTTP-level error means
-// the worker is alive and rejecting — that fails the job, it does not
-// steal. A placement that outlives the EWMA-derived hedge delay gets a
-// second placement racing it on the key's next successor; first completion
-// wins, and the shared budget bounds primaries + steals + hedges together.
+// routeSim is the coordinator's one placement loop: it places a simulation
+// on its content key's ring successors until one answers. It journals
+// "submit" before the first placement and "done" after the last, so a
+// coordinator crash leaves the placement open for the next incarnation to
+// re-adopt through the front end, which calls back in here. Every launch
+// spends one unit of one budget:
+//
+//   - A primary goes to the key's ring owner whenever nothing is running.
+//   - A transport failure means the worker is dead: it is dropped from the
+//     ring (a steal, which cancels its other placements too), and the next
+//     primary goes to the new owner, who resumes from the latest shared
+//     checkpoint snapshot when there is one.
+//   - An HTTP-level error means the worker is alive and refusing; that is
+//     the job's answer.
+//   - A primary that outlives the EWMA-derived hedge delay gets one hedge on
+//     the key's next successor.
+//
+// The first success cancels the rest; a duplicate placement collapses on
+// the worker side under the content-keyed job ID.
 func (c *Coordinator) routeSim(ctx context.Context, id string, key simcache.Key, ops int, req api.SimRequest, budget int) ([]byte, bool, error) {
 	budget = max(1, min(budget, maxRouteAttempts))
 	req.Wait = true
@@ -644,142 +637,82 @@ func (c *Coordinator) routeSim(ctx context.Context, id string, key simcache.Key,
 	if err != nil {
 		return nil, false, err
 	}
-	c.journalBegin(id, body)
-	defer c.journalEnd(id)
-	var lastErr error
-	for used := 0; used < budget; {
-		owner, ok := c.pickOwner(key)
-		if !ok {
-			return nil, false, errNoWorkers
+	c.journal.append(journalRecord{T: "submit", Job: id, Req: body})
+	defer func() {
+		// A dying coordinator leaves the placement open in the journal so the
+		// next incarnation re-adopts it. (A real crash never reaches this;
+		// the chaos stand-in Kill closes the journal first.)
+		if c.rootCtx.Err() == nil {
+			c.journal.append(journalRecord{T: "done", Job: id})
 		}
-		data, cached, spoke, err := c.placeHedged(ctx, id, key, owner, body, ops, &used, budget)
-		if err == nil {
-			return data, cached, nil
-		}
-		if ctx.Err() != nil {
-			// The job was canceled or the coordinator is shutting down —
-			// not a dead worker.
-			return nil, false, ctx.Err()
-		}
-		if spoke {
-			return nil, false, err
-		}
-		lastErr = err
-	}
-	return nil, false, fmt.Errorf("cluster: job %s exhausted its placement budget (%d); workers dying faster than they join (last: %v)", id, budget, lastErr)
-}
+	}()
 
-// journalBegin reference-counts in-flight placements per job ID and
-// journals "submit" only on the first: concurrent routes of the same
-// content key are one logical placement, so the ledger must see exactly
-// one open/close pair for it. The front end's result cache already
-// collapses concurrent misses of one key (a re-adopted placement racing a
-// re-submitted arena cell) onto one route; the count keeps the ledger
-// right for any caller of the Router.
-func (c *Coordinator) journalBegin(id string, req json.RawMessage) {
-	c.mu.Lock()
-	c.placeRefs[id]++
-	first := c.placeRefs[id] == 1
-	c.mu.Unlock()
-	if first {
-		c.journal.append(journalRecord{T: "submit", Job: id, Req: req})
-	}
-}
-
-// journalEnd drops one reference; the last one journals "done" — unless the
-// coordinator is dying, in which case the placement must stay open in the
-// journal so the next incarnation re-adopts it. (A real crash would never
-// reach this defer; the chaos stand-in Kill closes the journal first for
-// the same effect.)
-func (c *Coordinator) journalEnd(id string) {
-	c.mu.Lock()
-	c.placeRefs[id]--
-	last := c.placeRefs[id] <= 0
-	if last {
-		delete(c.placeRefs, id)
-	}
-	c.mu.Unlock()
-	if last && c.rootCtx.Err() == nil {
-		c.journal.append(journalRecord{T: "done", Job: id})
-	}
-}
-
-// placeOutcome is one placement's terminal result inside placeHedged.
-type placeOutcome struct {
-	owner  memberInfo
-	data   []byte
-	cached bool
-	spoke  bool
-	err    error
-	hedge  bool
-}
-
-// placeHedged runs one placement round: the primary placement on owner,
-// plus — if it outlives the hedge delay and the budget allows — a hedge on
-// the key's next successor. First success wins and cancels the loser (the
-// content-keyed job ID makes the duplicate placement collapse on the
-// worker side, so "losing" costs nothing). Transport deaths drop the dead
-// worker immediately, even while the sibling placement keeps running.
-// spoke=true on error means a coherent HTTP rejection the caller must not
-// retry.
-func (c *Coordinator) placeHedged(ctx context.Context, id string, key simcache.Key, owner memberInfo, body []byte, ops int, used *int, budget int) (data []byte, cached, spoke bool, err error) {
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	resCh := make(chan placeOutcome, 2)
+	resCh := make(chan placeOutcome, budget) // one send per launch, so a loser never blocks
+	used, running := 0, 0
 	launch := func(m memberInfo, hedge bool) {
-		*used++
+		used++
+		running++
 		c.journal.append(journalRecord{T: "placed", Job: id, Worker: m.Name})
 		c.notePlaced(id, m.URL)
 		go func() {
 			start := time.Now()
-			data, cached, spoke, err := c.postSim(pctx, m, id, body)
-			if err == nil {
+			data, cached, spoke, err := c.postSim(pctx, m, body)
+			if err == nil && !cached {
+				// Only a simulated answer says how long a miss takes.
 				c.observeRouteRate(time.Since(start), ops)
 			}
 			resCh <- placeOutcome{owner: m, data: data, cached: cached, spoke: spoke, err: err, hedge: hedge}
 		}()
 	}
-	launch(owner, false)
 
-	// The hedge timer only arms while budget remains. The hedge.fire fault
-	// point collapses the delay so tests drive the hedge path without
-	// waiting out a real straggler.
+	var primary string
 	var hedgeC <-chan time.Time
-	if *used < budget {
-		delay := c.hedgeDelay(ops)
-		if faultinject.Should("cluster.hedge.fire") {
-			delay = 0
-		}
-		timer := time.NewTimer(delay)
-		defer timer.Stop()
-		hedgeC = timer.C
-	}
-
-	inflight := 1
-	var firstErr error
+	var lastErr error
 	for {
+		if running == 0 {
+			if used == budget {
+				return nil, false, fmt.Errorf("cluster: job %s exhausted its placement budget (%d); workers dying faster than they join (last: %v)", id, budget, lastErr)
+			}
+			owner, ok := c.successor(key, "")
+			if !ok {
+				return nil, false, errNoWorkers
+			}
+			launch(owner, false)
+			primary, hedgeC = owner.Name, nil
+			if used < budget {
+				// The hedge.fire fault point collapses the delay so tests drive
+				// the hedge path without waiting out a real straggler.
+				delay := c.hedgeDelay(ops)
+				if faultinject.Should("cluster.hedge.fire") {
+					delay = 0
+				}
+				hedgeC = time.After(delay)
+			}
+		}
 		select {
 		case <-hedgeC:
 			hedgeC = nil
-			if next, ok := c.pickHedge(key, owner.Name); ok && *used < budget {
+			if next, ok := c.successor(key, primary); ok {
 				c.hedges.Add(1)
-				c.logger.Info("placement hedged", "job_id", id, "primary", owner.Name, "hedge", next.Name)
+				c.logger.Info("placement hedged", "job_id", id, "primary", primary, "hedge", next.Name)
 				launch(next, true)
-				inflight++
 			}
 		case out := <-resCh:
-			inflight--
-			if out.err == nil {
+			running--
+			switch {
+			case out.err == nil:
 				if out.hedge {
 					c.hedgeWins.Add(1)
 				}
-				return out.data, out.cached, true, nil
-			}
-			if ctx.Err() != nil {
-				return nil, false, false, ctx.Err()
-			}
-			if out.spoke {
-				return nil, false, true, out.err
+				return out.data, out.cached, nil
+			case ctx.Err() != nil:
+				// The job was canceled or the coordinator is shutting down —
+				// not a dead worker.
+				return nil, false, ctx.Err()
+			case out.spoke:
+				return nil, false, out.err
 			}
 			// Transport death: steal now, even if a sibling placement is
 			// still in flight.
@@ -789,26 +722,31 @@ func (c *Coordinator) placeHedged(ctx context.Context, id string, key simcache.K
 			// Fault point: a coordinator that dawdles between detecting the
 			// death and re-routing; clients must simply keep waiting.
 			_ = faultinject.Sleep(ctx, "cluster.steal.stall")
-			if firstErr == nil {
-				firstErr = out.err
-			}
-			if inflight == 0 {
-				return nil, false, false, firstErr
-			}
+			lastErr = out.err
 		case <-ctx.Done():
-			return nil, false, false, ctx.Err()
+			return nil, false, ctx.Err()
 		}
 	}
+}
+
+// placeOutcome is one placement's terminal result inside routeSim.
+type placeOutcome struct {
+	owner  memberInfo
+	data   []byte
+	cached bool
+	spoke  bool
+	err    error
+	hedge  bool
 }
 
 // postSim performs one synchronous placement. spoke reports whether the
 // worker produced a coherent HTTP response; transport failures (spoke
 // false) are what trigger stealing. The attempt is tracked so a lease
 // sweep can cancel it mid-flight.
-func (c *Coordinator) postSim(ctx context.Context, owner memberInfo, id string, body []byte) (data []byte, cached, spoke bool, err error) {
+func (c *Coordinator) postSim(ctx context.Context, owner memberInfo, body []byte) (data []byte, cached, spoke bool, err error) {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	at := &attempt{jobID: id, worker: owner.Name, cancel: cancel}
+	at := &attempt{worker: owner.Name, cancel: cancel}
 	c.trackAttempt(at)
 	defer c.untrackAttempt(at)
 

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -265,9 +267,9 @@ func TestRegisterJitterSpread(t *testing.T) {
 	}
 }
 
-// postSimBudget posts a waited request with an explicit retry-budget header
-// and returns the result bytes.
-func postSimBudget(t *testing.T, base string, req api.SimRequest, budget int) []byte {
+// postSimRaw posts a waited request, with an explicit retry-budget header
+// when budget is not negative, and returns the status and body answered.
+func postSimRaw(t *testing.T, base string, req api.SimRequest, budget int) (int, []byte) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -278,15 +280,25 @@ func postSimBudget(t *testing.T, base string, req api.SimRequest, budget int) []
 		t.Fatal(err)
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	hreq.Header.Set(api.RetryBudgetHeader, strconv.Itoa(budget))
+	if budget >= 0 {
+		hreq.Header.Set(api.RetryBudgetHeader, strconv.Itoa(budget))
+	}
 	resp, err := http.DefaultClient.Do(hreq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	payload, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /v1/sim: %d %s", resp.StatusCode, payload)
+	return resp.StatusCode, payload
+}
+
+// postSimBudget posts a waited request with an explicit retry-budget header
+// and returns the result bytes.
+func postSimBudget(t *testing.T, base string, req api.SimRequest, budget int) []byte {
+	t.Helper()
+	code, payload := postSimRaw(t, base, req, budget)
+	if code != http.StatusOK {
+		t.Fatalf("POST /v1/sim: %d %s", code, payload)
 	}
 	var env envelope
 	if err := json.Unmarshal(payload, &env); err != nil {
@@ -346,13 +358,7 @@ func TestStealStallFault(t *testing.T) {
 
 	// A hand-registered member with a dead address owns the key; placing on
 	// it fails at transport, triggering the steal path.
-	body, _ := json.Marshal(joinRequest{Name: "ghost", URL: "http://127.0.0.1:1"})
-	resp, err := http.Post(coordTS.URL+"/v1/cluster/register", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	registerMember(t, coordTS.URL, "ghost", "http://127.0.0.1:1")
 	startWorker(t, coordTS.URL, "w2", WorkerOptions{})
 	waitForWorkers(t, coord, 2)
 
@@ -370,6 +376,178 @@ func TestStealStallFault(t *testing.T) {
 	}
 	if plan.Fired() < 1 {
 		t.Errorf("cluster.steal.stall never fired")
+	}
+}
+
+// registerMember registers a member by hand, with no worker behind it
+// unless the test serves url itself.
+func registerMember(t *testing.T, base, name, url string) {
+	t.Helper()
+	body, _ := json.Marshal(joinRequest{Name: name, URL: url})
+	resp, err := http.Post(base+"/v1/cluster/register", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("register %s: %d", name, resp.StatusCode)
+	}
+}
+
+// TestPlacementBudgetExhaustedBySteals: a steal spends the placement
+// budget a primary or a hedge spends. With a retry budget of 1 (two
+// placements) and three dead members, the job fails after two steals and
+// the third member is never tried.
+func TestPlacementBudgetExhaustedBySteals(t *testing.T) {
+	coord, coordTS := startCoordinator(t, CoordinatorOptions{LeaseTTL: 60 * time.Second, HedgeDelay: time.Hour})
+	for _, name := range []string{"ghost1", "ghost2", "ghost3"} {
+		registerMember(t, coordTS.URL, name, "http://127.0.0.1:1")
+	}
+	waitForWorkers(t, coord, 3)
+
+	code, payload := postSimRaw(t, coordTS.URL, api.SimRequest{Benchmark: "quake", Ops: 20_000}, 1)
+	if code != http.StatusInternalServerError || !strings.Contains(string(payload), "exhausted its placement budget (2)") {
+		t.Errorf("POST /v1/sim: %d %s, want 500 naming the exhausted budget (2)", code, payload)
+	}
+	if got := coord.steals.Load(); got != 2 {
+		t.Errorf("steals = %d, want 2", got)
+	}
+	if got := liveMembers(coord); got != 1 {
+		t.Errorf("live members = %d, want 1 (the member the budget never reached)", got)
+	}
+}
+
+// TestPlacementRefusalFailsJob: a worker that answers an HTTP error is
+// alive and has answered, so the job fails with its answer: no steal, no
+// second placement, and the member keeps its place on the ring.
+func TestPlacementRefusalFailsJob(t *testing.T) {
+	var posts atomic.Int64
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/sim" {
+			posts.Add(1)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusInternalServerError)
+		io.WriteString(w, `{"error":"disk full"}`)
+	}))
+	t.Cleanup(fake.Close)
+	coord, coordTS := startCoordinator(t, CoordinatorOptions{LeaseTTL: 60 * time.Second, HedgeDelay: time.Hour})
+	registerMember(t, coordTS.URL, "fake", fake.URL)
+	waitForWorkers(t, coord, 1)
+
+	code, payload := postSimRaw(t, coordTS.URL, api.SimRequest{Benchmark: "quake", Ops: 20_000}, -1)
+	if want := "worker fake answered 500: disk full"; code != http.StatusInternalServerError || !strings.Contains(string(payload), want) {
+		t.Errorf("POST /v1/sim: %d %s, want 500 with %q", code, payload, want)
+	}
+	if got := coord.steals.Load(); got != 0 {
+		t.Errorf("steals = %d after a refusal, want 0", got)
+	}
+	if got := liveMembers(coord); got != 1 {
+		t.Errorf("live members = %d after a refusal, want 1", got)
+	}
+	if got := posts.Load(); got != 1 {
+		t.Errorf("the refusing worker saw %d placements, want 1", got)
+	}
+}
+
+// TestCachedPlacementLeavesHedgeDelay: a placement a worker answers from
+// its tiers runs no simulation, so its time says nothing about how long a
+// miss takes. Folded into the hedge threshold, one such answer would pull
+// the delay down to its floor, and every slower miss after it would be
+// hedged and simulated twice.
+func TestCachedPlacementLeavesHedgeDelay(t *testing.T) {
+	coord, coordTS := startCoordinator(t, CoordinatorOptions{LeaseTTL: 60 * time.Second})
+	_, w1TS := startWorker(t, coordTS.URL, "w1", WorkerOptions{})
+	startWorker(t, coordTS.URL, "w2", WorkerOptions{})
+	waitForWorkers(t, coord, 2)
+
+	req, _ := requestOwnedBy(t, "w1", []string{"w1", "w2"}, 200_000, 0)
+	if cached, _ := postSimURL(t, w1TS.URL, req); cached {
+		t.Fatal("w1's first answer reported cached")
+	}
+	if cached, _ := postSimURL(t, coordTS.URL, req); !cached {
+		t.Fatal("the placement on w1 was not answered from its cache")
+	}
+	if bits := coord.routeEwmaNs.Load(); bits != 0 {
+		t.Errorf("a cached placement set the placement-rate EWMA to %v ns/op, want it unset", math.Float64frombits(bits))
+	}
+	if got := coord.hedgeDelay(req.Ops); got != hedgeDelayDefault {
+		t.Errorf("hedgeDelay = %v after a cached placement, want the default %v", got, hedgeDelayDefault)
+	}
+}
+
+// TestOneRoutePerContentKey: the front end's result cache runs at most one
+// route of a content key at a time, so the journal needs no per-job
+// reference count. Two arenas race on the stride-baseline cell they share;
+// the collapse counter shows they met, and every cell journals exactly one
+// submit, one placed and one done, which leaves a closed ledger.
+func TestOneRoutePerContentKey(t *testing.T) {
+	stateDir := t.TempDir()
+	coord, coordTS := startCoordinator(t, CoordinatorOptions{LeaseTTL: 60 * time.Second, StateDir: stateDir, HedgeDelay: time.Hour})
+	startWorker(t, coordTS.URL, "w1", WorkerOptions{})
+	startWorker(t, coordTS.URL, "w2", WorkerOptions{})
+	waitForWorkers(t, coord, 2)
+
+	var wg sync.WaitGroup
+	for _, engine := range []string{"cdp", "pangloss"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Get(coordTS.URL + "/v1/arena?ops=200000&benchmarks=quake&wait=1&engines=" + engine)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			payload, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("arena %s: %d %s", engine, resp.StatusCode, payload)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := scrape(t, coordTS.URL)["cdpd_cache_collapsed_total"].Value(t, 0); got != 1 {
+		t.Fatalf("cdpd_cache_collapsed_total = %v, want 1: the arenas never raced on their shared cell", got)
+	}
+
+	raw, err := os.ReadFile(filepath.Join(stateDir, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := map[string]map[string]int{} // job ID → record type → count
+	for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
+		var rec journalRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("journal line %s: %v", line, err)
+		}
+		if rec.Job == "" {
+			continue
+		}
+		if records[rec.Job] == nil {
+			records[rec.Job] = map[string]int{}
+		}
+		records[rec.Job][rec.T]++
+	}
+	if len(records) != 3 {
+		t.Errorf("journal names %d jobs, want 3 cells (baseline, cdp, pangloss)", len(records))
+	}
+	want := map[string]int{"submit": 1, "placed": 1, "done": 1}
+	for job, got := range records {
+		if len(got) != len(want) || got["submit"] != 1 || got["placed"] != 1 || got["done"] != 1 {
+			t.Errorf("job %s journaled %v, want %v", job, got, want)
+		}
+	}
+
+	if err := coord.Close(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	state, err := ReadJournal(stateDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(state.Open) != 0 || state.DoubleCompletes != 0 {
+		t.Errorf("journal after Close: open %v, double completes %d; want a closed ledger", state.Open, state.DoubleCompletes)
 	}
 }
 

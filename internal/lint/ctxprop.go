@@ -17,7 +17,6 @@ var ctxServicePkgs = map[string]bool{
 	"jobq":        true, // worker pool: per-job cancellation and timeouts
 	"simcache":    true, // singleflight waiters
 	"api":         true, // HTTP handlers and the job functions they build
-	"client":      true, // retry loop, backoff sleeps
 	"experiments": true, // matrix sweeps cancelled between cells
 	"cluster":     true, // heartbeat loop, forwards, lease sweeper
 }
@@ -31,7 +30,7 @@ var ctxServicePkgs = map[string]bool{
 //     enclosing function so each root is named, documented, and greppable.
 //   - time.Sleep is forbidden: a bare sleep cannot be interrupted by
 //     cancellation; block on a timer channel together with ctx.Done()
-//     instead (see client.Config.Sleep's default for the pattern).
+//     instead (see faultinject.Sleep for the pattern).
 //   - A context.Context parameter must come first in the parameter list,
 //     the convention every caller in this codebase relies on.
 //
