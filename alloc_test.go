@@ -17,7 +17,7 @@ import (
 const simAllocCeiling = 865
 
 // TestSimAllocCeiling is the allocations-per-run ratchet beside
-// cmd/allocheck's escape ratchet: allocheck proves no hot-path function
+// cmd/allocheck's escape gate: allocheck proves no hot-path function
 // escapes a value to the heap, and this counts what one whole run
 // allocates, construction included.
 func TestSimAllocCeiling(t *testing.T) {

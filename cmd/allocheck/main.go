@@ -1,19 +1,16 @@
 // Command allocheck gates the allocation behaviour of `simlint:hotpath`
-// functions on the compiler's real escape analysis, so a heap-escape
-// regression on the per-µop fast paths fails CI before a benchmark ever
-// runs:
+// functions on the compiler's real escape analysis, so a heap escape on
+// the per-µop fast paths fails CI before a benchmark ever runs:
 //
-//	go run ./cmd/allocheck            # diff against allocheck.baseline.json
-//	go run ./cmd/allocheck -update    # accept the current escapes
+//	go run ./cmd/allocheck
 //
 // It locates hotpath functions with the hotalloc analyzer, compiles the
-// repository with `go build -gcflags=-m`, attributes each "escapes to heap"
-// / "moved to heap" diagnostic falling inside a hotpath body to its
-// function, and ratchets the set against the checked-in baseline. New
-// escapes fail; vanished escapes also fail (with instructions to -update)
-// so the baseline stays an honest inventory of accepted slow-path
-// allocations. Exit status 0 means the ratchet holds, 1 means it moved,
-// 2 means the build or load failed.
+// repository with `go build -gcflags=-m`, and prints every "escapes to
+// heap" / "moved to heap" diagnostic that falls inside a hotpath body,
+// attributed to its function. The gate tolerates none: a value that must
+// live on the heap belongs off the hot path. Exit status 0 means no
+// hotpath function allocates, 1 means at least one does, 2 means the
+// build or load failed.
 package main
 
 import (
@@ -27,15 +24,12 @@ import (
 	"repro/internal/lint"
 )
 
-const baselinePath = "allocheck.baseline.json"
-
 func main() {
-	update := flag.Bool("update", false, "rewrite "+baselinePath+" from the current compiler output")
-	flag.Parse()
-	os.Exit(run(*update))
+	flag.Parse() // allocheck takes no flags; any flag exits 2
+	os.Exit(run())
 }
 
-func run(update bool) int {
+func run() int {
 	dir, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "allocheck: %v\n", err)
@@ -61,34 +55,15 @@ func run(update bool) int {
 		fmt.Fprintf(os.Stderr, "allocheck: go build -gcflags=-m failed: %v\n%s", err, out)
 		return 2
 	}
-	got := lint.ParseEscapes(dir, out, funcs)
-
-	if update {
-		if err := lint.WriteAllocBaseline(baselinePath, got); err != nil {
-			fmt.Fprintf(os.Stderr, "allocheck: %v\n", err)
-			return 2
-		}
-		fmt.Printf("allocheck: wrote %d escapes for %d hotpath functions to %s\n", total(got), len(funcs), baselinePath)
-		return 0
+	escapes := lint.ParseEscapes(dir, out, funcs)
+	for _, e := range escapes {
+		fmt.Printf("allocheck: %s: %d× %q\n", e.Func, e.Count, e.Message)
 	}
-
-	baseline, err := lint.ReadAllocBaseline(baselinePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "allocheck: %v (run with -update to create it)\n", err)
-		return 2
-	}
-	gained, lost := lint.DiffEscapes(baseline.Escapes, got)
-	for _, e := range gained {
-		fmt.Printf("allocheck: REGRESSION: %s gained %d× %q not in %s\n", e.Func, e.Count, e.Message, baselinePath)
-	}
-	for _, e := range lost {
-		fmt.Printf("allocheck: stale baseline: %s no longer reports %d× %q; run `go run ./cmd/allocheck -update`\n",
-			e.Func, e.Count, e.Message)
-	}
-	if len(gained)+len(lost) > 0 {
+	if len(escapes) > 0 {
+		fmt.Printf("allocheck: FAIL — heap escapes in hotpath functions (%d checked)\n", len(funcs))
 		return 1
 	}
-	fmt.Printf("allocheck: ok — %d hotpath functions, %d accepted escapes, ratchet holds\n", len(funcs), total(got))
+	fmt.Printf("allocheck: ok — %d hotpath functions, no heap escapes\n", len(funcs))
 	return 0
 }
 
@@ -110,12 +85,4 @@ func hotpathFuncs(dir string) ([]lint.HotFunc, error) {
 		}
 	}
 	return funcs, nil
-}
-
-func total(es []lint.Escape) int {
-	n := 0
-	for _, e := range es {
-		n += e.Count
-	}
-	return n
 }

@@ -4,12 +4,14 @@
 // throughput telemetry. See internal/api for the endpoint catalogue.
 //
 // Roles: the default -role standalone is the single-process daemon. -role
-// coordinator serves the same API but owns no simulator — it routes each
-// job to its content key's owner on a consistent-hash ring of workers and
-// steals jobs back from workers that die mid-run. -role worker joins a
-// coordinator (-join URL), heartbeats a lease, and serves its share of the
-// keyspace; its result cache becomes the shared tier (memory, disk spill
-// under -cache-dir, then peer fetch from the ring). See internal/cluster.
+// coordinator serves the same API and routes each /v1/sim job and arena
+// cell to its content key's owner on a consistent-hash ring of workers,
+// stealing jobs back from workers that die mid-run; only
+// GET /v1/experiments/{id} still runs its matrix in the coordinator's own
+// process. -role worker joins a coordinator (-join URL), heartbeats a
+// lease, and serves its share of the keyspace; its result cache becomes
+// the shared tier (memory, disk spill under -cache-dir, then peer fetch
+// from the ring). See internal/cluster.
 //
 // Resilience: -checkpoint-dir persists boundary snapshots of running
 // simulations so a killed daemon resumes them on restart (byte-identical

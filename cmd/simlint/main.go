@@ -2,12 +2,14 @@
 // internal/lint over the repository:
 //
 //	go run ./cmd/simlint ./...
-//	go run ./cmd/simlint -json -baseline simlint.baseline.json ./...
+//	go run ./cmd/simlint -json ./...
 //
 // It exits 0 when clean, 1 when any analyzer reports a finding, and 2 when
-// loading or analysis fails. See internal/lint for the analyzer catalogue
-// and the `simlint:allow` / `simlint:novalidate` / `simlint:guardedby` /
-// `simlint:holds` / `simlint:rootctx` / `simlint:hotpath` markers.
+// loading or analysis fails. A finding is waived only at its site, with a
+// `//simlint:allow <analyzer> -- rationale` comment. See internal/lint for
+// the analyzer catalogue and the `simlint:allow` / `simlint:novalidate` /
+// `simlint:guardedby` / `simlint:holds` / `simlint:rootctx` /
+// `simlint:hotpath` markers.
 package main
 
 import (
@@ -20,8 +22,6 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array (repo-relative file paths)")
-	baseline := flag.String("baseline", "", "diff findings against this baseline file; stale entries are reported")
-	writeBaseline := flag.String("write-baseline", "", "write current findings to this baseline file and exit 0")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: simlint [flags] [packages]\n\nFlags:\n")
 		flag.PrintDefaults()
@@ -31,6 +31,5 @@ func main() {
 		}
 	}
 	flag.Parse()
-	opts := lint.MainOptions{JSON: *jsonOut, Baseline: *baseline, WriteBaseline: *writeBaseline}
-	os.Exit(lint.Main(os.Stdout, ".", flag.Args(), opts))
+	os.Exit(lint.Main(os.Stdout, ".", flag.Args(), *jsonOut))
 }

@@ -476,23 +476,18 @@ func (s *Server) storeTrace(id string, tr *simtrace.Tracer, log *slog.Logger) {
 // write (disk full, injected ckpt.write.error) costs one boundary of
 // resume granularity, never the run. A resume snapshot that does not
 // restore is deleted and the run starts from µop zero; only a snapshot that
-// restores counts in cdpd_jobs_resumed_total. Cancellation is
-// observed at boundaries for segmented runs and continuously for plain
-// ones. A non-nil tracer records the run's event stream.
+// restores counts in cdpd_jobs_resumed_total. A plain run observes
+// cancellation only before it starts; a segmented one also at every
+// boundary and once more before it completes, so a canceled run never
+// counts in sim.Runs. A non-nil tracer records the run's event stream.
 func (s *Server) runSim(ctx context.Context, j *jobq.Job, id string, ck *trace.Checkpoint, cfg sim.Config, resume *sim.Snapshot, tr *simtrace.Tracer) (*sim.Result, error) {
-	if cfg.CheckpointEveryOps <= 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return sim.RunTraced(ck, cfg, tr), nil
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if cfg.CheckpointEveryOps <= 0 {
+		return sim.RunTraced(ck, cfg, tr), nil
+	}
 	sink := func(snap *sim.Snapshot) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		setProgress(j, "simulating", 1+snap.OpsFetched/cfg.CheckpointEveryOps, 0)
 		if s.store != nil {
 			if err := s.store.saveSnapshot(id, snap); err != nil {
@@ -504,7 +499,7 @@ func (s *Server) runSim(ctx context.Context, j *jobq.Job, id string, ck *trace.C
 		return nil
 	}
 	if resume != nil {
-		res, err := sim.Resume(ck, cfg, resume, sink)
+		res, err := sim.Resume(ctx, ck, cfg, resume, sink)
 		if !errors.Is(err, sim.ErrRestore) {
 			s.resumedJobs.Add(1)
 			return res, err
@@ -516,7 +511,7 @@ func (s *Server) runSim(ctx context.Context, j *jobq.Job, id string, ck *trace.C
 		s.logger.Warn("snapshot does not restore; rerunning from µop zero", "job_id", id, "error", err)
 		s.store.removeSnapshot(id)
 	}
-	return sim.RunCheckpointedTraced(ck, cfg, tr, sink)
+	return sim.RunCheckpointedTraced(ctx, ck, cfg, tr, sink)
 }
 
 // respondJob either acknowledges the job (202) or, when wait is requested,

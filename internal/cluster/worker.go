@@ -161,8 +161,10 @@ func (w *Worker) Close(ctx context.Context) error {
 // orchestrator: no leave call, no graceful drain. The heartbeat loop
 // stops, running jobs' contexts are canceled (a segmented sim dies at its
 // next checkpoint boundary, exactly like a killed process whose snapshot
-// survives on shared disk), and the lease is left to lapse so the
-// coordinator discovers the death on its own.
+// survives on shared disk; one already in its last segment runs the
+// segment out but then fails without a result and without counting in
+// sim.Runs, as the process would never have answered), and the lease is
+// left to lapse so the coordinator discovers the death on its own.
 //
 // simlint:rootctx
 func (w *Worker) Kill() {

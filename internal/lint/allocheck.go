@@ -1,9 +1,6 @@
 package lint
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -12,24 +9,17 @@ import (
 
 // This file is the library behind cmd/allocheck: it matches the compiler's
 // escape-analysis diagnostics (`go build -gcflags=-m`) against the
-// functions the hotalloc analyzer marked `simlint:hotpath`, and ratchets
-// the result against a checked-in baseline. Any escape the baseline does
-// not list — a refactor that quietly promotes a per-µop value to the heap —
-// fails before a benchmark ever runs. TestSimAllocCeiling (alloc_test.go at
-// the repository root) pins the other half: what one whole frozen run
-// allocates.
+// functions the hotalloc analyzer found marked `simlint:hotpath`. The gate
+// tolerates none: any heap escape inside a hotpath body — a refactor that
+// quietly promotes a per-µop value to the heap — fails before a benchmark
+// ever runs. TestSimAllocCeiling (alloc_test.go at the repository root)
+// pins the other half: what one whole frozen run allocates.
 
 // Escape is one compiler escape decision attributed to a hotpath function.
 type Escape struct {
-	Func    string `json:"func"`    // e.g. "(*MemSystem).Load"
-	Message string `json:"message"` // e.g. "func literal escapes to heap"
-	Count   int    `json:"count"`
-}
-
-// AllocBaseline is the checked-in set of accepted hotpath escapes.
-type AllocBaseline struct {
-	Version int      `json:"version"`
-	Escapes []Escape `json:"escapes"`
+	Func    string // e.g. "(*MemSystem).Load"
+	Message string // e.g. "func literal escapes to heap"
+	Count   int
 }
 
 // escapeMarkers are the -m diagnostics that denote a heap allocation.
@@ -62,7 +52,12 @@ func ParseEscapes(dir string, output []byte, funcs []HotFunc) []Escape {
 		k.Count = n
 		out = append(out, k)
 	}
-	sortEscapes(out)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Func != out[j].Func {
+			return out[i].Func < out[j].Func
+		}
+		return out[i].Message < out[j].Message
+	})
 	return out
 }
 
@@ -93,68 +88,4 @@ func isEscapeMsg(msg string) bool {
 		}
 	}
 	return false
-}
-
-func sortEscapes(es []Escape) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Func != es[j].Func {
-			return es[i].Func < es[j].Func
-		}
-		return es[i].Message < es[j].Message
-	})
-}
-
-// DiffEscapes ratchets got against the baseline. Gained escapes are
-// regressions; lost ones mean the baseline overstates the debt and must be
-// regenerated (so the ratchet can only ever tighten).
-func DiffEscapes(baseline, got []Escape) (gained, lost []Escape) {
-	type key struct{ fn, msg string }
-	want := map[key]int{}
-	for _, e := range baseline {
-		want[key{e.Func, e.Message}] += e.Count
-	}
-	have := map[key]int{}
-	for _, e := range got {
-		have[key{e.Func, e.Message}] += e.Count
-	}
-	for k, n := range have {
-		if d := n - want[k]; d > 0 {
-			gained = append(gained, Escape{Func: k.fn, Message: k.msg, Count: d})
-		}
-	}
-	for k, n := range want {
-		if d := n - have[k]; d > 0 {
-			lost = append(lost, Escape{Func: k.fn, Message: k.msg, Count: d})
-		}
-	}
-	sortEscapes(gained)
-	sortEscapes(lost)
-	return gained, lost
-}
-
-// ReadAllocBaseline loads the checked-in escape baseline.
-func ReadAllocBaseline(path string) (*AllocBaseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var b AllocBaseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("alloc baseline %s: %v", path, err)
-	}
-	if b.Version != baselineVersion {
-		return nil, fmt.Errorf("alloc baseline %s: unsupported version %d (want %d)", path, b.Version, baselineVersion)
-	}
-	return &b, nil
-}
-
-// WriteAllocBaseline persists the current escapes as the new baseline.
-func WriteAllocBaseline(path string, escapes []Escape) error {
-	es := append([]Escape(nil), escapes...)
-	sortEscapes(es)
-	data, err := json.MarshalIndent(&AllocBaseline{Version: baselineVersion, Escapes: es}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -39,19 +39,17 @@
 //   - faultpoint validates fault-injection call sites against the live
 //     internal/faultinject catalog and grammar, and on whole-repo runs
 //     flags cataloged points no production code can fire.
-//   - hotalloc rejects syntactic allocation sites inside functions marked
-//     `simlint:hotpath`; cmd/allocheck layers the compiler's real escape
-//     analysis on the same marker (see allocheck.go).
+//   - hotalloc collects the functions marked `simlint:hotpath` and rejects
+//     go statements inside them; cmd/allocheck fails on any heap escape
+//     the compiler reports in the same functions (see allocheck.go).
 //
-// A diagnostic can be suppressed at a single site with a trailing or
-// immediately preceding comment of the form
+// A diagnostic is waived only at its site, with a trailing or immediately
+// preceding comment of the form
 //
 //	//simlint:allow <analyzer>... [-- rationale]
 //
-// which keeps exceptions visible and greppable. Accepted pre-existing debt
-// can instead live in a checked-in baseline file (simlint.baseline.json,
-// see baseline.go): `-baseline` absorbs findings listed there and reports
-// stale entries, and `-write-baseline` regenerates the file. `-json` emits
+// which keeps exceptions visible and greppable. There is no file of
+// accepted findings: the suite decides from the code alone. `-json` emits
 // findings machine-readably for CI artifacts.
 //
 // The container this repository grows in has no module proxy access, so

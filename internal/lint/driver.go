@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"path/filepath"
 	"sort"
 
 	"golang.org/x/tools/go/analysis"
@@ -184,13 +185,6 @@ func newPass(a *analysis.Analyzer, pkg *Package, results map[*analysis.Analyzer]
 	return pass
 }
 
-// MainOptions configures a driver invocation (the cmd/simlint flags).
-type MainOptions struct {
-	JSON          bool   // emit findings as a JSON array instead of text lines
-	Baseline      string // path to a baseline file to diff against ("" = none)
-	WriteBaseline string // regenerate this baseline file from the run and exit 0
-}
-
 // jsonDiagnostic is the machine-readable finding shape (-json). File is
 // repo-relative so CI artifacts are stable across checkouts.
 type jsonDiagnostic struct {
@@ -202,10 +196,11 @@ type jsonDiagnostic struct {
 }
 
 // Main is the cmd/simlint entry point: run the suite over the patterns
-// (default "./..."), apply the baseline if configured, and print findings.
-// Exit status 0 means clean, 1 means findings, 2 means the load or an
-// analyzer failed.
-func Main(w io.Writer, dir string, args []string, opts MainOptions) int {
+// (default "./...") and print every finding, as a JSON array when jsonOut
+// is set. A finding is waived only at its site, by a `simlint:allow`
+// comment (suppress.go). Exit status 0 means clean, 1 means findings, 2
+// means the load or an analyzer failed.
+func Main(w io.Writer, dir string, args []string, jsonOut bool) int {
 	patterns := args
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -215,23 +210,7 @@ func Main(w io.Writer, dir string, args []string, opts MainOptions) int {
 		fmt.Fprintf(w, "simlint: %v\n", err)
 		return 2
 	}
-	if opts.WriteBaseline != "" {
-		if err := WriteBaseline(opts.WriteBaseline, dir, diags); err != nil {
-			fmt.Fprintf(w, "simlint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(w, "simlint: wrote %d baseline entries to %s\n", len(diags), opts.WriteBaseline)
-		return 0
-	}
-	if opts.Baseline != "" {
-		b, err := ReadBaseline(opts.Baseline)
-		if err != nil {
-			fmt.Fprintf(w, "simlint: %v\n", err)
-			return 2
-		}
-		diags = ApplyBaseline(b, opts.Baseline, dir, diags)
-	}
-	if opts.JSON {
+	if jsonOut {
 		out := make([]jsonDiagnostic, 0, len(diags))
 		for _, d := range diags {
 			out = append(out, jsonDiagnostic{
@@ -257,4 +236,18 @@ func Main(w io.Writer, dir string, args []string, opts MainOptions) int {
 		return 1
 	}
 	return 0
+}
+
+// relTo renders filename relative to dir when possible, for stable JSON
+// output.
+func relTo(dir, filename string) string {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return filename
+	}
+	rel, err := filepath.Rel(abs, filename)
+	if err != nil || rel == "" {
+		return filename
+	}
+	return rel
 }

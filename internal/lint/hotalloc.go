@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/types"
 	"reflect"
 	"strings"
 
@@ -26,26 +25,23 @@ type HotallocResult struct {
 	Funcs []HotFunc
 }
 
-// Hotalloc polices functions marked `simlint:hotpath` — the per-µop fast
-// paths whose allocation behaviour the allocs/run ceiling of
-// TestSimAllocCeiling (alloc_test.go) depends on. Two layers share the
-// marker:
+// Hotalloc finds the functions marked `simlint:hotpath` — the per-µop
+// fast paths whose allocation behaviour the allocs/run ceiling of
+// TestSimAllocCeiling (alloc_test.go) depends on — and returns their
+// ranges, which cmd/allocheck matches against the compiler's escape
+// decisions. Allocation itself is the compiler's call: a make, new,
+// closure or literal the compiler keeps on the stack allocates nothing,
+// and one it moves to the heap fails allocheck.
 //
-//   - This analyzer rejects syntactically obvious allocation sites inside a
-//     hotpath body at lint time: make/new calls, map and slice literals,
-//     &composite literals, function literals (a closure allocates its
-//     environment), and go/defer statements. Plain value composite
-//     literals (simtrace.Event{...} passed by value) are fine and not
-//     flagged. A deliberate slow-path allocation would carry a
-//     `//simlint:allow hotalloc` marker so the exception stays visible.
-//   - cmd/allocheck compiles the package with -gcflags=-m and diffs the
-//     compiler's actual escape decisions inside these functions against a
-//     checked-in baseline, catching the allocations no syntactic check can
-//     see (escaping parameters, interface conversions, string growth).
+// The analyzer rejects one shape on its own: a go statement inside a
+// hotpath body. It spawns a goroutine on every execution, and when it
+// calls a named function the compiler reports no escape, so neither
+// allocheck nor the ceiling (which sees only the paths its frozen run
+// reaches) would catch it. A deliberate one would carry a
+// `//simlint:allow hotalloc` marker so the exception stays visible.
 var Hotalloc = &analysis.Analyzer{
-	Name: "hotalloc",
-	Doc: "reject obvious allocation sites (make/new, map/slice/&composite " +
-		"literals, closures, go/defer) inside functions marked simlint:hotpath",
+	Name:       "hotalloc",
+	Doc:        "collect functions marked simlint:hotpath for cmd/allocheck, and reject go statements inside them",
 	Requires:   []*analysis.Analyzer{inspect.Analyzer},
 	ResultType: reflect.TypeOf((*HotallocResult)(nil)),
 	Run:        runHotalloc,
@@ -114,70 +110,14 @@ func typeName(expr ast.Expr) string {
 	}
 }
 
-// checkHotBody reports the syntactic allocation sites inside one hotpath
-// function.
+// checkHotBody reports the go statements inside one hotpath function.
 func checkHotBody(pass *analysis.Pass, decl *ast.FuncDecl) {
 	name := funcDisplayName(decl)
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			report(pass, n.Pos(), n.Type.End(),
-				"closure inside hotpath function %s allocates its environment on every execution; "+
-					"hoist it to a prebuilt field or restructure the fast path around it", name)
-			return false // the literal body is the slow path, not the hot one
-		case *ast.CallExpr:
-			if id, ok := n.Fun.(*ast.Ident); ok && (id.Name == "make" || id.Name == "new") && isBuiltin(pass, id) {
-				report(pass, n.Pos(), n.End(),
-					"%s inside hotpath function %s allocates per call; preallocate in the constructor or reuse a scratch buffer",
-					id.Name, name)
-			}
-		case *ast.UnaryExpr:
-			if cl, ok := allocatingCompositeLit(pass, n); ok {
-				report(pass, cl.Pos(), cl.End(),
-					"&composite literal inside hotpath function %s escapes per call; pool it or store by value", name)
-				return false
-			}
-		case *ast.CompositeLit:
-			if isRefLiteral(pass, n) {
-				report(pass, n.Pos(), n.End(),
-					"map/slice literal inside hotpath function %s allocates per call; preallocate in the constructor", name)
-			}
-		case *ast.GoStmt:
-			report(pass, n.Pos(), n.Call.End(),
+		if g, ok := n.(*ast.GoStmt); ok {
+			report(pass, g.Pos(), g.Call.End(),
 				"go statement inside hotpath function %s spawns a goroutine per call", name)
-		case *ast.DeferStmt:
-			report(pass, n.Pos(), n.Call.End(),
-				"defer inside hotpath function %s costs a deferred-call record per call; unwind inline", name)
 		}
 		return true
 	})
-}
-
-func isBuiltin(pass *analysis.Pass, id *ast.Ident) bool {
-	_, ok := pass.TypesInfo.Uses[id].(*types.Builtin)
-	return ok
-}
-
-// allocatingCompositeLit matches &T{...}.
-func allocatingCompositeLit(pass *analysis.Pass, u *ast.UnaryExpr) (*ast.CompositeLit, bool) {
-	if u.Op.String() != "&" {
-		return nil, false
-	}
-	cl, ok := u.X.(*ast.CompositeLit)
-	return cl, ok
-}
-
-// isRefLiteral reports whether a composite literal builds a map or slice
-// (reference types whose backing store is heap-allocated). Value struct and
-// array literals stay on the stack and are allowed.
-func isRefLiteral(pass *analysis.Pass, cl *ast.CompositeLit) bool {
-	t := pass.TypesInfo.TypeOf(cl)
-	if t == nil {
-		return false
-	}
-	switch t.Underlying().(type) {
-	case *types.Map, *types.Slice:
-		return true
-	}
-	return false
 }

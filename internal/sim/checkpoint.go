@@ -11,6 +11,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -328,13 +329,19 @@ func (m *machine) finish(coreRes cpu.Result) *Result {
 // sink (nil = segmentation only). The sim.checkpoint.abort fault point
 // fires here, before the snapshot is captured, modeling a budget-exhausted
 // or killed run whose latest persisted snapshot is the previous boundary's.
-func (m *machine) run(ck *trace.Checkpoint, sink func(*Snapshot) error) (*Result, error) {
+// ctx is checked at every boundary, before the capture, and once more after
+// the last segment: a canceled run returns ctx's error and never counts in
+// Runs, even one canceled past its last boundary.
+func (m *machine) run(ctx context.Context, ck *trace.Checkpoint, sink func(*Snapshot) error) (*Result, error) {
 	plan := cpu.SegmentPlan{
 		Every:    m.cfg.CheckpointEveryOps,
 		Quiesced: m.ms.Quiesced,
 		OnBoundary: func(opsFetched int) error {
 			if err := faultinject.Error("sim.checkpoint.abort"); err != nil {
 				return fmt.Errorf("sim: aborted at %d-µop boundary: %w", opsFetched, err)
+			}
+			if err := ctx.Err(); err != nil {
+				return err
 			}
 			if sink == nil {
 				return nil
@@ -350,6 +357,9 @@ func (m *machine) run(ck *trace.Checkpoint, sink func(*Snapshot) error) (*Result
 	if err != nil {
 		return nil, err
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	return m.finish(coreRes), nil
 }
 
@@ -358,15 +368,17 @@ func (m *machine) run(ck *trace.Checkpoint, sink func(*Snapshot) error) (*Result
 // every mid-run boundary. Results differ from Run's by the drain stalls the
 // boundaries introduce — which is why the interval lives in Config and
 // flows into the content hash — but are identical across uninterrupted and
-// resumed executions of the same configuration.
+// resumed executions of the same configuration. It cannot be canceled;
+// RunCheckpointedTraced takes a context.
 func RunCheckpointed(ck *trace.Checkpoint, cfg Config, sink func(*Snapshot) error) (*Result, error) {
-	return RunCheckpointedTraced(ck, cfg, nil, sink)
+	return RunCheckpointedTraced(context.TODO(), ck, cfg, nil, sink)
 }
 
 // RunCheckpointedTraced is RunCheckpointed with an event tracer attached
-// (nil is exactly RunCheckpointed). As with RunTraced, the result is
-// byte-identical with and without the tracer.
-func RunCheckpointedTraced(ck *trace.Checkpoint, cfg Config, tr *simtrace.Tracer, sink func(*Snapshot) error) (*Result, error) {
+// (nil is exactly RunCheckpointed) and a context that cancels the run at
+// its next boundary or, past the last one, before it completes. As with
+// RunTraced, the result is byte-identical with and without the tracer.
+func RunCheckpointedTraced(ctx context.Context, ck *trace.Checkpoint, cfg Config, tr *simtrace.Tracer, sink func(*Snapshot) error) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -375,7 +387,7 @@ func RunCheckpointedTraced(ck *trace.Checkpoint, cfg Config, tr *simtrace.Tracer
 	}
 	m := newMachine(ck, cfg, tr)
 	m.armWarmup()
-	return m.run(ck, sink)
+	return m.run(ctx, ck, sink)
 }
 
 // ErrRestore marks a snapshot that Resume could not restore onto the
@@ -387,8 +399,9 @@ var ErrRestore = errors.New("sim: snapshot does not restore")
 // Resume continues a checkpointed simulation from snap, replaying the
 // remaining segments. The returned result is byte-identical to what the
 // uninterrupted RunCheckpointed would have produced. A snapshot that does
-// not restore fails with an error wrapping ErrRestore.
-func Resume(ck *trace.Checkpoint, cfg Config, snap *Snapshot, sink func(*Snapshot) error) (*Result, error) {
+// not restore fails with an error wrapping ErrRestore. ctx cancels the run
+// as it does RunCheckpointedTraced's.
+func Resume(ctx context.Context, ck *trace.Checkpoint, cfg Config, snap *Snapshot, sink func(*Snapshot) error) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -397,5 +410,5 @@ func Resume(ck *trace.Checkpoint, cfg Config, snap *Snapshot, sink func(*Snapsho
 		return nil, fmt.Errorf("%w: %w", ErrRestore, err)
 	}
 	m.armWarmup()
-	return m.run(ck, sink)
+	return m.run(ctx, ck, sink)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -82,7 +83,7 @@ func TestResumeByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("snapshot %d: %v", i, err)
 		}
-		got, err := Resume(buildChase(t, 2000, 2, 2, true), cfg, snap, nil)
+		got, err := Resume(context.Background(), buildChase(t, 2000, 2, 2, true), cfg, snap, nil)
 		if err != nil {
 			t.Fatalf("resume from boundary %d: %v", snap.OpsFetched, err)
 		}
@@ -118,7 +119,7 @@ func TestCheckpointAbortFaultThenResume(t *testing.T) {
 		t.Fatalf("abort after=1 should leave the first boundary's snapshot, got %d", last.OpsFetched)
 	}
 
-	got, err := Resume(buildChase(t, 2000, 2, 2, true), cfg, last, nil)
+	got, err := Resume(context.Background(), buildChase(t, 2000, 2, 2, true), cfg, last, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,18 +175,18 @@ func TestResumeRejectsMismatchedSnapshot(t *testing.T) {
 	// snapshot from a failed run.
 	other := cfg
 	other.Name = "some-other-machine"
-	if _, err := Resume(ck, other, snap, nil); !errors.Is(err, ErrRestore) {
+	if _, err := Resume(context.Background(), ck, other, snap, nil); !errors.Is(err, ErrRestore) {
 		t.Fatalf("config-name mismatch: got %v, want ErrRestore", err)
 	}
 	offGrid := *snap
 	offGrid.OpsFetched += 17
-	if _, err := Resume(ck, cfg, &offGrid, nil); !errors.Is(err, ErrRestore) {
+	if _, err := Resume(context.Background(), ck, cfg, &offGrid, nil); !errors.Is(err, ErrRestore) {
 		t.Fatalf("off-boundary snapshot: got %v, want ErrRestore", err)
 	}
 	bare := cfg
 	bare.Content = nil
 	bare.Name = cfg.Name
-	if _, err := Resume(ck, bare, snap, nil); !errors.Is(err, ErrRestore) {
+	if _, err := Resume(context.Background(), ck, bare, snap, nil); !errors.Is(err, ErrRestore) {
 		t.Fatalf("prefetcher-set mismatch: got %v, want ErrRestore", err)
 	}
 }
@@ -218,7 +219,7 @@ func BenchmarkBoundarySnapshot(b *testing.B) {
 	m.armWarmup()
 	errStop := errors.New("stopped at the first boundary")
 	size := 0
-	_, err = m.run(ck, func(s *Snapshot) error {
+	_, err = m.run(context.Background(), ck, func(s *Snapshot) error {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -55,3 +55,53 @@ func TestRunContextMatchesRun(t *testing.T) {
 		t.Fatal("RunContext and Run produced different counter blocks")
 	}
 }
+
+// TestCheckpointedRunCanceledInLastSegment: a segmented run canceled after
+// its last boundary has no boundary left to stop at. It runs the segment
+// out, but must then return the context's error and no result, and must
+// not count in Runs: a killed worker's cell would otherwise count beside
+// the steal that reruns its tail elsewhere. Resume takes the same path.
+func TestCheckpointedRunCanceledInLastSegment(t *testing.T) {
+	cfg := ckptConfig()
+	var boundaries []*Snapshot
+	if _, err := RunCheckpointed(buildChase(t, 2000, 2, 2, true), cfg, func(s *Snapshot) error {
+		boundaries = append(boundaries, s)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(boundaries) < 2 {
+		t.Fatalf("only %d boundaries; the trace is too short for the test to mean anything", len(boundaries))
+	}
+	last := boundaries[len(boundaries)-1].OpsFetched
+	for _, tc := range []struct {
+		name string
+		run  func(context.Context, func(*Snapshot) error) (*Result, error)
+	}{
+		{"run", func(ctx context.Context, sink func(*Snapshot) error) (*Result, error) {
+			return RunCheckpointedTraced(ctx, buildChase(t, 2000, 2, 2, true), cfg, nil, sink)
+		}},
+		{"resume", func(ctx context.Context, sink func(*Snapshot) error) (*Result, error) {
+			return Resume(ctx, buildChase(t, 2000, 2, 2, true), cfg, boundaries[0], sink)
+		}},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		before := Runs()
+		res, err := tc.run(ctx, func(s *Snapshot) error {
+			if s.OpsFetched == last {
+				cancel()
+			}
+			return nil
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", tc.name, err)
+		}
+		if res != nil {
+			t.Errorf("%s: a run canceled in its last segment still returned a result", tc.name)
+		}
+		if Runs() != before {
+			t.Errorf("%s: a run canceled in its last segment counted in Runs (%d → %d)", tc.name, before, Runs())
+		}
+	}
+}

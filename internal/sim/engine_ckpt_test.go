@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestResumeByteIdenticalEngines(t *testing.T) {
 				if err != nil {
 					t.Fatalf("snapshot %d: %v", i, err)
 				}
-				got, err := Resume(buildChase(t, 2000, 2, 2, true), cfg, snap, nil)
+				got, err := Resume(context.Background(), buildChase(t, 2000, 2, 2, true), cfg, snap, nil)
 				if err != nil {
 					t.Fatalf("resume from boundary %d: %v", snap.OpsFetched, err)
 				}
@@ -96,7 +97,7 @@ func TestResumeRejectsEngineMismatch(t *testing.T) {
 		other.Engines = engines
 		// Keep the name so the config-name guard passes and the
 		// engine-list guard is what fires.
-		if _, err := Resume(ck, other, snap, nil); err == nil {
+		if _, err := Resume(context.Background(), ck, other, snap, nil); err == nil {
 			t.Errorf("%s (%q): engine-list mismatch accepted", name, engines)
 		} else if !strings.Contains(err.Error(), "engine") {
 			t.Errorf("%s: mismatch error does not name the engines: %v", name, err)

@@ -230,9 +230,9 @@ func srcOf(c bus.Class) cache.Source {
 // Demand path
 
 // Load implements cpu.MemPort. It runs once per retired load µop, so its
-// allocation behaviour is policed: the hotalloc analyzer rejects obvious
-// allocation sites and cmd/allocheck ratchets the compiler's escape
-// decisions against allocheck.baseline.json.
+// allocation behaviour is policed: cmd/allocheck fails on any heap escape
+// the compiler reports in it, and the hotalloc analyzer on a go
+// statement.
 //
 // simlint:hotpath
 func (ms *MemSystem) Load(cycle int64, va, pc uint32, done func(int64)) {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cache"
@@ -141,7 +142,7 @@ func TestCheckpointedTracedRunMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := simtrace.New(1 << 18)
-	traced, err := RunCheckpointedTraced(buildChase(t, 4000, 1, 4, true), cfg, tr, nil)
+	traced, err := RunCheckpointedTraced(context.Background(), buildChase(t, 4000, 1, 4, true), cfg, tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

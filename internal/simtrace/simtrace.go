@@ -149,8 +149,8 @@ func (t *Tracer) Enabled() bool { return t != nil }
 // tracer's current cycle (see SetNow), so components that do not carry
 // the clock (TLB, prefetcher) can still produce cycle-accurate events.
 // Emit sits on every traced µop: the Event must arrive and stay by value
-// (one ring-slot copy, zero allocations), which hotalloc and cmd/allocheck
-// enforce.
+// (one ring-slot copy, zero allocations), which cmd/allocheck enforces on
+// the compiler's escape analysis.
 //
 // simlint:hotpath
 func (t *Tracer) Emit(e Event) {
