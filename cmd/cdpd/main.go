@@ -13,12 +13,16 @@
 // the shared tier (memory, disk spill under -cache-dir, then peer fetch
 // from the ring). See internal/cluster.
 //
-// Resilience: -checkpoint-dir persists boundary snapshots of running
-// simulations so a killed daemon resumes them on restart (byte-identical
-// results); watermark flags shed low-priority work and flip /readyz under
-// overload; -faults arms the deterministic fault-injection plan (testing
-// only). Invalid flags exit 2 with a one-line message before anything
-// starts.
+// Resilience: a standalone daemon keeps a request record for every
+// simulation it accepts, and the boundary snapshots of running ones, under
+// -checkpoint-dir, so a killed daemon resubmits them on restart and
+// resumes them (byte-identical results). A coordinator keeps its request
+// records beside its membership journal under -state-dir and re-routes
+// them on restart; a worker keeps only snapshots under -checkpoint-dir,
+// where a survivor sharing the directory resumes a dead peer's job.
+// Watermark flags shed low-priority work and flip /readyz under overload;
+// -faults arms the deterministic fault-injection plan (testing only).
+// Invalid flags exit 2 with a one-line message before anything starts.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the server stops accepting
 // work, drains in-flight jobs within -drain, cancels whatever remains, and
@@ -171,7 +175,7 @@ func validate(o options) error {
 	}
 	if o.stateDir != "" {
 		if o.role != "coordinator" {
-			return fmt.Errorf("-state-dir only applies to -role coordinator (it holds the membership/placement journal); got -role %s", o.role)
+			return fmt.Errorf("-state-dir only applies to -role coordinator (it holds the membership journal and request records); got -role %s", o.role)
 		}
 		if err := checkWritableDir("-state-dir", o.stateDir); err != nil {
 			return err
@@ -235,9 +239,9 @@ func main() {
 	flag.StringVar(&o.name, "name", "", "worker's stable ring identity (default: derived from -addr)")
 	flag.StringVar(&o.selfURL, "self-url", "", "base URL peers reach this worker at (default: derived from -addr)")
 	flag.StringVar(&o.cacheDir, "cache-dir", "", "disk spill tier for the result cache (empty = memory only)")
-	flag.StringVar(&o.stateDir, "state-dir", "", "coordinator journal dir: membership and in-flight placements survive a crash (empty = memory only)")
+	flag.StringVar(&o.stateDir, "state-dir", "", "coordinator state dir: its membership journal and the requests it accepted survive a crash (empty = memory only)")
 	flag.DurationVar(&o.leaseTTL, "lease-ttl", 0, "coordinator worker-lease TTL (0 = default 3s)")
-	flag.StringVar(&o.checkpointDir, "checkpoint-dir", "", "persist boundary snapshots here and resume them on restart (empty = off)")
+	flag.StringVar(&o.checkpointDir, "checkpoint-dir", "", "persist boundary snapshots here; standalone, also request records, resumed on restart (empty = off)")
 	flag.IntVar(&o.checkpointEvery, "checkpoint-every", 0, "default snapshot interval in fetched µops for submitted sims (0 = unsegmented)")
 	flag.Float64Var(&o.shedWatermark, "shed-watermark", 0, "queue-depth fraction beyond which priority<0 work is shed (0 = 0.75)")
 	flag.Float64Var(&o.overloadWM, "overload-watermark", 0, "queue-depth fraction beyond which /readyz reports 503 (0 = 0.90)")
@@ -333,9 +337,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "cdpd: %v\n", err)
 			os.Exit(2)
 		}
-		// No RecoverJobs here: cluster checkpoint dirs are shared, and a
-		// worker must not bulk-adopt snapshots that belong to jobs the
-		// coordinator will route (and resume) by content key anyway.
+		// No RecoverJobs here, so a worker writes only snapshots: the
+		// coordinator records what it accepted and re-routes it by content
+		// key, and whichever worker it lands on resumes the snapshot from
+		// the shared checkpoint dir.
 		wrk.Start()
 		fmt.Fprintf(os.Stderr, "cdpd: worker %q joining %s as %s\n", name, o.joinURL, selfURL)
 		handler = wrk
@@ -362,7 +367,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "cdpd: %v\n", err)
 			os.Exit(2)
 		}
-		if n, err := server.RecoverJobs(); err != nil {
+		if n, err := server.RecoverJobs(o.checkpointDir); err != nil {
 			fmt.Fprintf(os.Stderr, "cdpd: checkpoint recovery: %v\n", err)
 		} else if n > 0 {
 			fmt.Fprintf(os.Stderr, "cdpd: resumed %d persisted job(s) from %s\n", n, o.checkpointDir)

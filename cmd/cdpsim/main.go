@@ -29,22 +29,25 @@ import (
 	"repro/internal/workloads"
 )
 
+var (
+	ops        = flag.Int("ops", 0, "µop budget (0 = default)")
+	useCDP     = flag.Bool("cdp", false, "enable the content-directed prefetcher")
+	depth      = flag.Int("depth", 3, "content prefetch depth threshold")
+	next       = flag.Int("next", 3, "content next-line prefetches")
+	prev       = flag.Int("prev", 0, "content previous-line prefetches")
+	noReinf    = flag.Bool("no-reinforce", false, "disable path reinforcement")
+	markovKB   = flag.Int("markov", 0, "enable Markov prefetcher with STAB budget in KB (-1 = unbounded)")
+	engine     = flag.String("engine", "", "append a zoo entrant to the engine list by registry spec, e.g. pangloss or bestoffset:degree=2 (cdpsim list-engines)")
+	l2kb       = flag.Int("l2", 1024, "UL2 size in KB")
+	l2ways     = flag.Int("l2ways", 8, "UL2 associativity")
+	tlbEntries = flag.Int("tlb", 64, "DTLB entries")
+	inject     = flag.Bool("inject", false, "inject bad prefetches on idle bus cycles")
+	baseline   = flag.Bool("baseline", false, "also run the stride baseline on the same machine and report speedup")
+	tracePath  = flag.String("trace", "", "write a Perfetto-loadable Chrome trace_event JSON here")
+	traceCap   = flag.Int("trace-cap", 1<<20, "trace ring capacity in events (oldest overwritten)")
+)
+
 func main() {
-	ops := flag.Int("ops", 0, "µop budget (0 = default)")
-	useCDP := flag.Bool("cdp", false, "enable the content-directed prefetcher")
-	depth := flag.Int("depth", 3, "content prefetch depth threshold")
-	next := flag.Int("next", 3, "content next-line prefetches")
-	prev := flag.Int("prev", 0, "content previous-line prefetches")
-	noReinf := flag.Bool("no-reinforce", false, "disable path reinforcement")
-	markovKB := flag.Int("markov", 0, "enable Markov prefetcher with STAB budget in KB (-1 = unbounded)")
-	engine := flag.String("engine", "", "append a zoo entrant to the engine list by registry spec, e.g. pangloss or bestoffset:degree=2 (cdpsim list-engines)")
-	l2kb := flag.Int("l2", 1024, "UL2 size in KB")
-	l2ways := flag.Int("l2ways", 8, "UL2 associativity")
-	tlbEntries := flag.Int("tlb", 64, "DTLB entries")
-	inject := flag.Bool("inject", false, "inject bad prefetches on idle bus cycles")
-	baseline := flag.Bool("baseline", false, "also run the stride baseline on the same machine and report speedup")
-	tracePath := flag.String("trace", "", "write a Perfetto-loadable Chrome trace_event JSON here")
-	traceCap := flag.Int("trace-cap", 1<<20, "trace ring capacity in events (oldest overwritten)")
 	flag.Parse()
 
 	if flag.NArg() != 1 {
@@ -73,44 +76,12 @@ func main() {
 		}
 		os.Exit(2)
 	}
-	ck := workloads.Checkpoint(spec, *ops)
-
-	cfg := sim.Default()
-	cfg.WarmupOps = uint64(ck.Trace.Len() / 8)
-	cfg.MPTUBucketOps = uint64(ck.Trace.Len() / 48)
-	cfg.L2 = cache.Config{SizeBytes: *l2kb * 1024, Ways: *l2ways, LineSize: sim.LineSize}
-	cfg.TLB.Entries = *tlbEntries
-	cfg.InjectBadPrefetches = *inject
-	if *useCDP {
-		cc := core.DefaultConfig
-		cc.DepthThreshold = *depth
-		cc.NextLines = *next
-		cc.PrevLines = *prev
-		cc.Reinforce = !*noReinf
-		cfg = cfg.WithContent(cc)
-	}
-	if *markovKB != 0 {
-		budget := *markovKB * 1024
-		if *markovKB < 0 {
-			budget = 0
-		}
-		cfg = cfg.WithMarkov(budget, cfg.L2)
-	}
-	if *engine != "" {
-		if err := checkEngineFlag(*engine); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		cfg = cfg.WithEngine(*engine)
-	}
-	// Validate the assembled machine so a bad flag — an engine typo (the
-	// error lists the registry's names) or an engine the list already
-	// holds — exits like an unknown benchmark instead of panicking inside
-	// the simulator.
-	if err := cfg.Validate(); err != nil {
+	cfg, err := machine()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	ck := workloads.Checkpoint(spec, *ops)
 
 	var tr *simtrace.Tracer
 	if *tracePath != "" {
@@ -135,6 +106,47 @@ func main() {
 		fmt.Printf("\nStride-baseline cycles: %d\nSpeedup over baseline:  %.4f\n",
 			b.MeasuredCycles, res.SpeedupOver(b))
 	}
+}
+
+// machine assembles and validates the machine the flags describe. Warm-up
+// and MPTU bucketing scale with the -ops budget (sim.ForBudget), exactly as
+// for a POST /v1/sim of the same benchmark and budget, so the two report
+// the same numbers for one configuration.
+func machine() (sim.Config, error) {
+	n := *ops
+	if n <= 0 {
+		n = workloads.DefaultOps
+	}
+	cfg := sim.ForBudget(n)
+	cfg.L2 = cache.Config{SizeBytes: *l2kb * 1024, Ways: *l2ways, LineSize: sim.LineSize}
+	cfg.TLB.Entries = *tlbEntries
+	cfg.InjectBadPrefetches = *inject
+	if *useCDP {
+		cc := core.DefaultConfig
+		cc.DepthThreshold = *depth
+		cc.NextLines = *next
+		cc.PrevLines = *prev
+		cc.Reinforce = !*noReinf
+		cfg = cfg.WithContent(cc)
+	}
+	if *markovKB != 0 {
+		budget := *markovKB * 1024
+		if *markovKB < 0 {
+			budget = 0
+		}
+		cfg = cfg.WithMarkov(budget, cfg.L2)
+	}
+	if *engine != "" {
+		if err := checkEngineFlag(*engine); err != nil {
+			return sim.Config{}, err
+		}
+		cfg = cfg.WithEngine(*engine)
+	}
+	// Validate the assembled machine so a bad flag — an engine typo (the
+	// error lists the registry's names) or an engine the list already
+	// holds — exits like an unknown benchmark instead of panicking inside
+	// the simulator.
+	return cfg, cfg.Validate()
 }
 
 // checkEngineFlag refuses the content prefetcher in -engine. It scans

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"flag"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/workloads"
 )
 
 // TestStrideBaselineKeepsTheMachine: -baseline measures the machine the
@@ -42,5 +45,34 @@ func TestEngineFlagRefusesCDP(t *testing.T) {
 		if err := checkEngineFlag(list); err != nil {
 			t.Errorf("checkEngineFlag(%q) = %v, want nil (left to sim.Config.Validate)", list, err)
 		}
+	}
+}
+
+// TestMachineMatchesTheService: cdpsim's machine for -ops 20000 b2c is the
+// one POST /v1/sim resolves for the same benchmark and budget. Both scale
+// warm-up and MPTU bucketing with the budget, not with the generated
+// trace, which overshoots it.
+func TestMachineMatchesTheService(t *testing.T) {
+	if err := flag.Set("ops", "20000"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { flag.Set("ops", "0") })
+	got, err := machine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, _, err := api.ResolveSim(api.SimRequest{Benchmark: "b2c", Ops: 20_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("cdpsim -ops 20000 b2c runs\n%+v\nPOST /v1/sim resolves\n%+v", got, want)
+	}
+	spec, err := workloads.ByName("b2c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := workloads.Checkpoint(spec, 20_000).Trace.Len(); n == 20_000 {
+		t.Errorf("b2c's trace is exactly its budget; the test no longer covers an overshoot")
 	}
 }

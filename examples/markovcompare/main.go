@@ -21,10 +21,9 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	ck := workloads.Checkpoint(spec, 0)
+	ck := workloads.Checkpoint(spec, workloads.DefaultOps)
 
-	base := sim.Default()
-	base.WarmupOps = uint64(ck.Trace.Len() / 8)
+	base := sim.ForBudget(workloads.DefaultOps)
 
 	l2 := func(kb, ways int) cache.Config {
 		return cache.Config{SizeBytes: kb * 1024, Ways: ways, LineSize: sim.LineSize}

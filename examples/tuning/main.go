@@ -19,10 +19,10 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	ck := workloads.Checkpoint(spec, 600_000)
+	const ops = 600_000
+	ck := workloads.Checkpoint(spec, ops)
 
-	base := sim.Default()
-	base.WarmupOps = uint64(ck.Trace.Len() / 8)
+	base := sim.ForBudget(ops)
 
 	fmt.Printf("%-10s %12s %12s %10s\n", "cmp.flt", "adj-coverage", "adj-accuracy", "speedup")
 	baseline := sim.Run(ck, base)

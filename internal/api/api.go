@@ -65,8 +65,8 @@ const RetryBudgetHeader = "X-Cdpd-Retry-Budget"
 //
 // The Server calls a Router only from fill, inside the result cache's
 // GetOrCompute, so at most one call per content key (and so per job ID) is
-// in flight at a time: a Router may keep per-job state, such as a journal
-// record pair, without counting concurrent calls.
+// in flight at a time: a Router may keep per-job state without counting
+// concurrent calls.
 type Router func(ctx context.Context, id string, key simcache.Key, ops int, req SimRequest, budget int) ([]byte, bool, error)
 
 // ErrNoWorkers is what a Router returns, wrapped, when it has nowhere to
@@ -95,7 +95,8 @@ type Server struct {
 	mux      *http.ServeMux
 	draining atomic.Bool
 	opts     Options
-	store    *ckptStore // nil unless Options.CheckpointDir is set
+	store    *ckptStore // snapshots; nil unless Options.CheckpointDir is set
+	records  *ckptStore // request records; nil until RecoverJobs opens one
 	counters
 
 	// route is nil for the local executor. routeCtx bounds the placements
@@ -293,46 +294,44 @@ func retryBudget(r *http.Request) int {
 	return math.MaxInt
 }
 
-// Resubmit registers a request an earlier process recorded, such as a
-// placement journaled by a coordinator that died, through the same
-// executor as POST /v1/sim. No client waits on it, and no default is
-// stamped over what was recorded. It returns the job ID; a request that no
-// longer resolves is an error, and so is one whose job is already live
-// (jobq.ErrDuplicateID).
-func (s *Server) Resubmit(req SimRequest) (string, error) {
-	c, err := resolve(req)
-	if err != nil {
-		return "", err
-	}
-	_, err = s.submit(c, math.MaxInt)
-	return c.id, err
-}
-
-// submit registers c on the executor: a queued local simulation, or a
-// slotless external job whose placement runs in the background.
+// submit registers c on the executor, a queued local simulation or a
+// slotless external job whose placement runs in the background, and
+// records it for RecoverJobs.
 func (s *Server) submit(c simCall, budget int) (*jobq.Job, error) {
 	if s.route != nil {
 		job, err := s.queue.SubmitExternal(c.id, c.req.Priority)
 		if err == nil {
+			s.record(c)
 			go s.forward(job, c, budget)
 		}
 		return job, err
 	}
-	persisted := make(chan struct{}) // closed once the request file below is written
+	recorded := make(chan struct{}) // closed once the record below is written
 	job, err := s.queue.SubmitTimeout(c.id, c.req.Priority, s.adaptiveTimeout(c.ops),
-		s.simJob(c, time.Now(), c.req.Trace, persisted))
+		s.simJob(c, time.Now(), c.req.Trace, recorded))
 	if err != nil {
 		return nil, err
 	}
-	if s.store != nil {
-		// Persist the defaulted request so a restarted daemon can rebuild
-		// this exact job (same content key, same ID) and resume it.
-		if err := s.store.saveRequest(c.id, c.req); err != nil {
-			s.ckptWriteErrs.Add(1)
-		}
-	}
-	close(persisted)
+	s.record(c)
+	close(recorded)
 	return job, nil
+}
+
+// record writes c's defaulted request as its request record, once
+// RecoverJobs has opened a record directory, so a restarted process can
+// rebuild this exact job (same content key, same ID) and resume it. A
+// failed write costs only that recovery.
+func (s *Server) record(c simCall) {
+	if err := s.records.saveRequest(c.id, c.req); err != nil {
+		s.ckptWriteErrs.Add(1)
+	}
+}
+
+// clear deletes id's request record and snapshot: its simulation succeeded
+// or a client canceled it.
+func (s *Server) clear(id string) {
+	s.records.removeRequest(id)
+	s.store.removeSnapshot(id)
 }
 
 // forward drives one routed job to its terminal state. A successful
@@ -354,6 +353,7 @@ func (s *Server) forward(job *jobq.Job, c simCall, budget int) {
 		s.queue.CompleteExternal(c.id, nil, err)
 		return
 	}
+	s.clear(c.id)
 	s.queue.CompleteExternal(c.id, jobPayload{data: data, cached: cached}, nil)
 }
 
@@ -363,14 +363,25 @@ func (s *Server) forward(job *jobq.Job, c simCall, budget int) {
 // collapse onto one miss, and a failed miss is never cached. cached reports
 // a hit here or, for a routed miss, in the tiers of the process that served
 // it.
+//
+// j is the job c runs for. A job was recorded when submit accepted it and
+// is cleared when it succeeds. An arena cell has no job (j is nil), so its
+// miss records c for as long as it runs, and a cell answered from the
+// cache touches no file.
 func (s *Server) fill(ctx context.Context, j *jobq.Job, c simCall, traced bool, budget int) ([]byte, bool, error) {
 	var remote bool
-	data, hit, err := s.cache.GetOrCompute(c.key, func() ([]byte, error) {
-		if s.route == nil {
-			return s.compute(ctx, j, c, traced)
+	data, hit, err := s.cache.GetOrCompute(c.key, func() (data []byte, err error) {
+		if j == nil {
+			s.record(c)
 		}
-		data, cached, err := s.route(ctx, c.id, c.key, c.ops, c.req, budget)
-		remote = cached
+		if s.route == nil {
+			data, err = s.compute(ctx, j, c, traced)
+		} else {
+			data, remote, err = s.route(ctx, c.id, c.key, c.ops, c.req, budget)
+		}
+		if j == nil && err == nil {
+			s.clear(c.id)
+		}
 		return data, err
 	})
 	return data, hit || remote, err
@@ -384,12 +395,11 @@ func (s *Server) fill(ctx context.Context, j *jobq.Job, c simCall, traced bool, 
 // starting is the queue wait. traced asks for a simtrace ring (see
 // compute).
 //
-// A successful job clears its persisted files, but the submit path writes
-// the request file only after the job exists, so the job waits for
-// persisted to close first; otherwise a job that beat the handler would
-// leave the request behind to rerun at the next restart. A nil persisted
-// means the request is already on disk.
-func (s *Server) simJob(c simCall, submitted time.Time, traced bool, persisted <-chan struct{}) jobq.Func {
+// A successful job clears its request record and snapshot, but submit
+// writes the record only after the job exists, so the job waits for
+// recorded to close first; otherwise a job that beat the handler would
+// leave its record behind to rerun at the next restart.
+func (s *Server) simJob(c simCall, submitted time.Time, traced bool, recorded <-chan struct{}) jobq.Func {
 	return func(ctx context.Context, j *jobq.Job) (any, error) {
 		wait := time.Since(submitted)
 		s.queueWait.Observe(wait)
@@ -399,15 +409,11 @@ func (s *Server) simJob(c simCall, submitted time.Time, traced bool, persisted <
 		if err != nil {
 			return nil, err
 		}
-		if s.store != nil {
-			if persisted != nil {
-				select {
-				case <-persisted:
-				case <-ctx.Done():
-				}
-			}
-			s.store.remove(c.id)
+		select {
+		case <-recorded:
+		case <-ctx.Done():
 		}
+		s.clear(c.id)
 		j.SetProgress("finished", 2, 2)
 		return jobPayload{data: data, cached: hit}, nil
 	}
@@ -423,7 +429,7 @@ func (s *Server) simJob(c simCall, submitted time.Time, traced bool, persisted <
 func (s *Server) compute(ctx context.Context, j *jobq.Job, c simCall, traced bool) ([]byte, error) {
 	log := s.logger.With("job_id", c.id, "content_key", c.key.String(), "benchmark", c.spec.Name)
 	var resume *sim.Snapshot
-	if s.store != nil && c.cfg.CheckpointEveryOps > 0 {
+	if c.cfg.CheckpointEveryOps > 0 {
 		resume = s.store.loadSnapshot(c.id)
 	}
 	setProgress(j, "generating checkpoint", 0, 2)
@@ -684,10 +690,8 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "job %q already finished", id)
 		return
 	}
-	if s.store != nil {
-		// A canceled job must not resurrect on the next restart.
-		s.store.remove(id)
-	}
+	// A canceled job must not resurrect on the next restart.
+	s.clear(id)
 	writeJSON(w, http.StatusOK, map[string]string{"job_id": id, "state": "canceling"})
 }
 

@@ -272,11 +272,6 @@ func (s *Server) runCell(ctx context.Context, bench, engineSpec string, ops int)
 	if err != nil {
 		return nil, err
 	}
-	if s.store != nil {
-		// A cell has no job of its own to clear the snapshots its run
-		// persisted.
-		s.store.removeSnapshot(c.id)
-	}
 	var res SimResult
 	if err := json.Unmarshal(data, &res); err != nil {
 		return nil, fmt.Errorf("arena: corrupt cell result for %s: %w", bench, err)

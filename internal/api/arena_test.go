@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/jobq"
 	"repro/internal/prefetch/registry"
 	"repro/internal/report"
@@ -208,5 +210,87 @@ func TestArenaCellsRunAsSubmitted(t *testing.T) {
 	left, err := filepath.Glob(filepath.Join(dir, "*"))
 	if err != nil || len(left) != 0 {
 		t.Fatalf("checkpoint files left after the sweep: %v (%v)", left, err)
+	}
+}
+
+// TestArenaCachedCellTouchesNoFile: a cell is recorded only while its miss
+// runs, so a cell answered from the cache neither writes a request record
+// nor deletes a snapshot, such as the one a peer sharing the directory is
+// resuming from. The cell that misses clears its own files.
+func TestArenaCachedCellTouchesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := newResilientServer(t, jobq.Config{Workers: 1, Capacity: 4},
+		Options{CheckpointDir: dir, CheckpointEveryOps: 4000})
+	if _, err := s.RecoverJobs(dir); err != nil {
+		t.Fatal(err)
+	}
+	if w := getArena(t, s, "?ops=10000&benchmarks=b2c&engines=cdp&wait=1"); w.Code != http.StatusOK {
+		t.Fatalf("arena: %d %s", w.Code, w.Body)
+	}
+	baseline, err := s.arenaCell("b2c", "stride", 10_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := filepath.Join(dir, baseline.id+snapSuffix)
+	if err := os.WriteFile(peer, []byte("a peer's snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// The second sweep shares the cached stride baseline and misses on its
+	// pangloss cell.
+	writes := s.ckptWrites.Load()
+	if w := getArena(t, s, "?ops=10000&benchmarks=b2c&engines=pangloss&wait=1"); w.Code != http.StatusOK {
+		t.Fatalf("arena: %d %s", w.Code, w.Body)
+	}
+	if s.ckptWrites.Load() == writes {
+		t.Fatal("the pangloss cell ran unsegmented or hit the cache")
+	}
+	left, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil || len(left) != 1 || left[0] != peer {
+		t.Fatalf("files after the second sweep = %v (%v), want only the peer's snapshot %s", left, err, peer)
+	}
+}
+
+// TestArenaFailedCellIsRecovered: a cell's miss records the cell, so a
+// cell that fails keeps its record, and the next server's RecoverJobs
+// resubmits it as the /v1/sim job of its cell request, which clears it.
+func TestArenaFailedCellIsRecovered(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{CheckpointDir: dir, CheckpointEveryOps: 2000}
+	a, _ := newResilientServer(t, jobq.Config{Workers: 1, Capacity: 4}, opts)
+	if _, err := a.RecoverJobs(dir); err != nil {
+		t.Fatal(err)
+	}
+	prev := faultinject.Enable(faultinject.MustParse(11, "sim.checkpoint.abort:after=2"))
+	w := getArena(t, a, "?ops=10000&benchmarks=b2c&engines=cdp&wait=1")
+	faultinject.Enable(prev)
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("arena under an aborting cell: %d %s, want 500", w.Code, w.Body)
+	}
+	baseline, err := a.arenaCell("b2c", "stride", 10_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, baseline.id+reqSuffix)); err != nil {
+		t.Fatalf("the failed cell left no request record: %v", err)
+	}
+
+	b, _ := newResilientServer(t, jobq.Config{Workers: 1, Capacity: 4}, opts)
+	if n, err := b.RecoverJobs(dir); err != nil || n != 1 {
+		t.Fatalf("RecoverJobs = (%d, %v), want (1, nil)", n, err)
+	}
+	j, ok := b.queue.Get(baseline.id)
+	if !ok {
+		t.Fatalf("no recovered job %s", baseline.id)
+	}
+	<-j.Done()
+	if _, err := j.Result(); err != nil {
+		t.Fatalf("recovered cell failed: %v", err)
+	}
+	if got := b.resumedJobs.Load(); got != 1 {
+		t.Errorf("resumed %d jobs from snapshots, want 1", got)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 0 {
+		t.Errorf("files left after the recovered cell finished: %v", left)
 	}
 }

@@ -3,23 +3,28 @@ package api
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"repro/internal/atomicfile"
 	"repro/internal/faultinject"
 	"repro/internal/sim"
 )
 
-// ckptStore persists, per running simulation job, the request that started
-// it and the latest boundary snapshot, so a daemon that dies mid-job (power
-// cut, OOM kill, SIGKILL) can resume the work instead of redoing it. Layout
-// is two flat files per job under one directory:
+// ckptStore keeps flat per-job files under one directory, so a process
+// that dies mid-job (power cut, OOM kill, SIGKILL) can resume the work
+// instead of redoing it:
 //
-//	<job-id>.req.json  the defaulted SimRequest, for resubmission
+//	<job-id>.req.json  the request record: the defaulted SimRequest, for resubmission
 //	<job-id>.snap      the latest sim.Snapshot (absent until the first boundary)
+//
+// A server keeps its snapshots in the store of Options.CheckpointDir and
+// its request records in the store RecoverJobs opens. A standalone daemon
+// gives both one directory, a coordinator keeps records only, and a
+// cluster worker snapshots only. Every method but saveSnapshot is a no-op
+// on a nil store.
 //
 // Writes go through atomicfile, so a crash mid-write leaves the previous
 // snapshot intact, never a torn one, and two workers sharing the directory
@@ -42,6 +47,9 @@ const (
 
 // saveRequest records the (already defaulted) request for id.
 func (st *ckptStore) saveRequest(id string, req SimRequest) error {
+	if st == nil {
+		return nil
+	}
 	data, err := json.Marshal(req)
 	if err != nil {
 		return err
@@ -70,6 +78,9 @@ func (st *ckptStore) saveSnapshot(id string, snap *sim.Snapshot) error {
 // a dead cluster peer had in flight when the checkpoint directory is
 // shared, resumes from its last boundary.
 func (st *ckptStore) loadSnapshot(id string) *sim.Snapshot {
+	if st == nil {
+		return nil
+	}
 	blob, err := os.ReadFile(filepath.Join(st.dir, id+snapSuffix))
 	if err != nil {
 		return nil
@@ -81,94 +92,75 @@ func (st *ckptStore) loadSnapshot(id string) *sim.Snapshot {
 	return snap
 }
 
-// remove deletes both files for id (job finished, canceled, or stale).
-func (st *ckptStore) remove(id string) {
-	_ = os.Remove(filepath.Join(st.dir, id+reqSuffix))
-	st.removeSnapshot(id)
+// removeRequest deletes id's request record.
+func (st *ckptStore) removeRequest(id string) {
+	if st != nil {
+		_ = os.Remove(filepath.Join(st.dir, id+reqSuffix))
+	}
 }
 
 // removeSnapshot deletes id's snapshot alone, keeping the request so a
 // crash before the next boundary still finds the job to rerun.
 func (st *ckptStore) removeSnapshot(id string) {
-	_ = os.Remove(filepath.Join(st.dir, id+snapSuffix))
-}
-
-// pendingJob is one persisted, unfinished simulation found at startup.
-type pendingJob struct {
-	id  string
-	req SimRequest
-}
-
-// load scans the directory for persisted requests. Unreadable or torn
-// files are skipped (a corrupt request degrades to nothing), never fatal:
-// recovery must not be able to wedge startup.
-func (st *ckptStore) load() ([]pendingJob, error) {
-	entries, err := os.ReadDir(st.dir)
-	if err != nil {
-		return nil, err
+	if st != nil {
+		_ = os.Remove(filepath.Join(st.dir, id+snapSuffix))
 	}
-	var out []pendingJob
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, reqSuffix) {
-			continue
-		}
-		id := strings.TrimSuffix(name, reqSuffix)
-		data, err := os.ReadFile(filepath.Join(st.dir, name))
-		if err != nil {
-			continue
-		}
-		var req SimRequest
-		if err := json.Unmarshal(data, &req); err != nil {
-			st.remove(id)
-			continue
-		}
-		out = append(out, pendingJob{id: id, req: req})
-	}
-	return out, nil
 }
 
-// RecoverJobs resubmits every simulation persisted by a previous process;
-// each resumes from its latest boundary snapshot when one survived. Job
-// IDs are content-keyed ("sim-<hash>"), so clients polling an ID from
-// before the restart find the recovered job under the same handle. It
-// returns the number of jobs resubmitted and is a no-op without a
-// checkpoint store.
-func (s *Server) RecoverJobs() (int, error) {
-	if s.store == nil {
+// RecoverJobs makes dir this server's request-record directory and
+// resubmits every record a previous process left there through submit,
+// the path POST /v1/sim takes: a local job resumes from its latest
+// snapshot when one survived, and a routed one is placed on its key's
+// current owner. From then on the server records every simulation it
+// accepts, a /v1/sim job when submit accepts it and an arena cell when it
+// misses the cache, until the simulation succeeds or a client cancels it;
+// any other end keeps the record for the next restart. Job IDs are
+// content-keyed ("sim-<key>"), so clients polling an ID from before the
+// restart find the recovered job under the same handle.
+//
+// Call it before the server takes requests. It returns the number of jobs
+// resubmitted; with an empty dir it records and recovers nothing.
+func (s *Server) RecoverJobs(dir string) (int, error) {
+	if dir == "" {
 		return 0, nil
 	}
-	pending, err := s.store.load()
+	records, err := newCkptStore(dir)
 	if err != nil {
 		return 0, err
 	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return 0, err
+	}
+	s.records = records
 	n := 0
-	for _, p := range pending {
-		c, err := resolve(p.req)
-		if err != nil {
-			// The request predates a validation change; nothing to resume.
-			s.store.remove(p.id)
+	for _, e := range entries {
+		id, ok := strings.CutSuffix(e.Name(), reqSuffix)
+		if e.IsDir() || !ok {
 			continue
 		}
-		if c.id != p.id {
-			// Hash scheme changed across the restart; the snapshot would
-			// land under a different job anyway.
-			s.store.remove(p.id)
-			continue
-		}
-		if _, ok := s.cache.Get(c.key); ok {
-			s.store.remove(p.id)
-			continue
-		}
+		// An unreadable or torn record fails to resolve to its ID, unless
+		// all it lost lies outside the content key, and is cleared: recovery
+		// must not be able to wedge startup.
+		var req SimRequest
+		data, _ := os.ReadFile(filepath.Join(dir, e.Name()))
+		_ = json.Unmarshal(data, &req)
 		// Recovered jobs are never traced: a resume would only cover the
 		// tail segment, and the submitter who wanted the trace is gone.
-		_, err = s.queue.SubmitTimeout(p.id, p.req.Priority, s.adaptiveTimeout(c.ops),
-			s.simJob(c, time.Now(), false, nil))
-		if err != nil {
-			// Queue full or shutting down: leave the files for next time.
-			continue
+		req.Trace = false
+		if c, err := resolve(req); err == nil && c.id == id {
+			if _, hit := s.cache.Get(c.key); !hit {
+				if _, err := s.submit(c, math.MaxInt); err == nil {
+					n++
+				}
+				// Otherwise the queue is full or shutting down: leave the
+				// files for next time.
+				continue
+			}
 		}
-		n++
+		// The record predates a validation or hash change, or its result
+		// is already cached: nothing to resume.
+		s.clear(id)
 	}
 	return n, nil
 }

@@ -16,9 +16,11 @@ import (
 // the pre-resilience behaviour: no checkpoint persistence, watermark
 // defaults, no adaptive deadlines.
 type Options struct {
-	// CheckpointDir, when set, persists each running simulation's request
-	// and latest boundary snapshot so a restarted daemon can resume it
-	// (see RecoverJobs). Empty disables persistence.
+	// CheckpointDir, when set, persists each running simulation's latest
+	// boundary snapshot, which every local run of the same job resumes
+	// from: one RecoverJobs resubmitted, or one a dead cluster peer sharing
+	// the directory had in flight. Empty disables snapshots. Request
+	// records go where RecoverJobs points.
 	CheckpointDir string
 
 	// CheckpointEveryOps is the default segmentation interval applied to

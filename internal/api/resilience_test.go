@@ -158,6 +158,9 @@ func TestCheckpointRecoveryResumesByteIdentical(t *testing.T) {
 	// Daemon A: the run aborts at its third boundary; snapshots for the
 	// first two made it to disk.
 	a, _ := newResilientServer(t, jobq.Config{Workers: 1, Capacity: 4}, Options{CheckpointDir: dir})
+	if n, err := a.RecoverJobs(dir); err != nil || n != 0 {
+		t.Fatalf("first RecoverJobs = (%d, %v), want (0, nil)", n, err)
+	}
 	prev := faultinject.Enable(faultinject.MustParse(11, "sim.checkpoint.abort:after=2"))
 	w := postSim(t, a, body)
 	faultinject.Enable(prev)
@@ -175,7 +178,7 @@ func TestCheckpointRecoveryResumesByteIdentical(t *testing.T) {
 
 	// Daemon B: same directory, fresh queue and cache.
 	b, _ := newResilientServer(t, jobq.Config{Workers: 1, Capacity: 4}, Options{CheckpointDir: dir})
-	n, err := b.RecoverJobs()
+	n, err := b.RecoverJobs(dir)
 	if err != nil || n != 1 {
 		t.Fatalf("RecoverJobs = (%d, %v), want (1, nil)", n, err)
 	}
@@ -226,6 +229,9 @@ func TestCheckpointRecoveryCorruptSnapshotReruns(t *testing.T) {
 
 	// Daemon A dies at its third boundary, leaving a snapshot behind.
 	a, _ := newResilientServer(t, jobq.Config{Workers: 1, Capacity: 4}, Options{CheckpointDir: dir})
+	if n, err := a.RecoverJobs(dir); err != nil || n != 0 {
+		t.Fatalf("first RecoverJobs = (%d, %v), want (0, nil)", n, err)
+	}
 	prev := faultinject.Enable(faultinject.MustParse(11, "sim.checkpoint.abort:after=2"))
 	w := postSim(t, a, body)
 	faultinject.Enable(prev)
@@ -267,17 +273,25 @@ func TestCheckpointRecoveryCorruptSnapshotReruns(t *testing.T) {
 	}
 
 	for _, viaRecover := range []bool{false, true} {
-		if err := os.WriteFile(reqPath, reqBlob, 0o644); err != nil {
+		// With its request record the job is recovered; without one (a
+		// snapshot a dead peer sharing the directory left, say) the POST
+		// reaches it.
+		recovered := 0
+		if err := os.Remove(reqPath); err != nil && !os.IsNotExist(err) {
 			t.Fatal(err)
+		}
+		if viaRecover {
+			if err := os.WriteFile(reqPath, reqBlob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			recovered = 1
 		}
 		if err := os.WriteFile(snapPath, badSnap, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		b, _ := newResilientServer(t, jobq.Config{Workers: 1, Capacity: 4}, Options{CheckpointDir: dir})
-		if viaRecover {
-			if n, err := b.RecoverJobs(); err != nil || n != 1 {
-				t.Fatalf("RecoverJobs = (%d, %v), want (1, nil)", n, err)
-			}
+		if n, err := b.RecoverJobs(dir); err != nil || n != recovered {
+			t.Fatalf("RecoverJobs = (%d, %v), want (%d, nil)", n, err, recovered)
 		}
 		w := postSim(t, b, body)
 		if w.Code != http.StatusOK {
@@ -301,12 +315,26 @@ func TestCheckpointRecoveryCorruptSnapshotReruns(t *testing.T) {
 	}
 }
 
-// TestRecoverJobsWithoutStore: a storeless server recovers nothing and
-// does not error.
+// TestRecoverJobsWithoutStore: with no directory a server recovers
+// nothing, does not error, and records nothing, even beside a checkpoint
+// directory, which then holds snapshots only.
 func TestRecoverJobsWithoutStore(t *testing.T) {
-	s, _ := newResilientServer(t, jobq.Config{Workers: 1}, Options{})
-	if n, err := s.RecoverJobs(); n != 0 || err != nil {
+	dir := t.TempDir()
+	s, _ := newResilientServer(t, jobq.Config{Workers: 1}, Options{CheckpointDir: dir})
+	if n, err := s.RecoverJobs(""); n != 0 || err != nil {
 		t.Fatalf("RecoverJobs = (%d, %v), want (0, nil)", n, err)
+	}
+	prev := faultinject.Enable(faultinject.MustParse(11, "sim.checkpoint.abort:after=2"))
+	w := postSim(t, s, `{"benchmark": "b2c", "ops": 10000, "checkpoint_every_ops": 2000, "wait": true}`)
+	faultinject.Enable(prev)
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("aborted run answered %d %s, want 500", w.Code, w.Body)
+	}
+	if reqs, _ := filepath.Glob(filepath.Join(dir, "*"+reqSuffix)); len(reqs) != 0 {
+		t.Errorf("request records without RecoverJobs: %v", reqs)
+	}
+	if snaps, _ := filepath.Glob(filepath.Join(dir, "*"+snapSuffix)); len(snaps) != 1 {
+		t.Errorf("snapshots = %v, want the failed run's one", snaps)
 	}
 }
 

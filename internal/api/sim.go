@@ -88,12 +88,7 @@ func buildSim(req SimRequest) (workloads.Spec, sim.Config, int, error) {
 		ops = workloads.DefaultOps
 	}
 
-	cfg := sim.Default()
-	cfg.WarmupOps = uint64(ops / 8)
-	cfg.MPTUBucketOps = uint64(ops / 48)
-	if cfg.MPTUBucketOps == 0 {
-		cfg.MPTUBucketOps = 1
-	}
+	cfg := sim.ForBudget(ops)
 	if req.L2KB > 0 {
 		cfg.L2.SizeBytes = req.L2KB * 1024
 	}

@@ -16,11 +16,11 @@ import (
 // the same state dir, then kill a worker while cells are still running. The
 // re-submitted sweep must come back byte-identical to standalone, each cell
 // must have simulated exactly once across the whole ordeal (the shared tier
-// and content-keyed dedup absorb every re-placement), and the replayed
-// journal must show a closed ledger.
+// and content-keyed dedup absorb every re-placement), and every request
+// record must be cleared once the cluster settles.
 var KillCoordinatorMidArena = Scenario{
 	Name:        "kill-coordinator",
-	Description: "SIGKILL coordinator mid-arena, restart over the journal, kill a worker owning in-flight cells",
+	Description: "SIGKILL coordinator mid-arena, restart over its state dir, kill a worker owning in-flight cells",
 	Run: func(r *Run) {
 		r.StartCoordinator(nil)
 		for _, name := range []string{"w1", "w2", "w3"} {
@@ -38,7 +38,7 @@ var KillCoordinatorMidArena = Scenario{
 		arenaJob := r.SubmitArenaAsync(params)
 		r.Logf("arena %s submitted (%d cells)", arenaJob, cells)
 
-		// Let the fan-out journal its cell placements, then pull the plug.
+		// Let the fan-out record its cells, then pull the plug.
 		time.Sleep(300 * time.Millisecond)
 		r.KillCoordinator()
 
@@ -52,7 +52,7 @@ var KillCoordinatorMidArena = Scenario{
 		r.KillWorker(victim)
 
 		// The arena assembly job died with the first coordinator (it was
-		// local to that process); the cells survived in the journal. A
+		// local to that process); the cells survived as request records. A
 		// re-submitted sweep rides entirely on their results.
 		result := r.WaitJob(r.SubmitArenaAsync(params), 2*time.Minute)
 		r.Check(bytes.Equal(result, ref),

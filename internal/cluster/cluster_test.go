@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/faultinject"
 	"repro/internal/jobq"
 	"repro/internal/promtest"
 	"repro/internal/sim"
@@ -359,6 +360,18 @@ func TestClusterPeerFetch(t *testing.T) {
 
 	w2, w2TS := startWorker(t, coordTS.URL, "w2", WorkerOptions{})
 	waitForWorkers(t, coord, 2)
+	// The coordinator admits w2 before w2 applies the reply that names w1,
+	// and w2 fetches only from the peers its ring replica names.
+	spec, cfg, ops, err := api.ResolveSim(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := simcache.KeyFor(spec, cfg, ops)
+	for deadline := time.Now().Add(10 * time.Second); len(w2.Peers(key)) == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("w2's ring replica never named w1")
+		}
+	}
 
 	runsBefore := sim.Runs()
 	_, res2 := postSimURL(t, w2TS.URL, req)
@@ -465,6 +478,40 @@ func TestClusterStealResumesFromCheckpoint(t *testing.T) {
 		t.Errorf("w2 resumed no jobs from the shared checkpoint dir")
 	}
 	_ = w2
+}
+
+// TestWorkerWritesOnlySnapshots: a worker records no requests, since the
+// coordinator records what it accepted. A segmented job that dies on a
+// worker after two boundaries leaves its snapshot in the worker's
+// checkpoint directory and no request record; its retry resumes the
+// snapshot and leaves nothing.
+func TestWorkerWritesOnlySnapshots(t *testing.T) {
+	ckptDir := t.TempDir()
+	coord, coordTS := startCoordinator(t, CoordinatorOptions{LeaseTTL: 60 * time.Second, HedgeDelay: time.Hour})
+	_, w1TS := startWorker(t, coordTS.URL, "w1", WorkerOptions{API: api.Options{CheckpointDir: ckptDir}})
+	waitForWorkers(t, coord, 1)
+
+	req := api.SimRequest{Benchmark: "b2c", Ops: 10_000, CheckpointEveryOps: 2000}
+	prev := faultinject.Enable(faultinject.MustParse(11, "sim.checkpoint.abort:after=2"))
+	code, payload := postSimRaw(t, coordTS.URL, req, -1)
+	faultinject.Enable(prev)
+	if code != http.StatusInternalServerError {
+		t.Fatalf("aborted job answered %d %s, want 500", code, payload)
+	}
+	files, err := filepath.Glob(filepath.Join(ckptDir, "*"))
+	if err != nil || len(files) != 1 || filepath.Ext(files[0]) != ".snap" {
+		t.Fatalf("worker checkpoint dir after a failed job = %v (%v), want its snapshot alone", files, err)
+	}
+
+	if _, result := postSimURL(t, coordTS.URL, req); !bytes.Equal(result, standaloneResult(t, req)) {
+		t.Errorf("resumed retry differs from standalone")
+	}
+	if got := scrape(t, w1TS.URL)["cdpd_jobs_resumed_total"].Value(t, 0); got != 1 {
+		t.Errorf("worker resumed %v jobs, want 1", got)
+	}
+	if files, _ := filepath.Glob(filepath.Join(ckptDir, "*")); len(files) != 0 {
+		t.Errorf("worker checkpoint dir after success = %v, want empty", files)
+	}
 }
 
 // TestClusterLeaseExpiry: a registered worker that stops heartbeating is

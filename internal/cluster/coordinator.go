@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -119,11 +118,11 @@ type CoordinatorOptions struct {
 	// Queue sizes the coordinator's local job pool (arena assembly jobs and
 	// the external handles of routed sims).
 	Queue jobq.Config
-	// StateDir persists the membership/placement write-ahead journal so a
-	// restarted coordinator re-adopts its generation, re-leases surviving
-	// workers, and re-routes orphaned placements ("" = memory only; a
-	// restart forgets the cluster and workers must re-register from
-	// scratch).
+	// StateDir holds the membership journal, so a restarted coordinator
+	// re-adopts its generation and re-leases surviving workers, and the
+	// front end's request records, so it re-routes the simulations it had
+	// accepted ("" = memory only; a restart forgets the cluster and its
+	// accepted work, and workers must re-register from scratch).
 	StateDir string
 	// HedgeDelay fixes the straggler threshold before a second placement
 	// races the first (0 = derive it from the placement-rate EWMA). Tests
@@ -166,8 +165,8 @@ type Coordinator struct {
 	rootCancel context.CancelFunc
 	sweeperWG  sync.WaitGroup
 
-	// journal is the write-ahead membership/placement log (nil without
-	// StateDir; every append site tolerates nil).
+	// journal is the write-ahead membership log (nil without StateDir;
+	// every append site tolerates nil).
 	journal *journal
 
 	mu         sync.Mutex
@@ -222,8 +221,12 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	c.api = srv
 
 	// Crash recovery: replay the journal before serving anything, so the
-	// first register/submit already sees the re-adopted ring.
-	var recovered JournalState
+	// first register/submit already sees the re-adopted ring. Then the
+	// front end resubmits the request records the previous incarnation
+	// left, through the routed submit path, which places each on its key's
+	// current owner, where the checkpoint probe resumes a snapshot if one
+	// survived. A member that actually died with the coordinator
+	// transport-fails its placement and the steal path drops it.
 	if opts.StateDir != "" {
 		jr, state, err := openJournal(opts.StateDir)
 		if err != nil {
@@ -231,8 +234,15 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 			return nil, fmt.Errorf("cluster: opening journal: %w", err)
 		}
 		c.journal = jr
-		recovered = state
 		c.adoptJournal(state)
+		n, err := srv.RecoverJobs(opts.StateDir)
+		if err != nil {
+			jr.Close()
+			cancel()
+			return nil, fmt.Errorf("cluster: recovering requests: %w", err)
+		}
+		c.readopted.Add(uint64(n))
+		c.logger.Info("requests re-adopted", "jobs", n)
 	}
 
 	// Every client-facing endpoint but the trace redirect is the embedded
@@ -249,14 +259,6 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 
 	c.sweeperWG.Add(1)
 	go c.sweepLeases(ctx)
-
-	// Re-route placements the previous incarnation accepted but never
-	// finished. The journaled members were re-leased above, so routing
-	// works immediately; a member that actually died with the coordinator
-	// transport-fails its placement and the steal path drops it.
-	for _, pl := range recovered.Open {
-		c.readoptPlacement(pl)
-	}
 	return c, nil
 }
 
@@ -264,7 +266,7 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 // fresh lease (it has heartbeats in flight toward us already), and the
 // ring rebuild bumps the generation past anything the fleet has seen, so
 // the next heartbeat reply forces every worker to resync its replica.
-func (c *Coordinator) adoptJournal(state JournalState) {
+func (c *Coordinator) adoptJournal(state journalState) {
 	if len(state.Members) == 0 && state.Generation == 0 {
 		return
 	}
@@ -280,34 +282,7 @@ func (c *Coordinator) adoptJournal(state JournalState) {
 	c.generation = state.Generation
 	c.rebuildRingLocked()
 	c.logger.Info("journal replayed", "workers", len(state.Members),
-		"generation", c.generation, "open_placements", len(state.Open),
-		"torn_records", state.TornRecords)
-}
-
-// readoptPlacement resubmits one orphaned placement from the journal
-// through the front end's routed submit path, which places it on the
-// content key's current owner, where the submit-path checkpoint probe
-// resumes the victim's snapshot if one exists. A record that no longer
-// decodes or resolves is journaled done and dropped rather than re-routed
-// blind.
-func (c *Coordinator) readoptPlacement(pl Placement) {
-	var req api.SimRequest
-	err := json.Unmarshal(pl.Req, &req)
-	id := pl.Job
-	if err == nil {
-		id, err = c.api.Resubmit(req)
-	}
-	switch {
-	case err == nil:
-		c.readopted.Add(1)
-		c.logger.Info("placement re-adopted from journal", "job_id", id, "last_worker", pl.Worker)
-	case errors.Is(err, jobq.ErrDuplicateID), errors.Is(err, jobq.ErrShuttingDown):
-		// A live placement already owns it, or the queue is closing:
-		// nothing to adopt.
-	default:
-		c.logger.Warn("dropping unresolvable journaled placement", "job_id", pl.Job, "err", err)
-		c.journal.append(journalRecord{T: "done", Job: pl.Job})
-	}
+		"generation", c.generation, "torn_records", state.TornRecords)
 }
 
 // ServeHTTP implements http.Handler.
@@ -317,8 +292,8 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.mux.
 func (c *Coordinator) API() *api.Server { return c.api }
 
 // Close stops the sweeper, cancels in-flight placements, and drains the
-// local queue within ctx's deadline. The journal stays open until the
-// placements have settled, so their terminal records land.
+// local queue within ctx's deadline. A placement it cancels keeps its
+// request record, so the next incarnation re-adopts it.
 func (c *Coordinator) Close(ctx context.Context) error {
 	c.rootCancel()
 	c.sweeperWG.Wait()
@@ -329,9 +304,9 @@ func (c *Coordinator) Close(ctx context.Context) error {
 
 // Kill tears the coordinator down the way a SIGKILL would, for the chaos
 // orchestrator: the journal is closed first (a dead process appends
-// nothing), so in-flight placements stay open on disk for the next
-// incarnation to re-adopt, then everything running is canceled without
-// grace.
+// nothing), then everything running is canceled without grace. Neither
+// success nor a client's cancel ends the in-flight placements, so their
+// request records stay on disk for the next incarnation to re-adopt.
 //
 // simlint:rootctx
 func (c *Coordinator) Kill() {
@@ -612,11 +587,10 @@ func (c *Coordinator) hedgeDelay(ops int) time.Duration {
 }
 
 // routeSim is the coordinator's one placement loop: it places a simulation
-// on its content key's ring successors until one answers. It journals
-// "submit" before the first placement and "done" after the last, so a
-// coordinator crash leaves the placement open for the next incarnation to
-// re-adopt through the front end, which calls back in here. Every launch
-// spends one unit of one budget:
+// on its content key's ring successors until one answers. It persists
+// nothing: the front end records the request, and after a coordinator
+// crash the next incarnation re-adopts it through the front end, which
+// calls back in here. Every launch spends one unit of one budget:
 //
 //   - A primary goes to the key's ring owner whenever nothing is running.
 //   - A transport failure means the worker is dead: it is dropped from the
@@ -637,15 +611,6 @@ func (c *Coordinator) routeSim(ctx context.Context, id string, key simcache.Key,
 	if err != nil {
 		return nil, false, err
 	}
-	c.journal.append(journalRecord{T: "submit", Job: id, Req: body})
-	defer func() {
-		// A dying coordinator leaves the placement open in the journal so the
-		// next incarnation re-adopts it. (A real crash never reaches this;
-		// the chaos stand-in Kill closes the journal first.)
-		if c.rootCtx.Err() == nil {
-			c.journal.append(journalRecord{T: "done", Job: id})
-		}
-	}()
 
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -654,7 +619,6 @@ func (c *Coordinator) routeSim(ctx context.Context, id string, key simcache.Key,
 	launch := func(m memberInfo, hedge bool) {
 		used++
 		running++
-		c.journal.append(journalRecord{T: "placed", Job: id, Worker: m.Name})
 		c.notePlaced(id, m.URL)
 		go func() {
 			start := time.Now()
@@ -851,7 +815,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("cdpd_cluster_generation", "Membership generation (increments per change).", "gauge", generation)
 	p("cdpd_cluster_hedges_total", "Second placements raced against suspected stragglers.", "counter", c.hedges.Load())
 	p("cdpd_cluster_hedge_wins_total", "Hedged placements that finished before the primary.", "counter", c.hedgeWins.Load())
-	p("cdpd_cluster_readopted_total", "Orphaned placements re-adopted from the journal after a restart.", "counter", c.readopted.Load())
+	p("cdpd_cluster_readopted_total", "Request records re-adopted after a restart.", "counter", c.readopted.Load())
 	p("cdpd_cluster_placements_open", "External placements accepted but not yet terminal.", "gauge", c.queue.ExternalInflight())
 	if c.journal != nil {
 		p("cdpd_cluster_journal_writes_total", "Records appended to the write-ahead journal.", "counter", c.journal.writes.Load())

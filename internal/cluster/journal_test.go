@@ -19,69 +19,63 @@ func writeJournalLines(t *testing.T, dir string, lines ...string) {
 	}
 }
 
+// readJournal replays the journal under dir.
+func readJournal(t *testing.T, dir string) journalState {
+	t.Helper()
+	state, err := replayJournal(filepath.Join(dir, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return state
+}
+
 // TestJournalReplayMissing: no journal file is an empty state, not an error
 // — a first boot with -state-dir must come up clean.
 func TestJournalReplayMissing(t *testing.T) {
-	state, err := ReadJournal(t.TempDir())
-	if err != nil {
-		t.Fatalf("ReadJournal on empty dir: %v", err)
-	}
-	if len(state.Members) != 0 || len(state.Open) != 0 || state.Generation != 0 {
+	state := readJournal(t, t.TempDir())
+	if len(state.Members) != 0 || state.Generation != 0 {
 		t.Fatalf("empty dir replayed to non-empty state: %+v", state)
 	}
 }
 
 // TestJournalReplaySemantics replays a hand-written history and checks every
-// record type lands: members join and leave, placements open on submit,
-// close on done, a done with no matching open counts as a double-complete,
-// and a torn final line (the crash-mid-append case) is counted and skipped
-// without poisoning the rest.
+// record type lands: members join and leave, the highest generation wins,
+// the placement records an older coordinator wrote are ignored, and a torn
+// final line (the crash-mid-append case) is counted and skipped without
+// poisoning the rest.
 func TestJournalReplaySemantics(t *testing.T) {
 	dir := t.TempDir()
 	writeJournalLines(t, dir,
 		`{"t":"member","name":"w1","url":"http://w1","gen":1}`,
 		`{"t":"member","name":"w2","url":"http://w2","gen":2}`,
-		`{"t":"leave","name":"w1","gen":3}`,
 		`{"t":"submit","job":"sim-aaaa","req":{"benchmark":"quake","ops":1000}}`,
 		`{"t":"placed","job":"sim-aaaa","worker":"w2"}`,
-		`{"t":"submit","job":"sim-bbbb","req":{"benchmark":"gcc","ops":2000}}`,
-		`{"t":"done","job":"sim-bbbb"}`,
+		`{"t":"leave","name":"w1","gen":3}`,
 		`{"t":"done","job":"sim-bbbb"}`,
 		`{"t":"member","name":"w3","url":`, // torn mid-append
 	)
 
-	state, err := ReadJournal(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	state := readJournal(t, dir)
 	if len(state.Members) != 1 || state.Members["w2"] != "http://w2" {
 		t.Fatalf("members = %v, want only w2", state.Members)
 	}
 	if state.Generation != 3 {
 		t.Fatalf("generation = %d, want 3 (highest journaled)", state.Generation)
 	}
-	if len(state.Open) != 1 {
-		t.Fatalf("open placements = %v, want only sim-aaaa", state.Open)
-	}
-	pl := state.Open["sim-aaaa"]
-	if pl.Worker != "w2" || !strings.Contains(string(pl.Req), "quake") {
-		t.Fatalf("placement = %+v, want worker w2 and the quake request", pl)
-	}
-	if state.DoubleCompletes != 1 {
-		t.Fatalf("double completes = %d, want 1 (second done for sim-bbbb)", state.DoubleCompletes)
-	}
 	if state.TornRecords != 1 {
 		t.Fatalf("torn records = %d, want 1", state.TornRecords)
 	}
 }
 
-// TestJournalCompaction: openJournal rewrites the file down to live state —
-// the journal's size is bounded by surviving members and open placements,
-// not lifetime traffic — and the compacted file replays to the same state.
+// TestJournalCompaction: openJournal rewrites the file down to the surviving
+// members — the journal's size is bounded by membership, not lifetime
+// traffic — dropping an older coordinator's placement records once, and
+// the compacted file replays to the same state.
 func TestJournalCompaction(t *testing.T) {
 	dir := t.TempDir()
 	var lines []string
-	// A long churn history that nets out to one member and one open job.
+	// A long churn history, with the placement records an older coordinator
+	// wrote, that nets out to one member.
 	for i := 0; i < 50; i++ {
 		lines = append(lines,
 			`{"t":"member","name":"churn","url":"http://churn","gen":`+jsonInt(uint64(2*i+1))+`}`,
@@ -108,31 +102,21 @@ func TestJournalCompaction(t *testing.T) {
 	if state.Generation != 101 {
 		t.Fatalf("generation = %d, want 101", state.Generation)
 	}
-	if len(state.Open) != 1 || state.Open["sim-open"].Worker != "w1" {
-		t.Fatalf("open = %v, want sim-open on w1", state.Open)
-	}
 
-	// Compaction shrank ~203 history lines to 4 (gen + member + submit +
-	// placed).
+	// Compaction shrank ~203 history lines to 2 (gen + member).
 	raw, err := os.ReadFile(filepath.Join(dir, journalFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(string(raw), "\n"); n != 4 {
-		t.Fatalf("compacted journal has %d lines, want 4:\n%s", n, raw)
+	if n := strings.Count(string(raw), "\n"); n != 2 {
+		t.Fatalf("compacted journal has %d lines, want 2:\n%s", n, raw)
 	}
 
-	// The compacted file replays to the same live state, and post-compaction
+	// The compacted file replays to the same state, and post-compaction
 	// appends extend it.
-	jr.append(journalRecord{T: "done", Job: "sim-open"})
-	again, err := ReadJournal(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again.Open) != 0 {
-		t.Fatalf("open after appended done = %v, want empty", again.Open)
-	}
-	if again.Members["w1"] != "http://w1" || again.Generation != 101 {
+	jr.append(journalRecord{T: "member", Name: "w2", URL: "http://w2", Gen: 102})
+	again := readJournal(t, dir)
+	if len(again.Members) != 2 || again.Members["w1"] != "http://w1" || again.Generation != 102 {
 		t.Fatalf("compacted replay lost state: %+v", again)
 	}
 }

@@ -118,11 +118,13 @@ func pollJob(t *testing.T, base, jobID string) (state jobq.State, errMsg string,
 
 // TestCoordinatorRestartReadoptsPlacement is the crash-recovery acceptance
 // test: a coordinator with -state-dir is killed (journal closed first, like
-// a dead process) while a checkpointed placement is in flight. A new
-// incarnation over the same state dir re-adopts the fleet from the journal,
-// re-routes the orphaned placement to the key's current owner, and the job
-// completes byte-identically with the simulation run exactly once — the
-// worker-side content-keyed dedup absorbs the re-placement.
+// a dead process) while a checkpointed placement is in flight, and the
+// job's request record stays in the state dir. A new incarnation over the
+// same state dir re-adopts the fleet from the journal, resubmits the record
+// through its front end, which re-routes it to the key's current owner,
+// and the job completes byte-identically with the simulation run exactly
+// once — the worker-side content-keyed dedup absorbs the re-placement —
+// and clears its record.
 func TestCoordinatorRestartReadoptsPlacement(t *testing.T) {
 	stateDir := t.TempDir()
 	ckptDir := t.TempDir()
@@ -153,24 +155,25 @@ func TestCoordinatorRestartReadoptsPlacement(t *testing.T) {
 	submitAsync(t, sc.ts.URL, req)
 	waitForSnapshot(t, ckptDir, jobID)
 
-	// SIGKILL the coordinator mid-placement: the journal is closed before
-	// anything is canceled, so the placement stays open on disk.
+	// SIGKILL the coordinator mid-placement: the kill neither succeeds nor
+	// cancels the job, so its request record stays on disk.
 	sc.swap(nil)
 	coord1.Kill()
 
-	state, err := ReadJournal(stateDir)
+	record := filepath.Join(stateDir, jobID+".req.json")
+	if _, err := os.Stat(record); err != nil {
+		t.Fatalf("killed coordinator lost the in-flight job's request record: %v", err)
+	}
+	state, err := replayJournal(filepath.Join(stateDir, journalFile))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := state.Open[jobID]; !ok {
-		t.Fatalf("killed coordinator's journal lost the in-flight placement; open = %v", state.Open)
 	}
 	if len(state.Members) != 2 {
 		t.Fatalf("journal members = %v, want w1 and w2", state.Members)
 	}
 
 	// Restart over the same state dir and address. Recovery re-leases the
-	// journaled members and re-routes the orphaned placement.
+	// journaled members and re-routes the recorded job.
 	coord2, err := NewCoordinator(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -179,8 +182,8 @@ func TestCoordinatorRestartReadoptsPlacement(t *testing.T) {
 	t.Cleanup(func() { coord2.Close(t.Context()) })
 
 	waitForWorkers(t, coord2, 2)
-	if got := coord2.readopted.Load(); got < 1 {
-		t.Fatalf("restarted coordinator re-adopted %d placements, want >= 1", got)
+	if got := coord2.readopted.Load(); got != 1 {
+		t.Fatalf("restarted coordinator re-adopted %d jobs, want 1", got)
 	}
 
 	gotState, errMsg, result := pollJob(t, sc.ts.URL, jobID)
@@ -194,27 +197,18 @@ func TestCoordinatorRestartReadoptsPlacement(t *testing.T) {
 		t.Errorf("simulation ran %d times across the crash, want exactly once", delta)
 	}
 
+	// Success cleared the record before the job reached done.
+	if _, err := os.Stat(record); !os.IsNotExist(err) {
+		t.Errorf("request record still present after the re-adopted job finished (%v)", err)
+	}
+
 	// Re-adoption fills the restarted coordinator's cache as any placement
-	// does, so a repeat is answered there and journals nothing.
-	writes := scrape(t, sc.ts.URL)["cdpd_cluster_journal_writes_total"].Value(t, 0)
+	// does, so a repeat is answered there and records nothing.
 	if cached, again := postSimURL(t, sc.ts.URL, req); !cached || !bytes.Equal(again, ref) {
 		t.Errorf("repeat of the re-adopted job: cached %v, result equal %v; want cached and equal", cached, bytes.Equal(again, ref))
 	}
-	if got := scrape(t, sc.ts.URL)["cdpd_cluster_journal_writes_total"].Value(t, 0); got != writes {
-		t.Errorf("repeat of the re-adopted job journaled %v records, want 0", got-writes)
-	}
-
-	// The settled journal shows a closed ledger: no lost jobs, no double
-	// completions.
-	after, err := ReadJournal(stateDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after.Open) != 0 {
-		t.Errorf("journal still holds open placements after completion: %v", after.Open)
-	}
-	if after.DoubleCompletes != 0 {
-		t.Errorf("journal recorded %d double-completes, want 0", after.DoubleCompletes)
+	if left, _ := filepath.Glob(filepath.Join(stateDir, "*.req.json")); len(left) != 0 {
+		t.Errorf("request records left after the repeat: %v", left)
 	}
 
 	fams := scrape(t, sc.ts.URL)
@@ -223,8 +217,8 @@ func TestCoordinatorRestartReadoptsPlacement(t *testing.T) {
 			t.Errorf("journal series %s missing with -state-dir set", name)
 		}
 	}
-	if got := fams["cdpd_cluster_readopted_total"].Value(t, 0); got < 1 {
-		t.Errorf("readopted_total = %v, want >= 1", got)
+	if got := fams["cdpd_cluster_readopted_total"].Value(t, 0); got != 1 {
+		t.Errorf("readopted_total = %v, want 1", got)
 	}
 }
 
@@ -478,15 +472,15 @@ func TestCachedPlacementLeavesHedgeDelay(t *testing.T) {
 }
 
 // TestOneRoutePerContentKey: the front end's result cache runs at most one
-// route of a content key at a time, so the journal needs no per-job
+// route of a content key at a time, so a placement needs no per-job
 // reference count. Two arenas race on the stride-baseline cell they share;
-// the collapse counter shows they met, and every cell journals exactly one
-// submit, one placed and one done, which leaves a closed ledger.
+// the collapse counter shows they met, the workers simulate the three
+// cells once each, and every cell clears its request record.
 func TestOneRoutePerContentKey(t *testing.T) {
 	stateDir := t.TempDir()
 	coord, coordTS := startCoordinator(t, CoordinatorOptions{LeaseTTL: 60 * time.Second, StateDir: stateDir, HedgeDelay: time.Hour})
-	startWorker(t, coordTS.URL, "w1", WorkerOptions{})
-	startWorker(t, coordTS.URL, "w2", WorkerOptions{})
+	_, w1TS := startWorker(t, coordTS.URL, "w1", WorkerOptions{})
+	_, w2TS := startWorker(t, coordTS.URL, "w2", WorkerOptions{})
 	waitForWorkers(t, coord, 2)
 
 	var wg sync.WaitGroup
@@ -510,44 +504,47 @@ func TestOneRoutePerContentKey(t *testing.T) {
 	if got := scrape(t, coordTS.URL)["cdpd_cache_collapsed_total"].Value(t, 0); got != 1 {
 		t.Fatalf("cdpd_cache_collapsed_total = %v, want 1: the arenas never raced on their shared cell", got)
 	}
+	completed := 0.0
+	for _, base := range []string{w1TS.URL, w2TS.URL} {
+		completed += scrape(t, base)["cdpd_jobs_completed_total"].Value(t, 0)
+	}
+	if completed != 3 {
+		t.Errorf("workers completed %v jobs, want 3 cells (baseline, cdp, pangloss)", completed)
+	}
+	if left, _ := filepath.Glob(filepath.Join(stateDir, "*.req.json")); len(left) != 0 {
+		t.Errorf("request records left after both arenas finished: %v", left)
+	}
+}
 
-	raw, err := os.ReadFile(filepath.Join(stateDir, journalFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	records := map[string]map[string]int{} // job ID → record type → count
-	for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
-		var rec journalRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			t.Fatalf("journal line %s: %v", line, err)
-		}
-		if rec.Job == "" {
-			continue
-		}
-		if records[rec.Job] == nil {
-			records[rec.Job] = map[string]int{}
-		}
-		records[rec.Job][rec.T]++
-	}
-	if len(records) != 3 {
-		t.Errorf("journal names %d jobs, want 3 cells (baseline, cdp, pangloss)", len(records))
-	}
-	want := map[string]int{"submit": 1, "placed": 1, "done": 1}
-	for job, got := range records {
-		if len(got) != len(want) || got["submit"] != 1 || got["placed"] != 1 || got["done"] != 1 {
-			t.Errorf("job %s journaled %v, want %v", job, got, want)
-		}
-	}
+// TestJournalHoldsOnlyMembership: a miss the coordinator routes writes no
+// journal record, so the journal does not grow with traffic, and its
+// request record is gone once it has succeeded.
+func TestJournalHoldsOnlyMembership(t *testing.T) {
+	stateDir := t.TempDir()
+	coord, coordTS := startCoordinator(t, CoordinatorOptions{LeaseTTL: 60 * time.Second, StateDir: stateDir, HedgeDelay: time.Hour})
+	startWorker(t, coordTS.URL, "w1", WorkerOptions{})
+	waitForWorkers(t, coord, 1)
 
-	if err := coord.Close(t.Context()); err != nil {
-		t.Fatal(err)
+	journalSize := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(filepath.Join(stateDir, journalFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
 	}
-	state, err := ReadJournal(stateDir)
-	if err != nil {
-		t.Fatal(err)
+	before := journalSize()
+	const misses = 5
+	for i := range misses {
+		if cached, _ := postSimURL(t, coordTS.URL, api.SimRequest{Benchmark: "quake", Ops: 20_000 + 1000*i}); cached {
+			t.Fatalf("miss %d answered cached", i)
+		}
 	}
-	if len(state.Open) != 0 || state.DoubleCompletes != 0 {
-		t.Errorf("journal after Close: open %v, double completes %d; want a closed ledger", state.Open, state.DoubleCompletes)
+	if after := journalSize(); after != before {
+		t.Errorf("journal grew from %d to %d bytes over %d finished misses, want unchanged", before, after, misses)
+	}
+	if left, _ := filepath.Glob(filepath.Join(stateDir, "*.req.json")); len(left) != 0 {
+		t.Errorf("request records left after the misses finished: %v", left)
 	}
 }
 

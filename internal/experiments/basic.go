@@ -88,7 +88,7 @@ func runFig1(o Options) (*Report, error) {
 	text := report.Series("Figure 1: non-cumulative MPTU trace (4 MB UL2)",
 		"retired µops", xs, names, series)
 	text += fmt.Sprintf("\nSteady state after bucket %d (~%d retired µops): use ~%d µops of warm-up.\n",
-		maxSteady, uint64(maxSteady)*cfg.MPTUBucketOps, warmFor(o.ops()))
+		maxSteady, uint64(maxSteady)*cfg.MPTUBucketOps, baseConfig(o).WarmupOps)
 	return &Report{ID: "fig1", Title: "Figure 1", Text: text}, nil
 }
 

@@ -79,17 +79,8 @@ func (o Options) sweepSpecs() []workloads.Spec {
 	return workloads.All()
 }
 
-// warmFor scales the warm-up boundary to the trace budget (the paper uses
-// ~1/6 of the trace; see Section 2.2).
-func warmFor(ops int) uint64 { return uint64(ops / 8) }
-
 // baseConfig is the Table 1 stride-only baseline scaled to the options.
-func baseConfig(o Options) sim.Config {
-	cfg := sim.Default()
-	cfg.WarmupOps = warmFor(o.ops())
-	cfg.MPTUBucketOps = uint64(o.ops() / 48)
-	return cfg
-}
+func baseConfig(o Options) sim.Config { return sim.ForBudget(o.ops()) }
 
 // with4MB returns cfg with the 4 MiB UL2 of Figure 1 / Table 2.
 func with4MB(cfg sim.Config) sim.Config {

@@ -298,6 +298,12 @@ type Stats struct {
 	Canceled  uint64
 }
 
+// keepFinished is how many finished jobs a queue keeps answering Get for,
+// beside every live one. An older finished job is forgotten, and with it
+// the result it holds; a resubmission of the same work is answered by
+// whatever cache the job filled.
+const keepFinished = 1024
+
 // Queue is the bounded priority job queue. Construct with New.
 type Queue struct {
 	cfg        Config
@@ -314,7 +320,11 @@ type Queue struct {
 	completed uint64          // simlint:guardedby mu
 	failed    uint64          // simlint:guardedby mu
 	canceled  uint64          // simlint:guardedby mu
-	wg        sync.WaitGroup
+	// finished rings the most recent finished jobs; nextDone is the slot
+	// the next one takes, retiring the job there.
+	finished [keepFinished]*Job // simlint:guardedby mu
+	nextDone int                // simlint:guardedby mu
+	wg       sync.WaitGroup
 }
 
 // New builds a queue and starts its worker pool. The queue's base context
@@ -441,14 +451,11 @@ func (q *Queue) CompleteExternal(id string, value any, err error) bool {
 	}
 	switch {
 	case err == nil:
-		j.finishLocked(StateDone, value, nil)
-		q.completed++
+		q.finishLocked(j, StateDone, value, nil)
 	case j.canceled || errors.Is(err, context.Canceled):
-		j.finishLocked(StateCanceled, nil, fmt.Errorf("%w: %v", ErrCanceled, err))
-		q.canceled++
+		q.finishLocked(j, StateCanceled, nil, fmt.Errorf("%w: %v", ErrCanceled, err))
 	default:
-		j.finishLocked(StateFailed, nil, err)
-		q.failed++
+		q.finishLocked(j, StateFailed, nil, err)
 	}
 	j.mu.Unlock()
 	q.mu.Unlock()
@@ -470,7 +477,8 @@ func (q *Queue) ExternalInflight() int {
 	return n
 }
 
-// Get finds a job by id (queued, running, or finished).
+// Get finds a job by id: a queued or running one, or one of the last
+// keepFinished to finish.
 func (q *Queue) Get(id string) (*Job, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -499,9 +507,8 @@ func (q *Queue) Cancel(id string) bool {
 			q.running--
 		}
 		j.canceled = true
-		j.finishLocked(StateCanceled, nil, ErrCanceled)
+		q.finishLocked(j, StateCanceled, nil, ErrCanceled)
 		j.mu.Unlock()
-		q.canceled++
 		q.mu.Unlock()
 		return true
 	case StateRunning:
@@ -510,9 +517,8 @@ func (q *Queue) Cancel(id string) bool {
 			// No worker will ever observe a canceled context for an
 			// external job; it terminates here. The coordinator's forward
 			// goroutine watches Done and abandons the remote attempt.
-			j.finishLocked(StateCanceled, nil, ErrCanceled)
+			q.finishLocked(j, StateCanceled, nil, ErrCanceled)
 			j.mu.Unlock()
-			q.canceled++
 			q.mu.Unlock()
 			return true
 		}
@@ -575,9 +581,8 @@ func (q *Queue) Shutdown(ctx context.Context) error {
 			j := heap.Pop(&q.pq).(*Job)
 			j.mu.Lock()
 			j.canceled = true
-			j.finishLocked(StateCanceled, nil, ErrCanceled)
+			q.finishLocked(j, StateCanceled, nil, ErrCanceled)
 			j.mu.Unlock()
-			q.canceled++
 		}
 		for _, j := range q.jobs {
 			if !j.external {
@@ -586,8 +591,7 @@ func (q *Queue) Shutdown(ctx context.Context) error {
 			j.mu.Lock()
 			if !j.state.Terminal() {
 				j.canceled = true
-				j.finishLocked(StateCanceled, nil, ErrCanceled)
-				q.canceled++
+				q.finishLocked(j, StateCanceled, nil, ErrCanceled)
 			}
 			j.mu.Unlock()
 		}
@@ -636,8 +640,7 @@ func (q *Queue) runGuarded(j *Job) {
 		// counted the job and took it off running.
 		canceled := j.state.Terminal()
 		if r != nil && !canceled {
-			j.finishLocked(StateFailed, nil, &PanicError{JobID: j.id, Value: r, Stack: debug.Stack()})
-			q.failed++
+			q.finishLocked(j, StateFailed, nil, &PanicError{JobID: j.id, Value: r, Stack: debug.Stack()})
 		}
 		j.mu.Unlock()
 		if !canceled {
@@ -688,18 +691,37 @@ func (q *Queue) run(j *Job) {
 	j.mu.Lock()
 	switch {
 	case err == nil:
-		j.finishLocked(StateDone, value, nil)
-		q.completed++
+		q.finishLocked(j, StateDone, value, nil)
 	case j.canceled || errors.Is(err, context.Canceled):
-		j.finishLocked(StateCanceled, nil, fmt.Errorf("%w: %v", ErrCanceled, err))
-		q.canceled++
+		q.finishLocked(j, StateCanceled, nil, fmt.Errorf("%w: %v", ErrCanceled, err))
 	default:
-		j.finishLocked(StateFailed, nil, err)
-		q.failed++
+		q.finishLocked(j, StateFailed, nil, err)
 	}
 	j.mu.Unlock()
 	q.running--
 	q.mu.Unlock()
+}
+
+// finishLocked moves j to the terminal state st, counts it, and rings it
+// among the finished jobs. The job it displaces from the ring, finished
+// keepFinished transitions ago, is forgotten unless its ID now names a
+// newer job. Every terminal transition goes through here. Caller holds
+// q.mu and j.mu.
+func (q *Queue) finishLocked(j *Job, st State, value any, err error) {
+	j.finishLocked(st, value, err)
+	switch st {
+	case StateDone:
+		q.completed++
+	case StateFailed:
+		q.failed++
+	default:
+		q.canceled++
+	}
+	if old := q.finished[q.nextDone]; old != nil && q.jobs[old.id] == old {
+		delete(q.jobs, old.id)
+	}
+	q.finished[q.nextDone] = j
+	q.nextDone = (q.nextDone + 1) % keepFinished
 }
 
 // runSafely converts a panicking job function into a failed job instead of

@@ -3,6 +3,7 @@ package jobq
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -367,4 +368,60 @@ func TestExternalInflight(t *testing.T) {
 	if got := q.ExternalInflight(); got != 0 {
 		t.Fatalf("external inflight = %d after both done, want 0", got)
 	}
+}
+
+// TestFinishedJobsRetention: a queue keeps every live job and the last
+// keepFinished finished ones. An older finished job is forgotten, unless
+// its ID now names a newer job, which stays.
+func TestFinishedJobsRetention(t *testing.T) {
+	q := New(Config{Workers: 2, Capacity: 8})
+	defer q.Shutdown(context.Background())
+	ok := func(ctx context.Context, j *Job) (any, error) { return j.ID(), nil }
+	run := func(id string) *Job {
+		t.Helper()
+		j, err := q.Submit(id, 0, ok)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, j)
+		return j
+	}
+
+	first := run("first")
+	older := run("reused")
+	release := make(chan struct{})
+	newer, err := q.Submit("reused", 0, blockingJob(nil, release)) // the ID now names a live job
+	if err != nil {
+		t.Fatal(err)
+	}
+	external, err := q.SubmitExternal("external", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range keepFinished {
+		run(fmt.Sprintf("filler-%d", i))
+	}
+
+	if _, found := q.Get(first.ID()); found {
+		t.Error("the oldest finished job is still retained")
+	}
+	if j, _ := q.Get("reused"); j != newer {
+		t.Errorf("Get(reused) = %p, want the newer job %p (the older is %p)", j, newer, older)
+	}
+	if j, _ := q.Get("external"); j != external {
+		t.Error("the live external job was forgotten")
+	}
+	if j, _ := q.Get(fmt.Sprintf("filler-%d", keepFinished-1)); j == nil {
+		t.Error("the most recent finished job is not retained")
+	}
+	q.mu.Lock()
+	kept := len(q.jobs)
+	q.mu.Unlock()
+	if want := keepFinished + 2; kept != want {
+		t.Errorf("queue holds %d jobs, want %d (the last %d finished plus 2 live)", kept, want, keepFinished)
+	}
+
+	close(release)
+	waitTerminal(t, newer)
+	q.CompleteExternal("external", "ok", nil)
 }

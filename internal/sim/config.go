@@ -111,6 +111,18 @@ func Default() Config {
 	}
 }
 
+// ForBudget returns Default with warm-up and MPTU bucketing scaled to a
+// µop budget: a warm-up of ops/8 (the paper warms up for ~1/6 of each
+// trace, Section 2.2) and 48 buckets, each at least one µop wide. Both
+// derive from the budget, not from the generated trace, which overshoots
+// it, so one budget names one machine in every tool that runs it.
+func ForBudget(ops int) Config {
+	c := Default()
+	c.WarmupOps = uint64(ops / 8)
+	c.MPTUBucketOps = uint64(max(ops/48, 1))
+	return c
+}
+
 // WithContent returns c with the content prefetcher enabled using the given
 // policy.
 func (c Config) WithContent(p core.Config) Config {
