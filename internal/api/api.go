@@ -9,7 +9,7 @@
 //	POST   /v1/sim               submit a simulation (?wait=1 blocks for the result)
 //	GET    /v1/jobs/{id}         poll a job
 //	GET    /v1/jobs/{id}/stream  NDJSON progress stream until terminal
-//	DELETE /v1/jobs/{id}         cancel a job
+//	DELETE /v1/jobs/{id}         cancel a job, or drop a failed one's request record
 //	GET    /v1/experiments/{id}  run a registered experiment as a job
 //	GET    /v1/arena             sweep every prefetcher engine over a benchmark set
 //	GET    /v1/engines           list the registered prefetcher zoo
@@ -680,19 +680,26 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(data)
 }
 
+// handleJobCancel is DELETE /v1/jobs/{id}: cancel a live job, or drop the
+// request record a failed or canceled one keeps for the next restart. A
+// job that succeeded has no record left, and answers 409.
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if _, ok := s.queue.Get(id); !ok {
+	job, ok := s.queue.Get(id)
+	if !ok {
 		writeError(w, http.StatusNotFound, "no such job %q", id)
 		return
 	}
+	state := jobq.State("canceling")
 	if !s.queue.Cancel(id) {
-		writeError(w, http.StatusConflict, "job %q already finished", id)
-		return
+		if state = job.State(); state == jobq.StateDone {
+			writeError(w, http.StatusConflict, "job %q already finished", id)
+			return
+		}
 	}
-	// A canceled job must not resurrect on the next restart.
+	// A job a client dropped must not resurrect on the next restart.
 	s.clear(id)
-	writeJSON(w, http.StatusOK, map[string]string{"job_id": id, "state": "canceling"})
+	writeJSON(w, http.StatusOK, map[string]string{"job_id": id, "state": string(state)})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

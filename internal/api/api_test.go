@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -138,6 +139,57 @@ func TestWaitAndCacheHit(t *testing.T) {
 	}
 	if string(first.Result) != string(second.Result) {
 		t.Fatal("cached result differs from the computed one")
+	}
+}
+
+// TestForgottenJobAnswersFromCache: a finished job stays pollable until
+// the queue has finished 8,192 later jobs. Then its URL answers 404, and
+// resubmitting the same request is answered from the result cache with
+// the bytes the job produced.
+func TestForgottenJobAnswersFromCache(t *testing.T) {
+	s, q := newTestServer(t, jobq.Config{Workers: 1, Capacity: 8})
+	w := postSim(t, s, `{"benchmark": "quake", "ops": 10000, "wait": true}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("first: %d %s", w.Code, w.Body)
+	}
+	var first envelope
+	if err := json.Unmarshal(w.Body.Bytes(), &first); err != nil {
+		t.Fatal(err)
+	}
+	c, err := resolve(s.stamp(SimRequest{Benchmark: "quake", Ops: 10000}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nothing := func(ctx context.Context, j *jobq.Job) (any, error) { return nil, nil }
+	later := 0
+	for ; ; later++ {
+		get := httptest.NewRecorder()
+		s.ServeHTTP(get, httptest.NewRequest("GET", "/v1/jobs/"+c.id, nil))
+		if get.Code == http.StatusNotFound {
+			break
+		}
+		if get.Code != http.StatusOK || later == 100_000 {
+			t.Fatalf("poll after %d later jobs answered %d %s", later, get.Code, get.Body)
+		}
+		j, err := q.Submit(fmt.Sprintf("later-%d", later), 0, nothing)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+	}
+	// README and DESIGN state the poll window as 8,192 later jobs.
+	if later != 8192 {
+		t.Fatalf("job forgotten after %d later jobs, want 8192", later)
+	}
+
+	w = postSim(t, s, `{"benchmark": "quake", "ops": 10000, "wait": true}`)
+	var again envelope
+	if err := json.Unmarshal(w.Body.Bytes(), &again); err != nil || w.Code != http.StatusOK {
+		t.Fatalf("resubmission: %d %s (%v)", w.Code, w.Body, err)
+	}
+	if !again.Cached || string(again.Result) != string(first.Result) {
+		t.Fatalf("resubmission cached=%v, same bytes=%v; want the cached result",
+			again.Cached, string(again.Result) == string(first.Result))
 	}
 }
 

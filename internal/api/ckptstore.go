@@ -113,10 +113,10 @@ func (st *ckptStore) removeSnapshot(id string) {
 // snapshot when one survived, and a routed one is placed on its key's
 // current owner. From then on the server records every simulation it
 // accepts, a /v1/sim job when submit accepts it and an arena cell when it
-// misses the cache, until the simulation succeeds or a client cancels it;
-// any other end keeps the record for the next restart. Job IDs are
-// content-keyed ("sim-<key>"), so clients polling an ID from before the
-// restart find the recovered job under the same handle.
+// misses the cache, until the simulation succeeds or a client's DELETE
+// drops it; any other end keeps the record for the next restart. Job IDs
+// are content-keyed ("sim-<key>"), so clients polling an ID from before
+// the restart find the recovered job under the same handle.
 //
 // Call it before the server takes requests. It returns the number of jobs
 // resubmitted; with an empty dir it records and recovers nothing.
@@ -139,11 +139,15 @@ func (s *Server) RecoverJobs(dir string) (int, error) {
 		if e.IsDir() || !ok {
 			continue
 		}
-		// An unreadable or torn record fails to resolve to its ID, unless
-		// all it lost lies outside the content key, and is cleared: recovery
-		// must not be able to wedge startup.
+		// A record that cannot be read now (EIO, EMFILE) waits for the
+		// next start. A torn one fails to resolve to its ID, unless all it
+		// lost lies outside the content key, and is cleared: recovery must
+		// not be able to wedge startup.
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			continue
+		}
 		var req SimRequest
-		data, _ := os.ReadFile(filepath.Join(dir, e.Name()))
 		_ = json.Unmarshal(data, &req)
 		// Recovered jobs are never traced: a resume would only cover the
 		// tail segment, and the submitter who wanted the trace is gone.

@@ -338,6 +338,89 @@ func TestRecoverJobsWithoutStore(t *testing.T) {
 	}
 }
 
+// TestRecoverJobsKeepsUnreadableRecord: a record that cannot be read at
+// startup (here a symlink to a directory, which os.ReadFile refuses) is
+// not a torn one. RecoverJobs leaves it and its snapshot for the next
+// start instead of clearing them.
+func TestRecoverJobsKeepsUnreadableRecord(t *testing.T) {
+	dir := t.TempDir()
+	id := SimJobID(simcache.Key{1})
+	rec, snap := filepath.Join(dir, id+reqSuffix), filepath.Join(dir, id+snapSuffix)
+	if err := os.Symlink(t.TempDir(), rec); err != nil {
+		t.Skipf("symlink: %v", err)
+	}
+	if err := os.WriteFile(snap, []byte("cdpsnap4"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := newResilientServer(t, jobq.Config{Workers: 1}, Options{CheckpointDir: dir})
+	if n, err := s.RecoverJobs(dir); n != 0 || err != nil {
+		t.Fatalf("RecoverJobs = (%d, %v), want (0, nil)", n, err)
+	}
+	for _, path := range []string{rec, snap} {
+		if _, err := os.Lstat(path); err != nil {
+			t.Errorf("%s cleared after a read error: %v", filepath.Base(path), err)
+		}
+	}
+}
+
+// TestDeleteDropsFailedJobRecord: a failed job keeps its request record
+// for the next restart until a client's DELETE drops it. DELETE answers
+// 200 with the job's state and clears its files; on a job that succeeded
+// it answers 409, and on an unknown ID 404.
+func TestDeleteDropsFailedJobRecord(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := newResilientServer(t, jobq.Config{Workers: 1, Capacity: 4}, Options{CheckpointDir: dir})
+	if n, err := s.RecoverJobs(dir); n != 0 || err != nil {
+		t.Fatalf("RecoverJobs = (%d, %v), want (0, nil)", n, err)
+	}
+	prev := faultinject.Enable(faultinject.MustParse(11, "sim.checkpoint.abort:after=2"))
+	w := postSim(t, s, `{"benchmark": "b2c", "ops": 10000, "checkpoint_every_ops": 2000, "wait": true}`)
+	faultinject.Enable(prev)
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("aborted run answered %d %s, want 500", w.Code, w.Body)
+	}
+	reqs, err := filepath.Glob(filepath.Join(dir, "*"+reqSuffix))
+	if err != nil || len(reqs) != 1 {
+		t.Fatalf("records after the failure: %v (%v), want exactly one", reqs, err)
+	}
+	failed := strings.TrimSuffix(filepath.Base(reqs[0]), reqSuffix)
+
+	if w = postSim(t, s, `{"benchmark": "quake", "ops": 5000, "wait": true}`); w.Code != http.StatusOK {
+		t.Fatalf("submit: %d %s", w.Code, w.Body)
+	}
+	c, err := resolve(s.stamp(SimRequest{Benchmark: "quake", Ops: 5000}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		id, state string
+		code      int
+	}{
+		{failed, "failed", http.StatusOK},
+		{c.id, "", http.StatusConflict},
+		{"sim-0000000000000000", "", http.StatusNotFound},
+	} {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest("DELETE", "/v1/jobs/"+tc.id, nil))
+		if w.Code != tc.code {
+			t.Fatalf("DELETE %s answered %d %s, want %d", tc.id, w.Code, w.Body, tc.code)
+		}
+		var ack map[string]string
+		if tc.code == http.StatusOK {
+			if err := json.Unmarshal(w.Body.Bytes(), &ack); err != nil || ack["state"] != tc.state {
+				t.Fatalf("DELETE %s answered %s, want state %q", tc.id, w.Body, tc.state)
+			}
+		}
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 0 {
+		t.Fatalf("files left after DELETE of the failed job: %v", left)
+	}
+	b, _ := newResilientServer(t, jobq.Config{Workers: 1}, Options{CheckpointDir: dir})
+	if n, err := b.RecoverJobs(dir); n != 0 || err != nil {
+		t.Fatalf("restart RecoverJobs = (%d, %v), want (0, nil)", n, err)
+	}
+}
+
 // TestRespondLatencyFault: the api.respond.latency point stalls the
 // response without corrupting it.
 func TestRespondLatencyFault(t *testing.T) {

@@ -430,7 +430,7 @@ func (r *Run) teardown() {
 // ---- invariants ------------------------------------------------------------
 
 // checkRecordsCleared lists the request records left under the settled
-// coordinator's state dir. Success or a client's cancel clears a record,
+// coordinator's state dir. Success or a client's DELETE clears a record,
 // so one left behind is a simulation the cluster accepted and never
 // answered, which the next restart would re-adopt.
 func (r *Run) checkRecordsCleared() {

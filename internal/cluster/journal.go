@@ -85,8 +85,6 @@ func replayJournal(path string) (journalState, error) {
 // record, never a live request — the same stance the checkpoint store
 // takes toward snapshot writes.
 type journal struct {
-	path string
-
 	mu sync.Mutex
 	f  *os.File // simlint:guardedby mu
 
@@ -125,7 +123,7 @@ func openJournal(dir string) (*journal, journalState, error) {
 	if err != nil {
 		return nil, state, err
 	}
-	return &journal{path: path, f: f}, state, nil
+	return &journal{f: f}, state, nil
 }
 
 // append writes one record. Failures (and the cluster.journal.write-error

@@ -130,7 +130,8 @@ func jsonInt(v uint64) string {
 // record and bumps the error counter — the append never fails the caller,
 // and the journal keeps accepting once the fault clears.
 func TestJournalWriteErrorFault(t *testing.T) {
-	jr, _, err := openJournal(t.TempDir())
+	dir := t.TempDir()
+	jr, _, err := openJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestJournalWriteErrorFault(t *testing.T) {
 		t.Fatalf("writes = %d after clean append, want 1", got)
 	}
 
-	state, err := replayJournal(jr.path)
+	state, err := replayJournal(filepath.Join(dir, journalFile))
 	if err != nil {
 		t.Fatal(err)
 	}

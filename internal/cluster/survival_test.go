@@ -414,7 +414,9 @@ func TestPlacementBudgetExhaustedBySteals(t *testing.T) {
 
 // TestPlacementRefusalFailsJob: a worker that answers an HTTP error is
 // alive and has answered, so the job fails with its answer: no steal, no
-// second placement, and the member keeps its place on the ring.
+// second placement, and the member keeps its place on the ring. The failed
+// job keeps its request record for the next restart until a client's
+// DELETE drops it.
 func TestPlacementRefusalFailsJob(t *testing.T) {
 	var posts atomic.Int64
 	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -426,7 +428,8 @@ func TestPlacementRefusalFailsJob(t *testing.T) {
 		io.WriteString(w, `{"error":"disk full"}`)
 	}))
 	t.Cleanup(fake.Close)
-	coord, coordTS := startCoordinator(t, CoordinatorOptions{LeaseTTL: 60 * time.Second, HedgeDelay: time.Hour})
+	stateDir := t.TempDir()
+	coord, coordTS := startCoordinator(t, CoordinatorOptions{LeaseTTL: 60 * time.Second, HedgeDelay: time.Hour, StateDir: stateDir})
 	registerMember(t, coordTS.URL, "fake", fake.URL)
 	waitForWorkers(t, coord, 1)
 
@@ -442,6 +445,28 @@ func TestPlacementRefusalFailsJob(t *testing.T) {
 	}
 	if got := posts.Load(); got != 1 {
 		t.Errorf("the refusing worker saw %d placements, want 1", got)
+	}
+
+	records, _ := filepath.Glob(filepath.Join(stateDir, "*.req.json"))
+	if len(records) != 1 {
+		t.Fatalf("request records after the failure: %v, want the failed job's one", records)
+	}
+	id := strings.TrimSuffix(filepath.Base(records[0]), ".req.json")
+	del, err := http.NewRequest(http.MethodDelete, coordTS.URL+"/v1/jobs/"+id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"state":"failed"`) {
+		t.Errorf("DELETE of the failed job: %d %s, want 200 naming state failed", resp.StatusCode, body)
+	}
+	if left, _ := filepath.Glob(filepath.Join(stateDir, "*.req.json")); len(left) != 0 {
+		t.Errorf("request records left after DELETE: %v", left)
 	}
 }
 

@@ -103,9 +103,6 @@ type Job struct {
 	cancel   context.CancelFunc   // simlint:guardedby mu
 	subs     map[chan Update]bool // simlint:guardedby mu
 	doneCh   chan struct{}
-	created  time.Time
-	started  time.Time // simlint:guardedby mu
-	finished time.Time // simlint:guardedby mu
 }
 
 // ID returns the job's queue-unique identifier.
@@ -208,7 +205,6 @@ func (j *Job) finishLocked(st State, value any, err error) {
 	j.state = st
 	j.value = value
 	j.err = err
-	j.finished = time.Now()
 	u := j.snapshotLocked()
 	for ch := range j.subs {
 		// Make room for the terminal update if the buffer is full of
@@ -301,8 +297,10 @@ type Stats struct {
 // keepFinished is how many finished jobs a queue keeps answering Get for,
 // beside every live one. An older finished job is forgotten, and with it
 // the result it holds; a resubmission of the same work is answered by
-// whatever cache the job filled.
-const keepFinished = 1024
+// whatever cache the job filled. It is sized for clients that poll a job
+// instead of waiting on it: at cdpd-cluster's ~130 misses a second on two
+// vCPUs, this many later jobs take about a minute (DESIGN.md §8).
+const keepFinished = 8192
 
 // Queue is the bounded priority job queue. Construct with New.
 type Queue struct {
@@ -387,7 +385,6 @@ func (q *Queue) SubmitTimeout(id string, priority int, timeout time.Duration, fn
 		state:    StateQueued,
 		subs:     map[chan Update]bool{},
 		doneCh:   make(chan struct{}),
-		created:  time.Now(),
 	}
 	q.jobs[id] = j
 	heap.Push(&q.pq, j)
@@ -415,7 +412,6 @@ func (q *Queue) SubmitExternal(id string, priority int) (*Job, error) {
 	if prev, ok := q.jobs[id]; ok && !prev.State().Terminal() {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateID, id)
 	}
-	now := time.Now()
 	j := &Job{
 		id:       id,
 		priority: priority,
@@ -425,8 +421,6 @@ func (q *Queue) SubmitExternal(id string, priority int) (*Job, error) {
 		state:    StateRunning,
 		subs:     map[chan Update]bool{},
 		doneCh:   make(chan struct{}),
-		created:  now,
-		started:  now, // born running: the remote side is already working
 	}
 	q.jobs[id] = j
 	return j, nil
@@ -676,7 +670,6 @@ func (q *Queue) run(j *Job) {
 	}
 	j.cancel = cancel
 	j.state = StateRunning
-	j.started = time.Now()
 	j.broadcastLocked()
 	j.mu.Unlock()
 
