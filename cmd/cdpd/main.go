@@ -20,9 +20,10 @@
 // records beside its membership journal under -state-dir and re-routes
 // them on restart; a worker keeps only snapshots under -checkpoint-dir,
 // where a survivor sharing the directory resumes a dead peer's job.
-// Watermark flags shed low-priority work and flip /readyz under overload;
-// -faults arms the deterministic fault-injection plan (testing only).
-// Invalid flags exit 2 with a one-line message before anything starts.
+// -job-timeout is the one per-job deadline; a routed job runs under its
+// worker's. -faults arms the deterministic fault-injection plan (testing
+// only). Invalid flags, and flags the role would not read, exit 2 with a
+// one-line message before anything starts.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the server stops accepting
 // work, drains in-flight jobs within -drain, cancels whatever remains, and
@@ -73,9 +74,6 @@ type options struct {
 
 	checkpointDir   string
 	checkpointEvery int
-	shedWatermark   float64
-	overloadWM      float64
-	adaptiveTimeout bool
 
 	faults    string
 	faultSeed int64
@@ -144,18 +142,36 @@ func validate(o options) error {
 	if o.drain < 0 {
 		return fmt.Errorf("-drain must be >= 0; got %v", o.drain)
 	}
+	if o.role == "" {
+		o.role = "standalone" // so a zero options value stays valid
+	}
 	switch o.role {
-	case "", "standalone", "coordinator", "worker": // empty = standalone, so a zero options value stays valid
+	case "standalone", "coordinator", "worker":
 	default:
 		return fmt.Errorf("-role must be standalone, coordinator, or worker; got %q", o.role)
 	}
 	if o.role == "worker" && o.joinURL == "" {
 		return errors.New("-role worker requires -join (the coordinator's base URL, e.g. -join http://127.0.0.1:8080)")
 	}
-	if o.joinURL != "" {
-		if o.role != "worker" {
-			return fmt.Errorf("-join only applies to -role worker; got -role %s", o.role)
+	// A flag the role would not read is refused before any directory is
+	// created.
+	for _, f := range []struct {
+		flag, roles string
+		set         bool
+	}{
+		{"-join", "worker", o.joinURL != ""},
+		{"-name", "worker", o.name != ""},
+		{"-self-url", "worker", o.selfURL != ""},
+		{"-lease-ttl", "coordinator", o.leaseTTL != 0},
+		{"-state-dir", "coordinator", o.stateDir != ""},
+		{"-cache-dir", "standalone or worker", o.cacheDir != ""},
+		{"-checkpoint-dir", "standalone or worker", o.checkpointDir != ""},
+	} {
+		if f.set && !strings.Contains(f.roles, o.role) {
+			return fmt.Errorf("%s only applies to -role %s; got -role %s", f.flag, f.roles, o.role)
 		}
+	}
+	if o.joinURL != "" {
 		if err := checkBaseURL("-join", o.joinURL); err != nil {
 			return err
 		}
@@ -174,24 +190,12 @@ func validate(o options) error {
 		}
 	}
 	if o.stateDir != "" {
-		if o.role != "coordinator" {
-			return fmt.Errorf("-state-dir only applies to -role coordinator (it holds the membership journal and request records); got -role %s", o.role)
-		}
 		if err := checkWritableDir("-state-dir", o.stateDir); err != nil {
 			return err
 		}
 	}
 	if o.checkpointEvery < 0 {
 		return fmt.Errorf("-checkpoint-every must be >= 0 µops (0 disables segmentation); got %d", o.checkpointEvery)
-	}
-	if o.shedWatermark < 0 || o.shedWatermark > 1 {
-		return fmt.Errorf("-shed-watermark must be in [0,1] (fraction of -queue; 0 = default 0.75); got %g", o.shedWatermark)
-	}
-	if o.overloadWM < 0 || o.overloadWM > 1 {
-		return fmt.Errorf("-overload-watermark must be in [0,1] (fraction of -queue; 0 = default 0.90); got %g", o.overloadWM)
-	}
-	if o.shedWatermark > 0 && o.overloadWM > 0 && o.shedWatermark > o.overloadWM {
-		return fmt.Errorf("-shed-watermark (%g) must not exceed -overload-watermark (%g); shedding is the earlier defense", o.shedWatermark, o.overloadWM)
 	}
 	if o.checkpointDir != "" {
 		if err := checkWritableDir("-checkpoint-dir", o.checkpointDir); err != nil {
@@ -238,14 +242,11 @@ func main() {
 	flag.StringVar(&o.joinURL, "join", "", "coordinator base URL (required for -role worker)")
 	flag.StringVar(&o.name, "name", "", "worker's stable ring identity (default: derived from -addr)")
 	flag.StringVar(&o.selfURL, "self-url", "", "base URL peers reach this worker at (default: derived from -addr)")
-	flag.StringVar(&o.cacheDir, "cache-dir", "", "disk spill tier for the result cache (empty = memory only)")
+	flag.StringVar(&o.cacheDir, "cache-dir", "", "standalone or worker: disk spill tier for the result cache (empty = memory only)")
 	flag.StringVar(&o.stateDir, "state-dir", "", "coordinator state dir: its membership journal and the requests it accepted survive a crash (empty = memory only)")
 	flag.DurationVar(&o.leaseTTL, "lease-ttl", 0, "coordinator worker-lease TTL (0 = default 3s)")
-	flag.StringVar(&o.checkpointDir, "checkpoint-dir", "", "persist boundary snapshots here; standalone, also request records, resumed on restart (empty = off)")
+	flag.StringVar(&o.checkpointDir, "checkpoint-dir", "", "standalone or worker: persist boundary snapshots here; standalone, also request records, resumed on restart (empty = off)")
 	flag.IntVar(&o.checkpointEvery, "checkpoint-every", 0, "default snapshot interval in fetched µops for submitted sims (0 = unsegmented)")
-	flag.Float64Var(&o.shedWatermark, "shed-watermark", 0, "queue-depth fraction beyond which priority<0 work is shed (0 = 0.75)")
-	flag.Float64Var(&o.overloadWM, "overload-watermark", 0, "queue-depth fraction beyond which /readyz reports 503 (0 = 0.90)")
-	flag.BoolVar(&o.adaptiveTimeout, "adaptive-timeout", false, "derive per-job deadlines from observed simulation throughput")
 	flag.StringVar(&o.faults, "faults", os.Getenv("CDPD_FAULTS"), "fault-injection plan, e.g. 'jobq.worker.crash:p=0.1' (testing only; also CDPD_FAULTS)")
 	flag.Int64Var(&o.faultSeed, "fault-seed", 1, "seed for the fault plan's deterministic randomness")
 	flag.StringVar(&o.debugAddr, "debug-addr", "", "serve net/http/pprof at this address (empty = off)")
@@ -282,9 +283,6 @@ func main() {
 	apiOpts := api.Options{
 		CheckpointDir:      o.checkpointDir,
 		CheckpointEveryOps: o.checkpointEvery,
-		ShedWatermark:      o.shedWatermark,
-		OverloadWatermark:  o.overloadWM,
-		AdaptiveTimeout:    o.adaptiveTimeout,
 		Logger:             logger,
 	}
 

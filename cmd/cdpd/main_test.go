@@ -38,8 +38,6 @@ func TestValidate(t *testing.T) {
 		{"negative job timeout", func(o *options) { o.jobTimeout = -time.Second }, "-job-timeout"},
 		{"negative drain", func(o *options) { o.drain = -time.Second }, "-drain"},
 		{"negative checkpoint interval", func(o *options) { o.checkpointEvery = -5 }, "-checkpoint-every"},
-		{"watermark above one", func(o *options) { o.shedWatermark = 1.5 }, "-shed-watermark"},
-		{"inverted watermarks", func(o *options) { o.shedWatermark = 0.9; o.overloadWM = 0.5 }, "must not exceed"},
 		{"bad fault spec", func(o *options) { o.faults = "no.such.point" }, "-faults"},
 		{"malformed fault option", func(o *options) { o.faults = "jobq.worker.crash:wat" }, "-faults"},
 	}
@@ -61,10 +59,12 @@ func TestValidate(t *testing.T) {
 }
 
 // TestValidateClusterFlags pins the cluster startup contract: role/join
-// combinations that cannot work die with exit-worthy one-line messages
-// naming the flag, and every coherent combination is accepted.
+// combinations that cannot work, and flags the role would not read, die
+// with exit-worthy one-line messages naming the flag, before any directory
+// is created; every coherent combination is accepted.
 func TestValidateClusterFlags(t *testing.T) {
 	stateDir := t.TempDir()
+	untouched := t.TempDir() // refused cases name directories only here
 	cases := []struct {
 		name string
 		mut  func(*options)
@@ -112,6 +112,39 @@ func TestValidateClusterFlags(t *testing.T) {
 			o.joinURL = "http://127.0.0.1:8080"
 			o.stateDir = filepath.Join(stateDir, "journal")
 		}, "-state-dir"},
+		{"every worker flag on a worker", func(o *options) {
+			o.role = "worker"
+			o.joinURL = "http://127.0.0.1:8080"
+			o.name = "w1"
+			o.selfURL = "http://127.0.0.1:8081"
+			o.cacheDir = filepath.Join(stateDir, "spill")
+			o.checkpointDir = filepath.Join(stateDir, "ckpt")
+		}, ""},
+		{"cache dir on coordinator", func(o *options) {
+			o.role = "coordinator"
+			o.cacheDir = filepath.Join(untouched, "spill")
+		}, "-cache-dir only applies to -role standalone or worker; got -role coordinator"},
+		{"checkpoint dir on coordinator", func(o *options) {
+			o.role = "coordinator"
+			o.stateDir = filepath.Join(untouched, "state")
+			o.checkpointDir = filepath.Join(untouched, "ckpt")
+		}, "-checkpoint-dir only applies to -role standalone or worker; got -role coordinator"},
+		{"lease TTL on standalone", func(o *options) { o.leaseTTL = time.Second }, "-lease-ttl only applies to -role coordinator; got -role standalone"},
+		{"lease TTL on worker", func(o *options) {
+			o.role = "worker"
+			o.joinURL = "http://127.0.0.1:8080"
+			o.leaseTTL = time.Second
+		}, "-lease-ttl only applies to -role coordinator; got -role worker"},
+		{"name on standalone", func(o *options) { o.name = "w1" }, "-name only applies to -role worker; got -role standalone"},
+		{"name on coordinator", func(o *options) {
+			o.role = "coordinator"
+			o.name = "w1"
+		}, "-name only applies to -role worker; got -role coordinator"},
+		{"self URL on standalone", func(o *options) { o.selfURL = "http://127.0.0.1:8081" }, "-self-url only applies to -role worker; got -role standalone"},
+		{"self URL on coordinator", func(o *options) {
+			o.role = "coordinator"
+			o.selfURL = "http://127.0.0.1:8081"
+		}, "-self-url only applies to -role worker; got -role coordinator"},
 	}
 	for _, c := range cases {
 		o := goodOptions()
@@ -133,6 +166,9 @@ func TestValidateClusterFlags(t *testing.T) {
 		if strings.ContainsRune(err.Error(), '\n') {
 			t.Errorf("%s: message is not one line: %q", c.name, err)
 		}
+	}
+	if entries, err := os.ReadDir(untouched); err != nil || len(entries) != 0 {
+		t.Errorf("refused flags created %v (%v), want nothing", entries, err)
 	}
 }
 

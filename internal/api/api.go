@@ -49,25 +49,25 @@ const (
 )
 
 // RetryBudgetHeader carries a client's remaining retry budget on a submit.
-// The cluster coordinator caps its own placement attempts (primaries +
-// steals + hedges) by it, so a client that keeps retrying and a
+// The cluster coordinator caps its own placements (the first, and one
+// after each steal) by it, so a client that keeps retrying and a
 // coordinator that keeps re-placing cannot multiply each other's work
 // unboundedly.
 const RetryBudgetHeader = "X-Cdpd-Retry-Budget"
 
-// Router places one resolved simulation on another process and returns its
-// result bytes and whether they were served from a cache there. id and key
-// are the content-keyed job ID and cache key the request resolved to, ops
-// its resolved µop budget, and budget caps the placement attempts (one more
-// than the client's RetryBudgetHeader, or math.MaxInt without one; the
-// router applies its own ceiling). The cluster coordinator supplies one
-// through NewRouted.
+// Router places one resolved simulation on another process, one placement
+// at a time, and returns its result bytes and whether they were served from
+// a cache there. id and key are the content-keyed job ID and cache key the
+// request resolved to, and budget caps the placements (one more than the
+// client's RetryBudgetHeader, or math.MaxInt without one; the router
+// applies its own ceiling). The cluster coordinator supplies one through
+// NewRouted.
 //
 // The Server calls a Router only from fill, inside the result cache's
 // GetOrCompute, so at most one call per content key (and so per job ID) is
 // in flight at a time: a Router may keep per-job state without counting
 // concurrent calls.
-type Router func(ctx context.Context, id string, key simcache.Key, ops int, req SimRequest, budget int) ([]byte, bool, error)
+type Router func(ctx context.Context, id string, key simcache.Key, req SimRequest, budget int) ([]byte, bool, error)
 
 // ErrNoWorkers is what a Router returns, wrapped, when it has nowhere to
 // place a job; a waiting client is answered 503 rather than 500.
@@ -217,22 +217,22 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // writeBackpressure maps ErrQueueFull to 429 with a Retry-After estimate
-// proportional to the backlog (one second per queued job, clamped to
-// [1s, 30s]) and ErrShuttingDown to 503.
+// proportional to the backlog and ErrShuttingDown to 503.
 func (s *Server) writeBackpressure(w http.ResponseWriter, err error) {
 	if errors.Is(err, jobq.ErrShuttingDown) {
 		writeError(w, http.StatusServiceUnavailable, "shutting down")
 		return
 	}
-	retry := s.queue.Stats().Depth
-	if retry < 1 {
-		retry = 1
-	}
-	if retry > 30 {
-		retry = 30
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(retry))
+	retry := setRetryAfter(w, s.queue.Stats().Depth)
 	writeError(w, http.StatusTooManyRequests, "queue full, retry in ~%ds", retry)
+}
+
+// setRetryAfter sets Retry-After to one second per queued job, clamped to
+// [1s, 30s], and returns it, so a full queue and a shed answer alike.
+func setRetryAfter(w http.ResponseWriter, depth int) int {
+	retry := min(max(depth, 1), 30)
+	w.Header().Set("Retry-After", strconv.Itoa(retry))
+	return retry
 }
 
 // handleSubmitSim is POST /v1/sim: validate, answer from the result cache
@@ -307,8 +307,7 @@ func (s *Server) submit(c simCall, budget int) (*jobq.Job, error) {
 		return job, err
 	}
 	recorded := make(chan struct{}) // closed once the record below is written
-	job, err := s.queue.SubmitTimeout(c.id, c.req.Priority, s.adaptiveTimeout(c.ops),
-		s.simJob(c, time.Now(), c.req.Trace, recorded))
+	job, err := s.queue.Submit(c.id, c.req.Priority, s.simJob(c, time.Now(), c.req.Trace, recorded))
 	if err != nil {
 		return nil, err
 	}
@@ -377,7 +376,7 @@ func (s *Server) fill(ctx context.Context, j *jobq.Job, c simCall, traced bool, 
 		if s.route == nil {
 			data, err = s.compute(ctx, j, c, traced)
 		} else {
-			data, remote, err = s.route(ctx, c.id, c.key, c.ops, c.req, budget)
+			data, remote, err = s.route(ctx, c.id, c.key, c.req, budget)
 		}
 		if j == nil && err == nil {
 			s.clear(c.id)
@@ -447,7 +446,6 @@ func (s *Server) compute(ctx context.Context, j *jobq.Job, c simCall, traced boo
 		return nil, err
 	}
 	s.runDur.Observe(dur)
-	s.observeSimRate(dur, c.ops)
 	log.Info("simulation finished", "sim_duration", dur,
 		"cycles", res.Core.Cycles, "ipc", res.IPC())
 	if tr != nil {

@@ -28,7 +28,9 @@ import (
 //
 // Writes go through atomicfile, so a crash mid-write leaves the previous
 // snapshot intact, never a torn one, and two workers sharing the directory
-// cannot rename each other's half-written file into place.
+// cannot rename each other's half-written file into place. RecoverJobs
+// removes the temp files a killed writer leaves; a worker's shared
+// directory, where a peer may be mid-write, is never swept.
 type ckptStore struct {
 	dir string
 }
@@ -118,7 +120,10 @@ func (st *ckptStore) removeSnapshot(id string) {
 // are content-keyed ("sim-<key>"), so clients polling an ID from before
 // the restart find the recovered job under the same handle.
 //
-// Call it before the server takes requests. It returns the number of jobs
+// Call it before the server takes requests: dir belongs to this process
+// until then, so RecoverJobs first removes the temp files of the writes a
+// killed predecessor left unfinished there (a snapshot's, a record's, or
+// on a coordinator the journal's). It returns the number of jobs
 // resubmitted; with an empty dir it records and recovers nothing.
 func (s *Server) RecoverJobs(dir string) (int, error) {
 	if dir == "" {
@@ -126,6 +131,9 @@ func (s *Server) RecoverJobs(dir string) (int, error) {
 	}
 	records, err := newCkptStore(dir)
 	if err != nil {
+		return 0, err
+	}
+	if err := atomicfile.RemoveTemps(dir); err != nil {
 		return 0, err
 	}
 	entries, err := os.ReadDir(dir)

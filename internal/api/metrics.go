@@ -2,7 +2,6 @@ package api
 
 import (
 	"fmt"
-	"math"
 	"net/http"
 	"runtime"
 	"time"
@@ -85,8 +84,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.ckptWriteErrs.Load())
 	p("cdpd_jobs_resumed_total", "Jobs resumed from a persisted snapshot after restart.", "counter",
 		s.resumedJobs.Load())
-	p("cdpd_sim_ns_per_op_ewma", "Smoothed simulation cost in ns per µop (0 until first completion).", "gauge",
-		math.Float64frombits(s.ewmaNsPerOp.Load()))
 
 	s.queueWait.write(w, "cdpd_queue_wait_seconds",
 		"Time from submission accepted to the job function starting.")

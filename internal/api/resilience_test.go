@@ -114,38 +114,6 @@ func TestLoadSheddingAndOverload(t *testing.T) {
 	}
 }
 
-// TestAdaptiveTimeout pins the deadline math: disabled and cold states
-// yield no per-job deadline, observations fold into the EWMA, and the
-// prediction is headroom × rate × ops with clamping at both ends.
-func TestAdaptiveTimeout(t *testing.T) {
-	s, _ := newResilientServer(t, jobq.Config{Workers: 1}, Options{})
-	s.observeSimRate(50*time.Millisecond, 10_000)
-	if d := s.adaptiveTimeout(100_000); d != 0 {
-		t.Fatalf("disabled adaptive timeout returned %v, want 0", d)
-	}
-
-	s, _ = newResilientServer(t, jobq.Config{Workers: 1}, Options{AdaptiveTimeout: true})
-	if d := s.adaptiveTimeout(100_000); d != 0 {
-		t.Fatalf("cold adaptive timeout returned %v, want 0", d)
-	}
-	s.observeSimRate(50*time.Millisecond, 10_000) // 5000 ns/µop
-	within := func(got, want, tol time.Duration) {
-		t.Helper()
-		if got < want-tol || got > want+tol {
-			t.Fatalf("timeout %v, want %v ± %v", got, want, tol)
-		}
-	}
-	within(s.adaptiveTimeout(100_000), 4*time.Second, time.Millisecond)
-	s.observeSimRate(150*time.Millisecond, 10_000) // EWMA → 8000 ns/µop
-	within(s.adaptiveTimeout(100_000), 6400*time.Millisecond, time.Millisecond)
-	if d := s.adaptiveTimeout(10); d != adaptiveMinTimeout {
-		t.Fatalf("tiny job timeout %v, want floor %v", d, adaptiveMinTimeout)
-	}
-	if d := s.adaptiveTimeout(1 << 40); d != adaptiveMaxTimeout {
-		t.Fatalf("huge job timeout %v, want cap %v", d, adaptiveMaxTimeout)
-	}
-}
-
 // TestCheckpointRecoveryResumesByteIdentical is the crash-recovery
 // tentpole at the API layer: a daemon dies mid-simulation (injected abort
 // standing in for SIGKILL), a fresh daemon over the same checkpoint
@@ -360,6 +328,47 @@ func TestRecoverJobsKeepsUnreadableRecord(t *testing.T) {
 		if _, err := os.Lstat(path); err != nil {
 			t.Errorf("%s cleared after a read error: %v", filepath.Base(path), err)
 		}
+	}
+}
+
+// TestRecoverJobsRemovesTempFiles: a process killed between creating a
+// temp file and renaming it into place leaves the temp file behind.
+// RecoverJobs removes a snapshot's and a record's before it replays, and
+// still resubmits the valid record beside them.
+func TestRecoverJobsRemovesTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	c, err := resolve(SimRequest{Benchmark: "quake", Ops: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := (&ckptStore{dir: dir}).saveRequest(c.id, c.req); err != nil {
+		t.Fatal(err)
+	}
+	temps := []string{c.id + snapSuffix + ".tmp1889226410", c.id + reqSuffix + ".tmp42"}
+	for _, name := range temps {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, _ := newResilientServer(t, jobq.Config{Workers: 1, Capacity: 4}, Options{CheckpointDir: dir})
+	if n, err := s.RecoverJobs(dir); n != 1 || err != nil {
+		t.Fatalf("RecoverJobs = (%d, %v), want (1, nil)", n, err)
+	}
+	for _, name := range temps {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("%s survived RecoverJobs: %v", name, err)
+		}
+	}
+	job, ok := s.queue.Get(c.id)
+	if !ok {
+		t.Fatalf("recovered job %s not queued", c.id)
+	}
+	<-job.Done()
+	if _, err := job.Result(); err != nil {
+		t.Fatalf("recovered job failed: %v", err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 0 {
+		t.Errorf("files left after the recovered job succeeded: %v", left)
 	}
 }
 

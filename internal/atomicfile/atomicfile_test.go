@@ -81,3 +81,37 @@ func TestWriteErrorLeavesNoTemp(t *testing.T) {
 		t.Fatalf("directory holds %v after a failed write, want only the target", entries)
 	}
 }
+
+// TestRemoveTemps: only names of Write's temp-file shape go; a target, a
+// name that merely contains ".tmp", and a directory stay.
+func TestRemoveTemps(t *testing.T) {
+	dir := t.TempDir()
+	if err := Write(filepath.Join(dir, "job.snap"), []byte("snap")); err != nil {
+		t.Fatal(err)
+	}
+	keep := []string{"job.snap", "job.tmp", "job.tmpx", "job.tmp1.bak", ".tmp1", "coordinator.journal"}
+	gone := []string{"job.snap.tmp1889226410", "job.req.json.tmp42", "coordinator.journal.tmp7"}
+	for _, name := range append(keep[1:], gone...) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(dir, "sub.tmp3"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	keep = append(keep, "sub.tmp3")
+
+	if err := RemoveTemps(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range keep {
+		if _, err := os.Lstat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("%s removed: %v", name, err)
+		}
+	}
+	for _, name := range gone {
+		if _, err := os.Lstat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("%s left behind: %v", name, err)
+		}
+	}
+}

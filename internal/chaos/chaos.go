@@ -240,11 +240,8 @@ func (r *Run) StartCoordinator(mutate func(*cluster.CoordinatorOptions)) {
 		}))
 	}
 	opts := cluster.CoordinatorOptions{
-		LeaseTTL: 60 * time.Second,
-		StateDir: r.stateDir,
-		// Hedging off by default so exactly-once deltas are strict; the
-		// hedge path has its own unit coverage.
-		HedgeDelay:         time.Hour,
+		LeaseTTL:           60 * time.Second,
+		StateDir:           r.stateDir,
 		CheckpointEveryOps: 50_000,
 	}
 	if mutate != nil {
@@ -448,8 +445,7 @@ func (r *Run) checkRecordsCleared() {
 }
 
 // checkGoroutines polls until the goroutine count returns near its
-// pre-scenario level — a stuck forward, hedge, or heartbeat loop shows up
-// here.
+// pre-scenario level — a stuck forward or heartbeat loop shows up here.
 func (r *Run) checkGoroutines() {
 	const slack = 12
 	deadline := time.Now().Add(10 * time.Second)

@@ -487,7 +487,7 @@ func TestClusterStealResumesFromCheckpoint(t *testing.T) {
 // snapshot and leaves nothing.
 func TestWorkerWritesOnlySnapshots(t *testing.T) {
 	ckptDir := t.TempDir()
-	coord, coordTS := startCoordinator(t, CoordinatorOptions{LeaseTTL: 60 * time.Second, HedgeDelay: time.Hour})
+	coord, coordTS := startCoordinator(t, CoordinatorOptions{LeaseTTL: 60 * time.Second})
 	_, w1TS := startWorker(t, coordTS.URL, "w1", WorkerOptions{API: api.Options{CheckpointDir: ckptDir}})
 	waitForWorkers(t, coord, 1)
 
@@ -634,7 +634,6 @@ func TestClusterMetrics(t *testing.T) {
 		"cdpd_cluster_workers_live", "cdpd_cluster_steals_total",
 		"cdpd_cluster_rebalances_total", "cdpd_cluster_generation",
 		"cdpd_cluster_worker_inflight",
-		"cdpd_cluster_hedges_total", "cdpd_cluster_hedge_wins_total",
 		"cdpd_cluster_readopted_total", "cdpd_cluster_placements_open",
 	} {
 		if fams[name] == nil || len(fams[name].Samples) == 0 {
@@ -659,12 +658,12 @@ func TestClusterMetrics(t *testing.T) {
 }
 
 // TestClusterRunHistogramReconciles checks the workers' run-duration
-// histograms against what concurrent clients observed. With hedging off
-// and every request a distinct content key, each success ran exactly one
-// simulation, so the merged count equals the successes; and each round
-// trip contains its run, so the mean round trip is at least the mean run.
+// histograms against what concurrent clients observed. With every request
+// a distinct content key, each success ran exactly one simulation, so the
+// merged count equals the successes; and each round trip contains its run,
+// so the mean round trip is at least the mean run.
 func TestClusterRunHistogramReconciles(t *testing.T) {
-	coord, coordTS := startCoordinator(t, CoordinatorOptions{HedgeDelay: time.Hour})
+	coord, coordTS := startCoordinator(t, CoordinatorOptions{})
 	w1, _ := startWorker(t, coordTS.URL, "w1", WorkerOptions{})
 	w2, _ := startWorker(t, coordTS.URL, "w2", WorkerOptions{})
 	waitForWorkers(t, coord, 2)

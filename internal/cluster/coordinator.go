@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"net/url"
 	"strings"
@@ -37,23 +36,6 @@ const (
 	// trace redirects). The map resets when full; a reset only costs trace
 	// redirect accuracy for old jobs, never correctness.
 	maxPlacedEntries = 4096
-
-	// hedgeHeadroom scales the placement-rate EWMA into the hedge delay: a
-	// placement this many times slower than the running mean is treated as
-	// a likely straggler and a second placement races it. The multiplier
-	// plays the p99 role the api layer's adaptive timeout uses headroom
-	// for, just at hedging (not failing) aggressiveness.
-	hedgeHeadroom = 4
-	// hedgeDelayMin keeps hedges from firing on normal jitter once the
-	// EWMA has converged on a fast fleet; hedgeDelayMax keeps a huge sim's
-	// hedge from waiting out most of the job; hedgeDelayDefault covers the
-	// cold start before any simulated placement has been observed.
-	hedgeDelayMin     = 250 * time.Millisecond
-	hedgeDelayMax     = 30 * time.Second
-	hedgeDelayDefault = 2 * time.Second
-	// routeRateAlpha is the EWMA smoothing factor for placement ns/op
-	// (same constant the api layer uses for run rate).
-	routeRateAlpha = 0.3
 )
 
 // errNoWorkers fails jobs routed while the ring is empty; the submit path
@@ -124,10 +106,6 @@ type CoordinatorOptions struct {
 	// accepted ("" = memory only; a restart forgets the cluster and its
 	// accepted work, and workers must re-register from scratch).
 	StateDir string
-	// HedgeDelay fixes the straggler threshold before a second placement
-	// races the first (0 = derive it from the placement-rate EWMA). Tests
-	// and chaos scenarios pin it to make hedging deterministic.
-	HedgeDelay time.Duration
 	// Logger receives cluster lifecycle logs. Nil discards.
 	Logger *slog.Logger
 }
@@ -178,14 +156,7 @@ type Coordinator struct {
 
 	steals     atomic.Uint64
 	rebalances atomic.Uint64
-	hedges     atomic.Uint64
-	hedgeWins  atomic.Uint64
 	readopted  atomic.Uint64
-	// routeEwmaNs is Float64bits of the EWMA nanoseconds-per-op a
-	// placement a worker simulated costs end to end; hedgeDelay derives the
-	// straggler threshold from it (the api layer's adaptiveTimeout
-	// pattern).
-	routeEwmaNs atomic.Uint64
 }
 
 // NewCoordinator builds and starts a coordinator: its local queue, the
@@ -505,20 +476,16 @@ func (c *Coordinator) sweepLeases(ctx context.Context) {
 
 // ---- routing ----
 
-// successor lazily expires lapsed leases and returns the first member of
-// key's ring successors that is not skip: the ring owner for a primary
-// (skip ""), and for a hedge of the primary skip the key's next successor,
-// where a replica of the result would land anyway.
-func (c *Coordinator) successor(key simcache.Key, skip string) (memberInfo, bool) {
+// owner lazily expires lapsed leases and returns key's ring owner.
+func (c *Coordinator) owner(key simcache.Key) (memberInfo, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expireLocked(time.Now())
-	for _, name := range c.ring.Successors(key, 2) {
-		if name != skip {
-			return c.members[name].info, true
-		}
+	name, ok := c.ring.Owner(key)
+	if !ok {
+		return memberInfo{}, false
 	}
-	return memberInfo{}, false
+	return c.members[name].info, true
 }
 
 // trackAttempt registers an in-flight placement (and the owner's inflight
@@ -551,156 +518,58 @@ func (c *Coordinator) notePlaced(id, workerURL string) {
 	c.mu.Unlock()
 }
 
-// observeRouteRate folds one simulated placement's end-to-end cost into
-// the EWMA hedgeDelay derives straggler thresholds from (the api layer's
-// observeSimRate pattern: lock-free CAS over Float64bits).
-func (c *Coordinator) observeRouteRate(elapsed time.Duration, ops int) {
-	if ops <= 0 || elapsed <= 0 {
-		return
-	}
-	sample := float64(elapsed.Nanoseconds()) / float64(ops)
-	for {
-		old := c.routeEwmaNs.Load()
-		next := sample
-		if old != 0 {
-			next = routeRateAlpha*sample + (1-routeRateAlpha)*math.Float64frombits(old)
-		}
-		if c.routeEwmaNs.CompareAndSwap(old, math.Float64bits(next)) {
-			return
-		}
-	}
-}
-
-// hedgeDelay is how long a placement may run before a second one races it:
-// headroom × EWMA ns/op × ops, clamped, with a fixed default before the
-// first observation.
-func (c *Coordinator) hedgeDelay(ops int) time.Duration {
-	if c.opts.HedgeDelay > 0 {
-		return c.opts.HedgeDelay
-	}
-	bits := c.routeEwmaNs.Load()
-	if bits == 0 || ops <= 0 {
-		return hedgeDelayDefault
-	}
-	d := time.Duration(hedgeHeadroom * math.Float64frombits(bits) * float64(ops))
-	return min(max(d, hedgeDelayMin), hedgeDelayMax)
-}
-
 // routeSim is the coordinator's one placement loop: it places a simulation
-// on its content key's ring successors until one answers. It persists
-// nothing: the front end records the request, and after a coordinator
-// crash the next incarnation re-adopts it through the front end, which
-// calls back in here. Every launch spends one unit of one budget:
+// on its content key's ring owner, one placement at a time, until one
+// answers. It persists nothing: the front end records the request, and
+// after a coordinator crash the next incarnation re-adopts it through the
+// front end, which calls back in here. Every placement spends one unit of
+// one budget:
 //
-//   - A primary goes to the key's ring owner whenever nothing is running.
+//   - A success is the job's answer.
+//   - An HTTP-level error means the worker is alive and refusing; that is
+//     the job's answer too.
 //   - A transport failure means the worker is dead: it is dropped from the
 //     ring (a steal, which cancels its other placements too), and the next
-//     primary goes to the new owner, who resumes from the latest shared
+//     placement goes to the new owner, who resumes from the latest shared
 //     checkpoint snapshot when there is one.
-//   - An HTTP-level error means the worker is alive and refusing; that is
-//     the job's answer.
-//   - A primary that outlives the EWMA-derived hedge delay gets one hedge on
-//     the key's next successor.
 //
-// The first success cancels the rest; a duplicate placement collapses on
-// the worker side under the content-keyed job ID.
-func (c *Coordinator) routeSim(ctx context.Context, id string, key simcache.Key, ops int, req api.SimRequest, budget int) ([]byte, bool, error) {
+// A slow placement is never raced. It ends when the worker answers or
+// dies, when its lease lapses, or when ctx is canceled; the worker's own
+// job deadline bounds it.
+func (c *Coordinator) routeSim(ctx context.Context, id string, key simcache.Key, req api.SimRequest, budget int) ([]byte, bool, error) {
 	budget = max(1, min(budget, maxRouteAttempts))
 	req.Wait = true
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, false, err
 	}
-
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	resCh := make(chan placeOutcome, budget) // one send per launch, so a loser never blocks
-	used, running := 0, 0
-	launch := func(m memberInfo, hedge bool) {
-		used++
-		running++
-		c.notePlaced(id, m.URL)
-		go func() {
-			start := time.Now()
-			data, cached, spoke, err := c.postSim(pctx, m, body)
-			if err == nil && !cached {
-				// Only a simulated answer says how long a miss takes.
-				c.observeRouteRate(time.Since(start), ops)
-			}
-			resCh <- placeOutcome{owner: m, data: data, cached: cached, spoke: spoke, err: err, hedge: hedge}
-		}()
-	}
-
-	var primary string
-	var hedgeC <-chan time.Time
 	var lastErr error
-	for {
-		if running == 0 {
-			if used == budget {
-				return nil, false, fmt.Errorf("cluster: job %s exhausted its placement budget (%d); workers dying faster than they join (last: %v)", id, budget, lastErr)
-			}
-			owner, ok := c.successor(key, "")
-			if !ok {
-				return nil, false, errNoWorkers
-			}
-			launch(owner, false)
-			primary, hedgeC = owner.Name, nil
-			if used < budget {
-				// The hedge.fire fault point collapses the delay so tests drive
-				// the hedge path without waiting out a real straggler.
-				delay := c.hedgeDelay(ops)
-				if faultinject.Should("cluster.hedge.fire") {
-					delay = 0
-				}
-				hedgeC = time.After(delay)
-			}
+	for range budget {
+		owner, ok := c.owner(key)
+		if !ok {
+			return nil, false, errNoWorkers
 		}
-		select {
-		case <-hedgeC:
-			hedgeC = nil
-			if next, ok := c.successor(key, primary); ok {
-				c.hedges.Add(1)
-				c.logger.Info("placement hedged", "job_id", id, "primary", primary, "hedge", next.Name)
-				launch(next, true)
-			}
-		case out := <-resCh:
-			running--
-			switch {
-			case out.err == nil:
-				if out.hedge {
-					c.hedgeWins.Add(1)
-				}
-				return out.data, out.cached, nil
-			case ctx.Err() != nil:
-				// The job was canceled or the coordinator is shutting down —
-				// not a dead worker.
-				return nil, false, ctx.Err()
-			case out.spoke:
-				return nil, false, out.err
-			}
-			// Transport death: steal now, even if a sibling placement is
-			// still in flight.
-			c.steals.Add(1)
-			c.dropMember(out.owner.Name, fmt.Sprintf("forward failed: %v", out.err))
-			c.logger.Info("job stolen", "job_id", id, "from", out.owner.Name)
-			// Fault point: a coordinator that dawdles between detecting the
-			// death and re-routing; clients must simply keep waiting.
-			_ = faultinject.Sleep(ctx, "cluster.steal.stall")
-			lastErr = out.err
-		case <-ctx.Done():
+		c.notePlaced(id, owner.URL)
+		data, cached, spoke, err := c.postSim(ctx, owner, body)
+		switch {
+		case err == nil:
+			return data, cached, nil
+		case ctx.Err() != nil:
+			// The job was canceled or the coordinator is shutting down —
+			// not a dead worker.
 			return nil, false, ctx.Err()
+		case spoke:
+			return nil, false, err
 		}
+		c.steals.Add(1)
+		c.dropMember(owner.Name, fmt.Sprintf("forward failed: %v", err))
+		c.logger.Info("job stolen", "job_id", id, "from", owner.Name)
+		// Fault point: a coordinator that dawdles between detecting the
+		// death and re-routing; clients must simply keep waiting.
+		_ = faultinject.Sleep(ctx, "cluster.steal.stall")
+		lastErr = err
 	}
-}
-
-// placeOutcome is one placement's terminal result inside routeSim.
-type placeOutcome struct {
-	owner  memberInfo
-	data   []byte
-	cached bool
-	spoke  bool
-	err    error
-	hedge  bool
+	return nil, false, fmt.Errorf("cluster: job %s exhausted its placement budget (%d); workers dying faster than they join (last: %v)", id, budget, lastErr)
 }
 
 // postSim performs one synchronous placement. spoke reports whether the
@@ -813,8 +682,6 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("cdpd_cluster_steals_total", "Jobs reclaimed from dead workers and re-routed.", "counter", c.steals.Load())
 	p("cdpd_cluster_rebalances_total", "Hash-ring rebuilds from membership changes.", "counter", c.rebalances.Load())
 	p("cdpd_cluster_generation", "Membership generation (increments per change).", "gauge", generation)
-	p("cdpd_cluster_hedges_total", "Second placements raced against suspected stragglers.", "counter", c.hedges.Load())
-	p("cdpd_cluster_hedge_wins_total", "Hedged placements that finished before the primary.", "counter", c.hedgeWins.Load())
 	p("cdpd_cluster_readopted_total", "Request records re-adopted after a restart.", "counter", c.readopted.Load())
 	p("cdpd_cluster_placements_open", "External placements accepted but not yet terminal.", "gauge", c.queue.ExternalInflight())
 	if c.journal != nil {

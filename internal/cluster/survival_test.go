@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -129,9 +128,8 @@ func TestCoordinatorRestartReadoptsPlacement(t *testing.T) {
 	stateDir := t.TempDir()
 	ckptDir := t.TempDir()
 	opts := CoordinatorOptions{
-		LeaseTTL:   60 * time.Second,
-		StateDir:   stateDir,
-		HedgeDelay: 5 * time.Minute, // keep hedging out of the exactly-once count
+		LeaseTTL: 60 * time.Second,
+		StateDir: stateDir,
 	}
 
 	sc := newSwapCoordinator(t)
@@ -286,63 +284,6 @@ func postSimRaw(t *testing.T, base string, req api.SimRequest, budget int) (int,
 	return resp.StatusCode, payload
 }
 
-// postSimBudget posts a waited request with an explicit retry-budget header
-// and returns the result bytes.
-func postSimBudget(t *testing.T, base string, req api.SimRequest, budget int) []byte {
-	t.Helper()
-	code, payload := postSimRaw(t, base, req, budget)
-	if code != http.StatusOK {
-		t.Fatalf("POST /v1/sim: %d %s", code, payload)
-	}
-	var env envelope
-	if err := json.Unmarshal(payload, &env); err != nil {
-		t.Fatalf("bad envelope %s: %v", payload, err)
-	}
-	return env.Result
-}
-
-// TestHedgedPlacement: with cluster.hedge.fire armed the straggler delay
-// collapses to zero, so a second placement races the primary on the key's
-// next successor. First completion wins, the result stays byte-identical to
-// standalone, and a client retry budget of zero remaining suppresses the
-// hedge entirely — the budget caps primaries + steals + hedges together.
-func TestHedgedPlacement(t *testing.T) {
-	coord, coordTS := startCoordinator(t, CoordinatorOptions{LeaseTTL: 60 * time.Second})
-	startWorker(t, coordTS.URL, "w1", WorkerOptions{})
-	startWorker(t, coordTS.URL, "w2", WorkerOptions{})
-	waitForWorkers(t, coord, 2)
-
-	prev := faultinject.Enable(faultinject.MustParse(1, "cluster.hedge.fire"))
-	defer faultinject.Enable(prev)
-
-	req, _ := requestOwnedBy(t, "w1", []string{"w1", "w2"}, 400_000, 0)
-	ref := standaloneResult(t, req)
-
-	if _, result := postSimURL(t, coordTS.URL, req); !bytes.Equal(result, ref) {
-		t.Errorf("hedged result differs from standalone:\nhedged     %s\nstandalone %s", result, ref)
-	}
-	hedged := coord.hedges.Load()
-	if hedged < 1 {
-		t.Fatalf("hedges = %d with cluster.hedge.fire armed, want >= 1", hedged)
-	}
-
-	// Remaining budget 0 → total budget 1 → no slot for a hedge even with
-	// the fault forcing the timer.
-	req2, _ := requestOwnedBy(t, "w2", []string{"w1", "w2"}, 600_000, 0)
-	ref2 := standaloneResult(t, req2)
-	if result := postSimBudget(t, coordTS.URL, req2, 0); !bytes.Equal(result, ref2) {
-		t.Errorf("budget-capped result differs from standalone")
-	}
-	if got := coord.hedges.Load(); got != hedged {
-		t.Errorf("hedges grew %d -> %d despite an exhausted retry budget", hedged, got)
-	}
-
-	fams := scrape(t, coordTS.URL)
-	if got := fams["cdpd_cluster_hedges_total"].Value(t, 0); got < 1 {
-		t.Errorf("cdpd_cluster_hedges_total = %v, want >= 1", got)
-	}
-}
-
 // TestStealStallFault: cluster.steal.stall inserts its configured delay in
 // the steal path without changing the outcome — the placement on a dead
 // member still fails over to a live worker and returns standalone-identical
@@ -390,11 +331,11 @@ func registerMember(t *testing.T, base, name, url string) {
 }
 
 // TestPlacementBudgetExhaustedBySteals: a steal spends the placement
-// budget a primary or a hedge spends. With a retry budget of 1 (two
+// budget the first placement spends. With a retry budget of 1 (two
 // placements) and three dead members, the job fails after two steals and
 // the third member is never tried.
 func TestPlacementBudgetExhaustedBySteals(t *testing.T) {
-	coord, coordTS := startCoordinator(t, CoordinatorOptions{LeaseTTL: 60 * time.Second, HedgeDelay: time.Hour})
+	coord, coordTS := startCoordinator(t, CoordinatorOptions{LeaseTTL: 60 * time.Second})
 	for _, name := range []string{"ghost1", "ghost2", "ghost3"} {
 		registerMember(t, coordTS.URL, name, "http://127.0.0.1:1")
 	}
@@ -429,7 +370,7 @@ func TestPlacementRefusalFailsJob(t *testing.T) {
 	}))
 	t.Cleanup(fake.Close)
 	stateDir := t.TempDir()
-	coord, coordTS := startCoordinator(t, CoordinatorOptions{LeaseTTL: 60 * time.Second, HedgeDelay: time.Hour, StateDir: stateDir})
+	coord, coordTS := startCoordinator(t, CoordinatorOptions{LeaseTTL: 60 * time.Second, StateDir: stateDir})
 	registerMember(t, coordTS.URL, "fake", fake.URL)
 	waitForWorkers(t, coord, 1)
 
@@ -470,29 +411,46 @@ func TestPlacementRefusalFailsJob(t *testing.T) {
 	}
 }
 
-// TestCachedPlacementLeavesHedgeDelay: a placement a worker answers from
-// its tiers runs no simulation, so its time says nothing about how long a
-// miss takes. Folded into the hedge threshold, one such answer would pull
-// the delay down to its floor, and every slower miss after it would be
-// hedged and simulated twice.
-func TestCachedPlacementLeavesHedgeDelay(t *testing.T) {
+// TestSlowPlacementIsNotRaced: a placement that runs long is waited out on
+// the key's owner and never raced on another member, so a miss is
+// simulated once however long it takes. The owner holds its answer for
+// 2.5 s; the key's other successor must see no placement at all.
+func TestSlowPlacementIsNotRaced(t *testing.T) {
+	fakeWorker := func(hold time.Duration, posts *atomic.Int64) *httptest.Server {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != http.MethodPost || r.URL.Path != "/v1/sim" {
+				http.NotFound(w, r)
+				return
+			}
+			posts.Add(1)
+			select {
+			case <-time.After(hold):
+			case <-r.Context().Done():
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			io.WriteString(w, `{"cached":false,"result":{"benchmark":"quake"}}`)
+		}))
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	var ownerPosts, otherPosts atomic.Int64
+	owner := fakeWorker(2500*time.Millisecond, &ownerPosts)
+	other := fakeWorker(0, &otherPosts)
 	coord, coordTS := startCoordinator(t, CoordinatorOptions{LeaseTTL: 60 * time.Second})
-	_, w1TS := startWorker(t, coordTS.URL, "w1", WorkerOptions{})
-	startWorker(t, coordTS.URL, "w2", WorkerOptions{})
+	registerMember(t, coordTS.URL, "owner", owner.URL)
+	registerMember(t, coordTS.URL, "other", other.URL)
 	waitForWorkers(t, coord, 2)
 
-	req, _ := requestOwnedBy(t, "w1", []string{"w1", "w2"}, 200_000, 0)
-	if cached, _ := postSimURL(t, w1TS.URL, req); cached {
-		t.Fatal("w1's first answer reported cached")
+	req, _ := requestOwnedBy(t, "owner", []string{"owner", "other"}, 20_000, 0)
+	if _, result := postSimURL(t, coordTS.URL, req); string(result) != `{"benchmark":"quake"}` {
+		t.Errorf("result %s, want the owner's answer", result)
 	}
-	if cached, _ := postSimURL(t, coordTS.URL, req); !cached {
-		t.Fatal("the placement on w1 was not answered from its cache")
+	if got := otherPosts.Load(); got != 0 {
+		t.Errorf("the key's other successor saw %d placements, want 0", got)
 	}
-	if bits := coord.routeEwmaNs.Load(); bits != 0 {
-		t.Errorf("a cached placement set the placement-rate EWMA to %v ns/op, want it unset", math.Float64frombits(bits))
-	}
-	if got := coord.hedgeDelay(req.Ops); got != hedgeDelayDefault {
-		t.Errorf("hedgeDelay = %v after a cached placement, want the default %v", got, hedgeDelayDefault)
+	if got := ownerPosts.Load(); got != 1 {
+		t.Errorf("the owner saw %d placements, want 1", got)
 	}
 }
 
@@ -503,7 +461,7 @@ func TestCachedPlacementLeavesHedgeDelay(t *testing.T) {
 // cells once each, and every cell clears its request record.
 func TestOneRoutePerContentKey(t *testing.T) {
 	stateDir := t.TempDir()
-	coord, coordTS := startCoordinator(t, CoordinatorOptions{LeaseTTL: 60 * time.Second, StateDir: stateDir, HedgeDelay: time.Hour})
+	coord, coordTS := startCoordinator(t, CoordinatorOptions{LeaseTTL: 60 * time.Second, StateDir: stateDir})
 	_, w1TS := startWorker(t, coordTS.URL, "w1", WorkerOptions{})
 	_, w2TS := startWorker(t, coordTS.URL, "w2", WorkerOptions{})
 	waitForWorkers(t, coord, 2)
@@ -546,7 +504,7 @@ func TestOneRoutePerContentKey(t *testing.T) {
 // request record is gone once it has succeeded.
 func TestJournalHoldsOnlyMembership(t *testing.T) {
 	stateDir := t.TempDir()
-	coord, coordTS := startCoordinator(t, CoordinatorOptions{LeaseTTL: 60 * time.Second, StateDir: stateDir, HedgeDelay: time.Hour})
+	coord, coordTS := startCoordinator(t, CoordinatorOptions{LeaseTTL: 60 * time.Second, StateDir: stateDir})
 	startWorker(t, coordTS.URL, "w1", WorkerOptions{})
 	waitForWorkers(t, coord, 1)
 

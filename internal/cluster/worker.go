@@ -45,7 +45,7 @@ type WorkerOptions struct {
 	// Queue sizes the worker's simulation pool.
 	Queue jobq.Config
 	// API passes through to the embedded api.Server (checkpoint dir and
-	// interval, shed watermarks, adaptive timeouts, logger).
+	// interval, logger).
 	API api.Options
 }
 

@@ -66,7 +66,6 @@ var catalog = []Point{
 	{"cluster.steal.stall", "sleeps the coordinator between dropping a dead worker and re-routing its jobs (slow-steal drill; clients keep waiting, nothing is lost)"},
 	{"cluster.peerfetch.error", "fails a peer cache fetch (the tier must fall through to recomputing, never error the request)"},
 	{"cluster.journal.write-error", "fails appending a record to the coordinator's write-ahead journal (recovery loses that record but live requests must not fail)"},
-	{"cluster.hedge.fire", "forces a hedged placement to fire immediately instead of waiting out the EWMA delay (hedge-path drill; first completion must still win exactly once)"},
 	{"disk.cache.torn-write", "truncates a disk-tier spill mid-payload, simulating a torn write (the CRC trailer must quarantine the entry on the next read)"},
 }
 

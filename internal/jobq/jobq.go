@@ -83,8 +83,7 @@ type Job struct {
 	id       string
 	priority int
 	seq      uint64
-	index    int           // heap position; -1 once popped or removed
-	timeout  time.Duration // per-job override of Config.JobTimeout (0 = inherit)
+	index    int // heap position; -1 once popped or removed
 	fn       Func
 	// external marks a job whose work runs outside this queue's worker
 	// pool (the cluster coordinator forwarding to a remote worker). It is
@@ -353,13 +352,6 @@ func New(cfg Config) *Queue {
 // job; otherwise it fails fast with ErrQueueFull when the queue is at
 // capacity, and with ErrShuttingDown once Shutdown has begun.
 func (q *Queue) Submit(id string, priority int, fn Func) (*Job, error) {
-	return q.SubmitTimeout(id, priority, 0, fn)
-}
-
-// SubmitTimeout is Submit with a per-job execution timeout overriding the
-// queue-wide Config.JobTimeout (0 = inherit). The API layer uses it for
-// adaptive deadlines sized from observed simulation throughput.
-func (q *Queue) SubmitTimeout(id string, priority int, timeout time.Duration, fn Func) (*Job, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -380,7 +372,6 @@ func (q *Queue) SubmitTimeout(id string, priority int, timeout time.Duration, fn
 		id:       id,
 		priority: priority,
 		seq:      seq,
-		timeout:  timeout,
 		fn:       fn,
 		state:    StateQueued,
 		subs:     map[chan Update]bool{},
@@ -660,13 +651,13 @@ func (q *Queue) run(j *Job) {
 		j.mu.Unlock()
 		return
 	}
-	timeout := q.cfg.JobTimeout
-	if j.timeout > 0 {
-		timeout = j.timeout
-	}
-	ctx, cancel := context.WithCancel(q.baseCtx)
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(q.baseCtx, timeout)
+	// One context a job: one left uncanceled stays in baseCtx until Shutdown.
+	var ctx context.Context
+	var cancel context.CancelFunc
+	if q.cfg.JobTimeout > 0 {
+		ctx, cancel = context.WithTimeout(q.baseCtx, q.cfg.JobTimeout)
+	} else {
+		ctx, cancel = context.WithCancel(q.baseCtx)
 	}
 	j.cancel = cancel
 	j.state = StateRunning

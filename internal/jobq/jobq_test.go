@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -208,6 +209,36 @@ func TestJobTimeout(t *testing.T) {
 	}
 	if _, err := j.Result(); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("result err = %v, want DeadlineExceeded", err)
+	}
+}
+
+// TestJobTimeoutReleasesContexts: every job a queue runs under a
+// JobTimeout releases its context, so the live heap stays flat however
+// many jobs it has run. A deadline context derived beside a canceled one
+// would stay registered with the queue's base context until Shutdown,
+// about 140 bytes a job.
+func TestJobTimeoutReleasesContexts(t *testing.T) {
+	q := New(Config{Workers: 1, JobTimeout: time.Minute})
+	defer q.Shutdown(context.Background())
+	run := func(prefix string, n int) {
+		for i := range n {
+			j, err := q.Submit(fmt.Sprintf("%s-%d", prefix, i), 0, func(context.Context, *Job) (any, error) { return nil, nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-j.Done()
+		}
+	}
+	run("fill", keepFinished) // the finished-job ring is kept by design
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	const jobs = 20_000
+	run("probe", jobs)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / jobs; grew > 50 {
+		t.Errorf("live heap grew %.0f bytes a job over %d jobs, want about 0", grew, jobs)
 	}
 }
 

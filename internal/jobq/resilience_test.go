@@ -161,30 +161,6 @@ func TestWorkerPanicReleasesMutexOnce(t *testing.T) {
 	}
 }
 
-// TestSubmitTimeoutOverridesQueueDefault checks the per-job deadline: a
-// job with its own short timeout dies while the queue-wide default (none)
-// would have let it run forever.
-func TestSubmitTimeoutOverridesQueueDefault(t *testing.T) {
-	q := New(Config{Workers: 1})
-	defer q.Shutdown(context.Background())
-
-	j, err := q.SubmitTimeout("deadline", 0, 20*time.Millisecond, func(ctx context.Context, _ *Job) (any, error) {
-		<-ctx.Done()
-		return nil, ctx.Err()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-j.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("per-job timeout never fired")
-	}
-	if _, jerr := j.Result(); !errors.Is(jerr, context.DeadlineExceeded) {
-		t.Fatalf("want deadline error, got %v", jerr)
-	}
-}
-
 // TestWorkerStallFaultDelaysButCompletes exercises jobq.worker.stall: the
 // job is delayed, not lost.
 func TestWorkerStallFaultDelaysButCompletes(t *testing.T) {
